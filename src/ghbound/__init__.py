@@ -7,11 +7,11 @@ through Vietoris-Rips/Cech complexes and Z/2 homology, and ships a family of
 instances whose GH/Hausdorff ratio is arbitrarily small.
 """
 
-from .bounds import (BoundInputs, BoundReport, circle_bound, circle_bound_pair,
-                     circumradius, convexity_bound, convexity_bound_pair,
-                     fillrad_bound, fillrad_bound_pair, jung_bound_pair,
-                     jung_constant, jung_radius_upper,
-                     min_diameter_for_circumradius, scale_cap)
+from .bounds import (BoundReport, circle_bound, circle_bound_pair, circumradius,
+                     convexity_bound, convexity_bound_pair, fillrad_bound,
+                     fillrad_bound_pair, jung_bound_pair, jung_constant,
+                     jung_radius_upper, min_diameter_for_circumradius,
+                     scale_cap)
 from .complexes import (SimplicialComplex, VertexMap, build_cech_circle,
                         build_cech_witness, build_vr, check_contiguous,
                         check_simplicial, compose_maps, inclusion_map,
@@ -24,7 +24,7 @@ from .manifolds import (AmbientManifold, FiniteMetricSpace, FiniteSubset,
                         circle, covering_radius_circle, covering_radius_witness,
                         cross_distances, diameter, directed_hausdorff, euclidean,
                         flat_torus, geodesic_distance, hausdorff_subsets,
-                        pairwise_distances, subset_diameter, to_metric_space)
+                        pairwise_distances, subset_diameter)
 from .ratio import (RatioInstance, RatioReport, apply_cyclic_isometry,
                     as_subsets, build_instance, verify_instance)
 from .sampling import (SplitMix64, equispaced_circle, grid_covering_radius,

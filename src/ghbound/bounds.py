@@ -24,21 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifolds import (CIRCLE, EUCLIDEAN, STRICT_SLACK,
-                        FiniteSubset)
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs a bound evaluation can draw from; unavailable entries stay None."""
-
-    dh_xm: float
-    rho: float
-    n: int = 1
-    kappa: float = 0.0
-    dh_ym: float = 0.0
-    fill_rad: float | None = None
-    circumference: float | None = None
+from .manifolds import CIRCLE, EUCLIDEAN, STRICT_SLACK, FiniteSubset
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,8 @@ from .manifolds import (CIRCLE, EUCLIDEAN, FLAT_TORUS, AmbientManifold,
                         covering_radius_witness, cross_distances,
                         hausdorff_subsets)
 from .ratio import as_subsets, build_instance, verify_instance
-from .sampling import SplitMix64, equispaced_circle, grid_points, uniform_points
+from .sampling import (SplitMix64, equispaced_circle, grid_covering_radius,
+                       grid_points, uniform_points)
 
 SANDWICH_TOL = 1e-9
 
@@ -63,103 +63,95 @@ def _default_witness_per_axis(dim: int) -> int:
     return max(2, min(64, int(round(4096 ** (1.0 / dim)))))
 
 
-def _dh_to_manifold(subset: FiniteSubset, witness_per_axis: int | None) -> float:
+def _dh_to_manifold(subset: FiniteSubset,
+                    witness_per_axis: int | None) -> tuple[float, float]:
+    """d_H(X, M) as (under-estimate, bound on its error): exact on circles.
+
+    On tori the witness-grid value under-estimates by at most the grid's own
+    covering radius; callers add that error where an over-estimate is safe.
+    """
     m = subset.manifold
     if m.kind == CIRCLE:
-        return covering_radius_circle(subset)
+        return covering_radius_circle(subset), 0.0
     if m.kind == FLAT_TORUS:
         per_axis = witness_per_axis or _default_witness_per_axis(m.dim)
-        return covering_radius_witness(subset, grid_points(m, per_axis))
+        return (covering_radius_witness(subset, grid_points(m, per_axis)),
+                grid_covering_radius(m, per_axis))
     raise ValueError("d_H(X, M) is only finite for compact manifolds; "
                      "supply --inputs for abstract evaluations")
 
 
-def _applicable(manifold: AmbientManifold) -> list[str]:
-    names = ["convexity"]
-    if manifold.kind == CIRCLE:
-        names.append("circle")
-    if manifold.fill_rad is not None:
-        names.append("fillrad")
-    names.append("jung")
-    return names
+# name -> (single form, pair form, required constants), in report order. The
+# forms look bound functions up in this module's globals at call time. Every
+# term grows with dh_xm and shrinks with dh_ym, so an under-estimate of
+# d_H(X, M) and an over-estimate of d_H(Y, M) keep each bound safe.
+BOUNDS = {
+    "convexity": (lambda c: convexity_bound(c["dh_xm"], c["rho"]),
+                  lambda c: convexity_bound_pair(c["dh_xm"], c["rho"], c["dh_ym"]),
+                  ()),
+    "circle": (lambda c: circle_bound(c["dh_xm"], c["circumference"]),
+               lambda c: circle_bound_pair(c["dh_xm"], c["dh_ym"], c["circumference"]),
+               ("circumference",)),
+    "fillrad": (lambda c: fillrad_bound(c["dh_xm"], c["rho"], c["fill_rad"]),
+                lambda c: fillrad_bound_pair(c["dh_xm"], c["rho"], c["fill_rad"],
+                                             c["dh_ym"]),
+                ("fill_rad",)),
+    "jung": (lambda c: jung_bound_pair(c["dh_xm"], c["rho"], c["kappa"], c["n"], 0.0),
+             lambda c: jung_bound_pair(c["dh_xm"], c["rho"], c["kappa"], c["n"],
+                                       c["dh_ym"]),
+             ()),
+}
 
 
-def _evaluate(name: str, pair: bool, dh_xm: float, dh_ym: float,
-              manifold_like: dict) -> dict:
-    rho = manifold_like.get("rho", math.inf)
-    kappa = manifold_like.get("kappa", 0.0)
-    n = manifold_like.get("n", 1)
-    fill_rad = manifold_like.get("fill_rad")
-    circumference = manifold_like.get("circumference")
-    if name == "convexity":
-        report = (convexity_bound_pair(dh_xm, rho, dh_ym) if pair
-                  else convexity_bound(dh_xm, rho))
-    elif name == "circle":
-        if circumference is None:
-            raise ValueError("circle bound needs a circle manifold")
-        report = (circle_bound_pair(dh_xm, dh_ym, circumference) if pair
-                  else circle_bound(dh_xm, circumference))
-    elif name == "fillrad":
-        if fill_rad is None:
-            raise ValueError("missing geometry constant fill_rad")
-        report = (fillrad_bound_pair(dh_xm, rho, fill_rad, dh_ym) if pair
-                  else fillrad_bound(dh_xm, rho, fill_rad))
-    elif name == "jung":
-        report = jung_bound_pair(dh_xm, rho, kappa, n, dh_ym if pair else 0.0)
-    else:
+def _missing(name: str, constants: dict) -> list[str]:
+    return [k for k in BOUNDS[name][2] if constants.get(k) is None]
+
+
+def _evaluate(name: str, constants: dict) -> dict:
+    if name not in BOUNDS:
         raise ValueError(f"unknown bound name {name!r}")
-    return serialize.bound_report_to_dict(report)
+    missing = _missing(name, constants)
+    if missing:
+        raise ValueError(f"{name} bound needs the geometry constant {missing[0]!r}")
+    single, pair, _ = BOUNDS[name]
+    form = pair if "dh_ym" in constants else single
+    return serialize.bound_report_to_dict(form(constants))
 
 
 def cmd_bounds(args) -> int:
     if args.inputs:
         raw = serialize.read_json(args.inputs)
-        dh_xm = float(raw["dh_xm"])
-        dh_ym = float(raw.get("dh_ym", 0.0))
-        pair = "dh_ym" in raw
-        manifold_like = {k: raw[k] for k in
-                         ("rho", "kappa", "n", "fill_rad", "circumference") if k in raw}
-        requested = args.theorems.split(",") if args.theorems else ["convexity", "jung"]
+        inputs = {k: raw[k] for k in ("rho", "kappa", "n", "fill_rad", "circumference")
+                  if k in raw}
+        inputs["dh_xm"] = float(raw["dh_xm"])
+        if "dh_ym" in raw:
+            inputs["dh_ym"] = float(raw["dh_ym"])
+        default = ["convexity", "jung"]
     else:
         if not args.x:
             raise ValueError("bounds needs --x (a subset JSON) or --inputs")
         sub_x = serialize.subset_from_dict(serialize.read_json(args.x))
         m = sub_x.manifold
-        dh_xm = _dh_to_manifold(sub_x, args.witness_grid)
-        pair = args.y is not None
-        dh_ym = 0.0
-        if pair:
+        inputs = {"dh_xm": _dh_to_manifold(sub_x, args.witness_grid)[0],
+                  "rho": m.rho, "kappa": m.kappa, "n": m.dim, "fill_rad": m.fill_rad}
+        if m.kind == CIRCLE:
+            inputs["circumference"] = m.params[0]
+        if args.y is not None:
             sub_y = serialize.subset_from_dict(serialize.read_json(args.y))
             if sub_y.manifold != m:
                 raise ValueError("X and Y must live on the same manifold")
-            dh_ym = _dh_to_manifold(sub_y, args.witness_grid)
-        manifold_like = {"rho": m.rho, "kappa": m.kappa, "n": m.dim,
-                         "fill_rad": m.fill_rad}
-        if m.kind == CIRCLE:
-            manifold_like["circumference"] = m.params[0]
-        requested = args.theorems.split(",") if args.theorems else _applicable(m)
-    reports = [_evaluate(name.strip(), pair, dh_xm, dh_ym, manifold_like)
-               for name in requested]
-    inputs = {"dh_xm": dh_xm, **manifold_like}
-    if pair:
-        inputs["dh_ym"] = dh_ym
+            dh_ym, error = _dh_to_manifold(sub_y, args.witness_grid)
+            inputs["dh_ym"] = dh_ym + error
+        default = [name for name in BOUNDS if not _missing(name, inputs)]
+    constants = {"rho": math.inf, "kappa": 0.0, "n": 1, **inputs}
+    requested = args.theorems.split(",") if args.theorems else default
+    reports = [_evaluate(name.strip(), constants) for name in requested]
     _emit_json({"inputs": inputs, "reports": reports}, args.out)
     return 0
 
 
-@dataclass
-class SweepConfig:
-    manifold: AmbientManifold
-    sampler: dict
-    pairs: list[tuple[int, int]]
-    count: int | None
-    scale_grid: tuple[float, float, int] | None
-    max_dim: int
-    node_budget: int
-    out: str | None
-
-
-def _parse_config(d: dict, need_pairs: bool = False, need_grid: bool = False) -> SweepConfig:
+def _manifold_and_sampler(d: dict) -> tuple[AmbientManifold, dict]:
+    """The config keys circle-sweep and fillrad-estimate share."""
     manifold = (serialize.manifold_from_dict(d["manifold"]) if "manifold" in d
                 else circle())
     sampler = d.get("sampler", {"kind": "equispaced"})
@@ -169,49 +161,38 @@ def _parse_config(d: dict, need_pairs: bool = False, need_grid: bool = False) ->
         raise ValueError("sampler kind must be equispaced, uniform, or file")
     if sampler["kind"] == "uniform" and "seed" not in sampler:
         raise ValueError("uniform sampler needs a seed")
-    pairs = [(int(a), int(b)) for a, b in d.get("pairs", [])]
-    if need_pairs and not pairs:
-        raise ValueError("config needs a non-empty 'pairs' list")
-    grid = None
-    if "scale_grid" in d:
-        g = d["scale_grid"]
-        grid = (float(g["start"]), float(g["stop"]), int(g["steps"]))
-        if not (grid[0] > 0 and grid[1] > grid[0] and grid[2] >= 2):
-            raise ValueError("scale grid must be strictly increasing")
-    if need_grid and grid is None:
-        raise ValueError("config needs 'scale_grid' with start/stop/steps")
-    count = int(d["count"]) if "count" in d else None
-    max_dim = int(d.get("max_dim", manifold.dim + 1))
-    return SweepConfig(manifold, sampler, pairs, count, grid,
-                       max_dim, int(d.get("node_budget", 10_000_000)),
-                       d.get("out"))
+    return manifold, sampler
 
 
-def _sample(cfg: SweepConfig, row: int, side: int, size: int,
-            master: SplitMix64 | None) -> FiniteSubset:
-    kind = cfg.sampler["kind"]
+def _sample(manifold: AmbientManifold, sampler: dict, row: int, side: int,
+            size: int, master: SplitMix64) -> FiniteSubset:
+    kind = sampler["kind"]
     if kind == "equispaced":
-        phase = float(cfg.sampler.get("phase_y" if side else "phase_x", 0.0))
-        return equispaced_circle(cfg.manifold, size, phase)
+        phase = float(sampler.get("phase_y" if side else "phase_x", 0.0))
+        return equispaced_circle(manifold, size, phase)
     if kind == "uniform":
         child = master.child(2 * row + side)
-        return uniform_points(cfg.manifold, size, child.next_u64())
-    paths = cfg.sampler["y" if side else "x"]
+        return uniform_points(manifold, size, child.next_u64())
+    paths = sampler["y" if side else "x"]
     return serialize.subset_from_dict(serialize.read_json(paths[row]))
 
 
 def cmd_circle_sweep(args) -> int:
-    cfg = _parse_config(serialize.read_json(args.config), need_pairs=True)
-    if cfg.manifold.kind != CIRCLE:
+    config = serialize.read_json(args.config)
+    manifold, sampler = _manifold_and_sampler(config)
+    pairs = [(int(a), int(b)) for a, b in config.get("pairs", [])]
+    if not pairs:
+        raise ValueError("config needs a non-empty 'pairs' list")
+    if manifold.kind != CIRCLE:
         raise ValueError("circle-sweep needs a circle manifold")
-    circumference = cfg.manifold.params[0]
-    budget = args.budget or cfg.node_budget
-    seed = args.seed if args.seed is not None else cfg.sampler.get("seed", 0)
+    circumference = manifold.params[0]
+    budget = args.budget or int(config.get("node_budget", 10_000_000))
+    seed = args.seed if args.seed is not None else sampler.get("seed", 0)
     master = SplitMix64(seed)
     rows = []
-    for i, (nx, ny) in enumerate(cfg.pairs):
-        sub_x = _sample(cfg, i, 0, nx, master)
-        sub_y = _sample(cfg, i, 1, ny, master)
+    for i, (nx, ny) in enumerate(pairs):
+        sub_x = _sample(manifold, sampler, i, 0, nx, master)
+        sub_y = _sample(manifold, sampler, i, 1, ny, master)
         dh_x = covering_radius_circle(sub_x)
         dh_y = covering_radius_circle(sub_y)
         bound = circle_bound_pair(dh_x, dh_y, circumference).lower_bound
@@ -228,7 +209,7 @@ def cmd_circle_sweep(args) -> int:
     writer.writerow(["index", "n_x", "n_y", "dh_x_circle", "dh_y_circle",
                      "pair_bound", "gh_exact", "dh_xy", "nodes", "proven_optimal"])
     writer.writerows([list(r) for r in rows])
-    _write_text(buf.getvalue(), args.out or cfg.out)
+    _write_text(buf.getvalue(), args.out or config.get("out"))
     return 0
 
 
@@ -296,32 +277,39 @@ def cmd_gh_exact(args) -> int:
 
 
 def cmd_fillrad_estimate(args) -> int:
-    cfg = _parse_config(serialize.read_json(args.config), need_grid=True)
-    m = cfg.manifold
+    config = serialize.read_json(args.config)
+    m, sampler = _manifold_and_sampler(config)
+    if "scale_grid" not in config:
+        raise ValueError("config needs 'scale_grid' with start/stop/steps")
+    g = config["scale_grid"]
+    start, stop, steps = float(g["start"]), float(g["stop"]), int(g["steps"])
+    if not (start > 0 and stop > start and steps >= 2):
+        raise ValueError("scale grid must be strictly increasing")
     n = m.dim
-    if cfg.max_dim < n + 1:
+    max_dim = int(config.get("max_dim", n + 1))
+    if max_dim < n + 1:
         raise ValueError(f"max_dim must be at least {n + 1} to compute beta_{n}")
-    if cfg.count is None:
+    if "count" not in config:
         raise ValueError("config needs 'count' (sample size)")
-    seed = args.seed if args.seed is not None else cfg.sampler.get("seed", 0)
-    if cfg.sampler["kind"] == "equispaced":
-        sample = (equispaced_circle(m, cfg.count) if m.kind == CIRCLE
-                  else grid_points(m, cfg.count))
-    elif cfg.sampler["kind"] == "uniform":
-        sample = uniform_points(m, cfg.count, seed)
+    count = int(config["count"])
+    seed = args.seed if args.seed is not None else sampler.get("seed", 0)
+    if sampler["kind"] == "equispaced":
+        sample = (equispaced_circle(m, count) if m.kind == CIRCLE
+                  else grid_points(m, count))
+    elif sampler["kind"] == "uniform":
+        sample = uniform_points(m, count, seed)
     else:
-        sample = serialize.subset_from_dict(serialize.read_json(cfg.sampler["x"][0]))
+        sample = serialize.subset_from_dict(serialize.read_json(sampler["x"][0]))
     space = sample.to_metric_space()
-    start, stop, steps = cfg.scale_grid
     grid = np.linspace(start, stop, steps)
-    base = build_vr(space, float(grid[0]), cfg.max_dim)
+    base = build_vr(space, float(grid[0]), max_dim)
     base_betti = betti_numbers(base, n)
     if base_betti[n] != 1:
         raise ValueError(f"sample too sparse: base complex has beta_{n} = "
                          f"{base_betti[n]}, expected 1")
     scales, betti_rows, survives = [], [], []
     for s in grid:
-        cx = build_vr(space, float(s), cfg.max_dim)
+        cx = build_vr(space, float(s), max_dim)
         scales.append(float(s))
         betti_rows.append(list(betti_numbers(cx, n).values))
         survives.append(fundamental_class_survives(base, cx, n))
@@ -332,7 +320,7 @@ def cmd_fillrad_estimate(args) -> int:
                 "betti": betti_rows, "survives": survives,
                 "death_scale": death, "censored": censored,
                 "estimate": None if death is None else death / 2.0},
-               args.out or cfg.out)
+               args.out or config.get("out"))
     return 0
 
 

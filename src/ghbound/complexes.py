@@ -26,8 +26,6 @@ import numpy as np
 
 from .manifolds import STRICT_SLACK, FiniteMetricSpace
 
-_CLOSURE_EXHAUSTIVE_LIMIT = 500
-
 
 def _iter_bits(mask: int):
     while mask:
@@ -43,10 +41,27 @@ class SimplicialComplex:
     increasing vertex tuples. Every dimension 0..max_dim has an entry (possibly
     empty); max_dim records the construction cap, which may exceed the top
     non-empty dimension. Instances are immutable by convention.
+
+    The constructor checks every simplex and every one of its codimension-one
+    faces, in time linear in simplices x dim, so a complex that exists is
+    closed under taking faces.
     """
 
     def __init__(self, vertex_count: int, scale: float, max_dim: int,
-                 simplices, flavor: str = "vr", validate: bool = True) -> None:
+                 simplices, flavor: str = "vr") -> None:
+        self._store(vertex_count, scale, max_dim, simplices, flavor)
+        self._validate()
+
+    @classmethod
+    def _closed(cls, vertex_count: int, scale: float, max_dim: int,
+                simplices, flavor: str) -> "SimplicialComplex":
+        """Wrap a builder's output, which is closed by construction, unchecked."""
+        complex_ = cls.__new__(cls)
+        complex_._store(vertex_count, scale, max_dim, simplices, flavor)
+        return complex_
+
+    def _store(self, vertex_count: int, scale: float, max_dim: int,
+               simplices, flavor: str) -> None:
         if vertex_count < 1:
             raise ValueError("vertex_count must be >= 1")
         if max_dim < 0:
@@ -61,8 +76,6 @@ class SimplicialComplex:
             canon[d] = tuple(sorted(set(tuple(s) for s in entries)))
         self.simplices = canon
         self._sets = {d: frozenset(v) for d, v in canon.items()}
-        if validate:
-            self._validate()
 
     def _validate(self) -> None:
         for d, entries in self.simplices.items():
@@ -73,19 +86,13 @@ class SimplicialComplex:
                     raise ValueError(f"simplex {s} is not strictly increasing")
                 if s[0] < 0 or s[-1] >= self.vertex_count:
                     raise ValueError(f"simplex {s} has a vertex out of range")
-        self.validate_closure()
-
-    def validate_closure(self) -> None:
-        """Check faces are present: exhaustive on small complexes, strided above."""
-        positive = [s for d in range(1, self.max_dim + 1) for s in self.simplices[d]]
-        total = len(positive)
-        if total > _CLOSURE_EXHAUSTIVE_LIMIT:
-            stride = max(1, total // _CLOSURE_EXHAUSTIVE_LIMIT)
-            positive = positive[::stride]
-        for s in positive:
-            for face in combinations(s, len(s) - 1):
-                if not self.has_simplex(face):
-                    raise ValueError(f"face {face} of {s} is missing")
+                if d == 0:
+                    continue
+                faces = self._sets[d - 1]
+                for k in range(d + 1):
+                    face = s[:k] + s[k + 1:]
+                    if face not in faces:
+                        raise ValueError(f"face {face} of {s} is missing")
 
     def has_simplex(self, simplex) -> bool:
         t = tuple(simplex)
@@ -145,7 +152,7 @@ def build_vr(space: FiniteMetricSpace, scale: float, max_dim: int) -> Simplicial
         for i in range(m):
             extend((i,), nbr[i] & (-1 << (i + 1)), 0)
 
-    return SimplicialComplex(m, scale, max_dim, simplices, flavor="vr")
+    return SimplicialComplex._closed(m, scale, max_dim, simplices, "vr")
 
 
 def build_cech_circle(space: FiniteMetricSpace, radius: float, max_dim: int,
@@ -161,12 +168,12 @@ def build_cech_circle(space: FiniteMetricSpace, radius: float, max_dim: int,
     if not (2 * radius < circumference / 3.0 - STRICT_SLACK):
         raise ValueError("lemma scale bound violated: need 2*radius < circumference/3")
     vr = build_vr(space, 2 * radius, max_dim)
-    return SimplicialComplex(vr.vertex_count, radius, max_dim, vr.simplices,
-                             flavor="cech", validate=False)
+    return SimplicialComplex._closed(vr.vertex_count, radius, max_dim, vr.simplices,
+                                     "cech")
 
 
-def build_cech_witness(space_cross: np.ndarray, radius: float, max_dim: int,
-                       scale_label: float | None = None) -> SimplicialComplex:
+def build_cech_witness(space_cross: np.ndarray, radius: float,
+                       max_dim: int) -> SimplicialComplex:
     """Witnessed Cech complex from a witness-to-point distance matrix.
 
     space_cross[w, i] is the distance from witness w to point i. A simplex is
@@ -186,9 +193,7 @@ def build_cech_witness(space_cross: np.ndarray, radius: float, max_dim: int,
     for star in stars:
         for k in range(min(len(star), max_dim + 1)):
             simplices[k].update(combinations(star, k + 1))
-    return SimplicialComplex(m, radius if scale_label is None else scale_label,
-                             max_dim, {k: tuple(v) for k, v in simplices.items()},
-                             flavor="cech-witness")
+    return SimplicialComplex._closed(m, radius, max_dim, simplices, "cech-witness")
 
 
 @dataclass(frozen=True)

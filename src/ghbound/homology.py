@@ -59,20 +59,6 @@ def _gf2_reduce(columns: list[int]) -> tuple[dict[int, int], list[int]]:
     return pivots, kernel
 
 
-def _gf2_rank(columns) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            p = col.bit_length() - 1
-            if p not in pivots:
-                pivots[p] = col
-                rank += 1
-                break
-            col ^= pivots[p]
-    return rank
-
-
 def _boundary_columns(complex_: SimplicialComplex, dim: int) -> list[int]:
     """Columns of the boundary operator from dimension dim to dim-1."""
     if dim == 0:
@@ -111,40 +97,20 @@ class HomologyBasis:
         self._rep_reduced: list[int] = []
         self.representatives: list[int] = []
         for z in kernel:
-            reduced = self._reduce_against_all(z)
+            reduced, _ = self._reduce(z)
             if reduced:
                 self._rep_pivots[reduced.bit_length() - 1] = len(self.representatives)
                 self._rep_reduced.append(reduced)
                 self.representatives.append(z)
         self.betti = len(self.representatives)
 
-    def _reduce_against_all(self, chain: int) -> int:
-        while chain:
-            p = chain.bit_length() - 1
-            if p in self._boundary_pivots:
-                chain ^= self._boundary_pivots[p]
-            elif p in self._rep_pivots:
-                chain ^= self._rep_reduced[self._rep_pivots[p]]
-            else:
-                break
-        return chain
+    def _reduce(self, chain: int) -> tuple[int, int]:
+        """Reduce a chain against the joint boundary + representative echelon basis.
 
-    def is_boundary(self, chain: int) -> bool:
-        while chain:
-            p = chain.bit_length() - 1
-            if p not in self._boundary_pivots:
-                return False
-            chain ^= self._boundary_pivots[p]
-        return True
-
-    def coordinates(self, cycle: int) -> int:
-        """Coordinates of a cycle's class in the representative basis (a bitset).
-
-        Raises if the chain is not a cycle modulo the chosen spans (i.e. not in
-        the cycle subspace at all).
+        Returns (residual, coords): coords is the bitset of representatives
+        used. The residual is zero iff the chain is a cycle of this complex.
         """
         coords = 0
-        chain = cycle
         while chain:
             p = chain.bit_length() - 1
             if p in self._boundary_pivots:
@@ -154,7 +120,20 @@ class HomologyBasis:
                 coords ^= 1 << i
                 chain ^= self._rep_reduced[i]
             else:
-                raise ValueError("chain is not a cycle of this complex")
+                break
+        return chain, coords
+
+    def is_boundary(self, chain: int) -> bool:
+        return self._reduce(chain) == (0, 0)
+
+    def coordinates(self, cycle: int) -> int:
+        """Coordinates of a cycle's class in the representative basis (a bitset).
+
+        Raises if the chain is not a cycle of this complex.
+        """
+        residual, coords = self._reduce(cycle)
+        if residual:
+            raise ValueError("chain is not a cycle of this complex")
         return coords
 
     def chain_of(self, rep_index: int) -> tuple[tuple[int, ...], ...]:
@@ -192,7 +171,7 @@ class HomologyMap:
     target_reps: tuple[tuple[tuple[int, ...], ...], ...]
 
     def rank(self) -> int:
-        return _gf2_rank(self.matrix)
+        return len(_gf2_reduce(self.matrix)[0])
 
     def is_injective(self) -> bool:
         return self.rank() == self.source_betti
@@ -241,7 +220,7 @@ def induced_map(f: VertexMap, dim: int) -> HomologyMap:
     src = HomologyBasis(f.source, dim)
     tgt = HomologyBasis(f.target, dim)
     target_index = {s: i for i, s in enumerate(f.target.simplices[dim])}
-    for col in _gf2_reduce(_boundary_columns(f.source, dim + 1))[0].values():
+    for col in src._boundary_pivots.values():
         if not tgt.is_boundary(_push_chain(f, dim, col, target_index)):
             raise ValueError("map does not send boundaries to boundaries")
     cols = tuple(tgt.coordinates(_push_chain(f, dim, z, target_index))

@@ -168,10 +168,14 @@ class FiniteMetricSpace:
         if np.any(d < 0.0):
             raise ValueError("distances must be non-negative")
         # best two-leg route per pair; one leg through k=j costs d[i,j] itself,
-        # so violations show up as d exceeding the min by more than the tolerance
-        two_leg = np.min(d[:, :, None] + d[None, :, :], axis=1)
-        if np.any(d - two_leg > TRIANGLE_TOL):
-            raise ValueError("triangle inequality violated beyond tolerance")
+        # so violations show up as d exceeding the min by more than the tolerance.
+        # Row blocks keep the rows x m x m temporary near 2**22 doubles (32 MiB).
+        rows = max(1, 2 ** 22 // (m * m))
+        for lo in range(0, m, rows):
+            block = d[lo:lo + rows]
+            two_leg = np.min(block[:, :, None] + d[None, :, :], axis=1)
+            if np.any(block - two_leg > TRIANGLE_TOL):
+                raise ValueError("triangle inequality violated beyond tolerance")
 
     @property
     def size(self) -> int:
@@ -212,10 +216,6 @@ class FiniteSubset:
         if labels is None:
             labels = tuple(str(i) for i in range(self.size))
         return FiniteMetricSpace(tuple(labels), pairwise_distances(self.manifold, self.points))
-
-
-def to_metric_space(subset: FiniteSubset, labels=None) -> FiniteMetricSpace:
-    return subset.to_metric_space(labels)
 
 
 def _require_same_manifold(x: FiniteSubset, y: FiniteSubset) -> AmbientManifold:

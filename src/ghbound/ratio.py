@@ -38,11 +38,14 @@ class RatioInstance:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Verified quantities for one instance; ratio_upper = gh_upper / hausdorff."""
+    """Verified quantities for one instance.
+
+    gh_upper is the Hausdorff distance after the cyclic isometry, which bounds
+    d_GH from above; ratio_upper = gh_upper / hausdorff.
+    """
 
     n: int
     hausdorff: float
-    hausdorff_after_isometry: float
     gh_upper: float
     ratio_upper: float
 
@@ -93,8 +96,7 @@ def verify_instance(instance: RatioInstance) -> RatioReport:
         raise ValueError(f"post-isometry hausdorff squared is {h_rot_sq}, expected {n}")
     hausdorff = _exact_sqrt(h_sq)
     gh_upper = _exact_sqrt(h_rot_sq)
-    return RatioReport(n, hausdorff, _exact_sqrt(h_rot_sq), gh_upper,
-                       gh_upper / hausdorff)
+    return RatioReport(n, hausdorff, gh_upper, gh_upper / hausdorff)
 
 
 def as_subsets(instance: RatioInstance) -> tuple[FiniteSubset, FiniteSubset]:

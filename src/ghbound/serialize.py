@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .complexes import SimplicialComplex
-from .gh import Correspondence, GHResult
+from .gh import GHResult
 from .manifolds import (AmbientManifold, FiniteMetricSpace, FiniteSubset,
                         circle, euclidean, flat_torus)
 from .ratio import RatioReport
@@ -111,13 +111,9 @@ def gh_result_to_dict(r: GHResult) -> dict:
             "nodes_explored": r.nodes_explored, "proven_optimal": r.proven_optimal}
 
 
-def correspondence_from_list(pairs) -> Correspondence:
-    return Correspondence(tuple((int(a), int(b)) for a, b in pairs))
-
-
 def ratio_report_to_dict(r: RatioReport) -> dict:
     return {"n": r.n, "hausdorff": r.hausdorff,
-            "hausdorff_after_isometry": r.hausdorff_after_isometry,
+            "hausdorff_after_isometry": r.gh_upper,
             "gh_upper": r.gh_upper, "ratio_upper": r.ratio_upper}
 
 

@@ -6,10 +6,12 @@ import json
 import math
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
-from ghbound import circle, cli, equispaced_circle, flat_torus, uniform_points
+from ghbound import (FiniteSubset, circle, cli, equispaced_circle, flat_torus,
+                     uniform_points)
 from ghbound.serialize import subset_to_dict, write_json
 
 
@@ -71,6 +73,23 @@ def test_bounds_torus_witness_hausdorff(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["inputs"]["dh_xm"] > 0
     assert [r["bound"] for r in payload["reports"]] == ["convexity", "jung-pair"]
+
+
+def test_bounds_torus_pair_over_estimates_dh_ym(tmp_path, capsys):
+    # the 64-per-axis witness grid puts d_H(Y, M) at 0.3480 < sqrt(2)/4; fed
+    # into the subtracted Y side that made convexity-pair non-vacuous (0.0011)
+    m = flat_torus([1.0, 1.0], rho=10.0)
+    off = 0.25 + 1 / 256
+    x = _subset_file(tmp_path, "x.json", FiniteSubset(m, [[0.1, 0.1]]))
+    y = _subset_file(tmp_path, "y.json", FiniteSubset(
+        m, [[off, off], [off + 0.5, off], [off, off + 0.5], [off + 0.5, off + 0.5]]))
+    assert _run(["bounds", "--x", x, "--y", y]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["inputs"]["dh_ym"] >= math.sqrt(2) / 4
+    conv = payload["reports"][0]
+    assert conv["bound"] == "convexity-pair"
+    assert conv["vacuous"] is True
+    assert conv["inputs"]["dh_ym"] == payload["inputs"]["dh_ym"]
 
 
 def test_bounds_errors(tmp_path, capsys):
@@ -184,6 +203,20 @@ def test_homology_complex_file_round_trip(tmp_path, capsys):
     path.write_text(json.dumps(hollow))
     assert _run(["homology", "--complex", str(path), "--up-to", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["betti"] == [1, 0, 1]
+
+
+def test_homology_complex_file_missing_face(tmp_path, capsys):
+    # full 2-skeleton on 40 vertices minus the edge (0, 22), which every
+    # triangle (0, 22, k) still names as a face
+    skeleton = {"scale": 1.0, "vertex_count": 40, "simplices": {
+        "0": [[v] for v in range(40)],
+        "1": [list(e) for e in combinations(range(40), 2) if e != (0, 22)],
+        "2": [list(t) for t in combinations(range(40), 3)]}}
+    path = tmp_path / "holed.json"
+    path.write_text(json.dumps(skeleton))
+    assert _run(["homology", "--complex", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "missing" in err and "(0, 22)" in err
 
 
 def test_homology_needs_scale(tmp_path, capsys):

@@ -24,7 +24,7 @@ from ghbound import (FiniteSubset, SimplicialComplex, build_cech_circle,
                      induced_vr_map, same_complex, subset_projection_map,
                      uniform_points, VertexMap)
 
-from oracles import circle_arc_dist, vr_brute
+from oracles import vr_brute
 
 
 @pytest.fixture
@@ -69,6 +69,12 @@ def test_complex_validation():
         SimplicialComplex(3, 1.0, 1, {0: [(0,), (1,)], 1: [(1, 1)]})
     with pytest.raises(ValueError, match="out of range"):
         SimplicialComplex(2, 1.0, 0, {0: [(5,)]})
+    # full 2-skeleton on 40 vertices minus one edge that a strided sample of
+    # the 10660 positive simplices (every 21st) would never look at
+    edges = [e for e in combinations(range(40), 2) if e != (0, 22)]
+    with pytest.raises(ValueError, match=r"face \(0, 22\) of .* is missing"):
+        SimplicialComplex(40, 1.0, 2, {0: [(v,) for v in range(40)], 1: edges,
+                                       2: list(combinations(range(40), 3))})
     k = SimplicialComplex(3, 1.0, 2, {0: [(0,), (1,), (2,)], 1: [(0, 1)]})
     assert k.simplex_counts() == [3, 1, 0]
     assert k.top_dim() == 1
@@ -102,12 +108,13 @@ def test_cech_circle_matches_ambient_probe(rng):
         space = sub.to_metric_space()
         radius = float(rng.uniform(0.15, math.tau / 6 - 0.05))
         cech = build_cech_circle(space, radius, 3, math.tau)
-        pts = sub.points[:, 0]
+        # arc distance from every grid point to every vertex, shape (4000, size)
+        arc = np.abs(grid[:, None] - sub.points[None, :, 0])
+        arc = np.minimum(arc, math.tau - arc)
         for size in (2, 3):
             for s in combinations(range(sub.size), size):
                 # deepest point any single center can reach into all balls
-                depth = min(max(circle_arc_dist(t, pts[list(s)][i:i + 1], math.tau)
-                                for i in range(size)) for t in grid)
+                depth = arc[:, list(s)].max(axis=1).min()
                 if abs(depth - radius) < 5e-3:
                     continue  # too close to the decision boundary for the probe
                 assert cech.has_simplex(s) == (depth < radius)

@@ -13,6 +13,7 @@ Oracle notes
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,25 @@ def test_triangle_tolerance_is_forgiving():
     # violation inside the 1e-9 budget must be accepted
     d = np.array([[0.0, 1.0, 2.0 + 5e-10], [1.0, 0.0, 1.0], [2.0 + 5e-10, 1.0, 0.0]])
     FiniteMetricSpace(("a", "b", "c"), d)
+
+
+def test_triangle_check_memory_stays_quadratic(rng):
+    # one m x m x m temporary would peak near 207 MiB at m = 300
+    m = 300
+    torus = flat_torus([1.0, 1.0])
+    d = pairwise_distances(torus, rng.uniform(0.0, 1.0, size=(m, 2)))
+    labels = tuple(str(i) for i in range(m))
+    tracemalloc.start()
+    try:
+        FiniteMetricSpace(labels, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    # a violation confined to the last rows is still caught
+    d[m - 2, m - 1] = d[m - 1, m - 2] = 10.0
+    with pytest.raises(ValueError, match="triangle"):
+        FiniteMetricSpace(labels, d)
 
 
 def test_subset_normalization_and_labels():

@@ -32,7 +32,6 @@ def test_verify_exact_values(n):
     report = verify_instance(build_instance(n))
     assert report.n == n
     assert report.hausdorff == float(n)
-    assert report.hausdorff_after_isometry == pytest.approx(math.sqrt(n))
     assert report.gh_upper == pytest.approx(math.sqrt(n))
     assert report.ratio_upper == pytest.approx(1 / math.sqrt(n))
 
