@@ -15,11 +15,12 @@ from .bounds import (BoundReport, circle_bound, circle_bound_pair, circumradius,
 from .complexes import (SimplicialComplex, VertexMap, build_cech_circle,
                         build_cech_witness, build_vr, check_contiguous,
                         check_simplicial, compose_maps, inclusion_map,
-                        induced_vr_map, same_complex, subset_projection_map)
+                        induced_vr_map, same_complex, simplex_diameters,
+                        subset_projection_map)
 from .gh import (Correspondence, GHResult, distortion, gh_exact,
                  gh_lower_trivial, identity_correspondence)
 from .homology import (BettiVector, HomologyBasis, HomologyMap, betti_numbers,
-                       fundamental_class_survives, induced_map)
+                       fundamental_class_survives, induced_map, persistence_bars)
 from .manifolds import (AmbientManifold, FiniteMetricSpace, FiniteSubset,
                         circle, covering_radius_circle, covering_radius_witness,
                         cross_distances, diameter, directed_hausdorff, euclidean,

@@ -222,21 +222,48 @@ def _ball_from_support(support: list[np.ndarray]) -> tuple[np.ndarray | None, fl
     return center, r2
 
 
-def _welzl(points: list[np.ndarray], support: list[np.ndarray],
-           dim: int) -> tuple[np.ndarray | None, float]:
-    if not points or len(support) == dim + 1:
-        return _ball_from_support(support)
-    p = points[0]
-    center, r2 = _welzl(points[1:], support, dim)
-    if center is not None and float(np.sum((p - center) ** 2)) <= r2 * (1 + 1e-10) + 1e-18:
-        return center, r2
-    return _welzl(points[1:], support + [p], dim)
+def _inside(p: np.ndarray, ball: tuple[np.ndarray | None, float]) -> bool:
+    center, r2 = ball
+    return (center is not None
+            and float(np.sum((p - center) ** 2)) <= r2 * (1 + 1e-10) + 1e-18)
+
+
+def _welzl(points: list[np.ndarray], dim: int) -> tuple[np.ndarray | None, float]:
+    """Minimal enclosing ball by move-to-front Welzl, with an explicit stack.
+
+    A frame (end, support, i, ball) encloses points[:end] with the support on
+    the boundary; scanning from i, the first point outside the ball opens a
+    child frame over points[:i] with that point added to the support, and
+    moves to the front once the child returns. The stack never holds more
+    than dim + 2 frames.
+    """
+    stack = [[len(points), [], 0, _ball_from_support([])]]
+    returned = None
+    while stack:
+        frame = stack[-1]
+        end, support, i, ball = frame
+        if returned is not None:
+            ball, returned = returned, None
+            points.insert(0, points.pop(i))
+            i += 1
+        if len(support) == dim + 1:
+            i = end  # a full support fixes the ball
+        while i < end and _inside(points[i], ball):
+            i += 1
+        if i < end:
+            frame[2:] = [i, ball]
+            child = support + [points[i]]
+            stack.append([i, child, 0, _ball_from_support(child)])
+        else:
+            stack.pop()
+            returned = ball
+    return returned
 
 
 def circumradius(subset: FiniteSubset) -> tuple[float, np.ndarray]:
     """Circumradius and center of the minimal enclosing ball of a finite subset.
 
-    Euclidean subsets use Welzl's algorithm with a deterministic shuffle; circle
+    Euclidean subsets use move-to-front Welzl after a deterministic shuffle; circle
     subsets use the exact arc form (the covering arc is the complement of the
     largest angular gap, its midpoint is the center). Other manifolds raise.
     """
@@ -261,9 +288,5 @@ def circumradius(subset: FiniteSubset) -> tuple[float, np.ndarray]:
     pts = [row for row in subset.points]
     rng = random.Random(0x5EED11CE)
     rng.shuffle(pts)
-    sys_limit_guard = len(pts) + m.dim + 4
-    if sys_limit_guard > 900:
-        import sys
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * sys_limit_guard))
-    center, r2 = _welzl(pts, [], m.dim)
+    center, r2 = _welzl(pts, m.dim)
     return float(math.sqrt(max(r2, 0.0))), center

@@ -6,7 +6,7 @@ Subcommands:
   ratio             build and verify the small-ratio family
   homology          Betti numbers of a complex (given, or built from a subset)
   gh-exact          exact GH distance between two metric-space/subset files
-  fillrad-estimate  estimate the filling radius from a VR death-scale sweep
+  fillrad-estimate  estimate the filling radius from the VR death of the top class
   lemma-check       executable checks of the correspondence/projection lemmas
 
 Exit codes: 0 success, 1 input error, 2 assertion failure (a mathematical
@@ -29,9 +29,11 @@ from .bounds import (circle_bound, circle_bound_pair, convexity_bound,
                      jung_bound_pair)
 from .complexes import (build_cech_circle, build_cech_witness, build_vr,
                         check_contiguous, check_simplicial, compose_maps,
-                        inclusion_map, induced_vr_map, subset_projection_map)
+                        inclusion_map, induced_vr_map, simplex_diameters,
+                        subset_projection_map)
 from .gh import distortion, gh_exact
-from .homology import betti_numbers, fundamental_class_survives
+# fundamental_class_survives is not called here; bench/spans.py patches it by name
+from .homology import betti_numbers, fundamental_class_survives, persistence_bars
 from .manifolds import (CIRCLE, EUCLIDEAN, FLAT_TORUS, AmbientManifold,
                         FiniteSubset, circle, covering_radius_circle,
                         covering_radius_witness, cross_distances,
@@ -150,8 +152,12 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _manifold_and_sampler(d: dict) -> tuple[AmbientManifold, dict]:
-    """The config keys circle-sweep and fillrad-estimate share."""
+def _manifold_and_sampler(d: dict, rows: int,
+                          sides: str) -> tuple[AmbientManifold, dict]:
+    """The config keys circle-sweep and fillrad-estimate share.
+
+    A file sampler must list a subset path per row under each key in sides.
+    """
     manifold = (serialize.manifold_from_dict(d["manifold"]) if "manifold" in d
                 else circle())
     sampler = d.get("sampler", {"kind": "equispaced"})
@@ -161,7 +167,25 @@ def _manifold_and_sampler(d: dict) -> tuple[AmbientManifold, dict]:
         raise ValueError("sampler kind must be equispaced, uniform, or file")
     if sampler["kind"] == "uniform" and "seed" not in sampler:
         raise ValueError("uniform sampler needs a seed")
+    if sampler["kind"] == "file":
+        for key in sides:
+            paths = sampler.get(key)
+            if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
+                raise ValueError(f"file sampler needs {key!r}: a list of subset "
+                                 "file paths")
+            if len(paths) < rows:
+                raise ValueError(f"file sampler lists {len(paths)} {key!r} paths, "
+                                 f"but the config has {rows} rows")
     return manifold, sampler
+
+
+def _read_sample(sampler: dict, key: str, row: int, size: int) -> FiniteSubset:
+    path = sampler[key][row]
+    subset = serialize.subset_from_dict(serialize.read_json(path))
+    if subset.size != size:
+        raise ValueError(f"row {row}: {path} holds {subset.size} points, "
+                         f"the config asks for n_{key} = {size}")
+    return subset
 
 
 def _sample(manifold: AmbientManifold, sampler: dict, row: int, side: int,
@@ -173,16 +197,15 @@ def _sample(manifold: AmbientManifold, sampler: dict, row: int, side: int,
     if kind == "uniform":
         child = master.child(2 * row + side)
         return uniform_points(manifold, size, child.next_u64())
-    paths = sampler["y" if side else "x"]
-    return serialize.subset_from_dict(serialize.read_json(paths[row]))
+    return _read_sample(sampler, "xy"[side], row, size)
 
 
 def cmd_circle_sweep(args) -> int:
     config = serialize.read_json(args.config)
-    manifold, sampler = _manifold_and_sampler(config)
     pairs = [(int(a), int(b)) for a, b in config.get("pairs", [])]
     if not pairs:
         raise ValueError("config needs a non-empty 'pairs' list")
+    manifold, sampler = _manifold_and_sampler(config, len(pairs), "xy")
     if manifold.kind != CIRCLE:
         raise ValueError("circle-sweep needs a circle manifold")
     circumference = manifold.params[0]
@@ -278,7 +301,7 @@ def cmd_gh_exact(args) -> int:
 
 def cmd_fillrad_estimate(args) -> int:
     config = serialize.read_json(args.config)
-    m, sampler = _manifold_and_sampler(config)
+    m, sampler = _manifold_and_sampler(config, 1, "x")
     if "scale_grid" not in config:
         raise ValueError("config needs 'scale_grid' with start/stop/steps")
     g = config["scale_grid"]
@@ -286,8 +309,7 @@ def cmd_fillrad_estimate(args) -> int:
     if not (start > 0 and stop > start and steps >= 2):
         raise ValueError("scale grid must be strictly increasing")
     n = m.dim
-    max_dim = int(config.get("max_dim", n + 1))
-    if max_dim < n + 1:
+    if int(config.get("max_dim", n + 1)) < n + 1:
         raise ValueError(f"max_dim must be at least {n + 1} to compute beta_{n}")
     if "count" not in config:
         raise ValueError("config needs 'count' (sample size)")
@@ -299,27 +321,30 @@ def cmd_fillrad_estimate(args) -> int:
     elif sampler["kind"] == "uniform":
         sample = uniform_points(m, count, seed)
     else:
-        sample = serialize.subset_from_dict(serialize.read_json(sampler["x"][0]))
+        sample = _read_sample(sampler, "x", 0, count)
     space = sample.to_metric_space()
     grid = np.linspace(start, stop, steps)
-    base = build_vr(space, float(grid[0]), max_dim)
-    base_betti = betti_numbers(base, n)
+    # a snapshot at the bottom of the grid rejects a sparse sample before the
+    # (much larger) complex at the top of the grid is built
+    base_betti = betti_numbers(build_vr(space, float(grid[0]), n + 1), n)
     if base_betti[n] != 1:
         raise ValueError(f"sample too sparse: base complex has beta_{n} = "
                          f"{base_betti[n]}, expected 1")
-    scales, betti_rows, survives = [], [], []
-    for s in grid:
-        cx = build_vr(space, float(s), max_dim)
-        scales.append(float(s))
-        betti_rows.append(list(betti_numbers(cx, n).values))
-        survives.append(fundamental_class_survives(base, cx, n))
-    alive = [s for s, ok in zip(scales, survives) if ok]
-    censored = bool(survives[-1])
-    death = None if (censored or not alive) else max(alive)
-    _emit_json({"sample_size": sample.size, "scales": scales,
-                "betti": betti_rows, "survives": survives,
-                "death_scale": death, "censored": censored,
-                "estimate": None if death is None else death / 2.0},
+    top = build_vr(space, float(grid[-1]), n + 1)
+    bars = persistence_bars(top, simplex_diameters(top, space.dist), n)
+    betti = np.stack([np.searchsorted(b[:, 0], grid)
+                      - np.searchsorted(np.sort(b[:, 1]), grid)
+                      for b in bars.values()], axis=1)
+    births, deaths = bars[n].T
+    # the fundamental class: the one H_n bar alive at grid[0]
+    [death] = deaths[(births < grid[0]) & (grid[0] <= deaths)]
+    censored = bool(np.isinf(death))
+    _emit_json({"sample_size": sample.size, "scales": grid.tolist(),
+                "betti": betti.tolist(),
+                "survives": ((grid <= death) & (betti[:, n] == 1)).tolist(),
+                "death_scale": None if censored else float(death),
+                "censored": censored,
+                "estimate": None if censored else float(death) / 2.0},
                args.out or config.get("out"))
     return 0
 

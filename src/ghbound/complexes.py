@@ -155,6 +155,24 @@ def build_vr(space: FiniteMetricSpace, scale: float, max_dim: int) -> Simplicial
     return SimplicialComplex._closed(m, scale, max_dim, simplices, "vr")
 
 
+def simplex_diameters(complex_: SimplicialComplex,
+                      dist: np.ndarray) -> dict[int, np.ndarray]:
+    """Diameter under dist of every simplex, per dimension in the complex's order.
+
+    A simplex enters the VR filtration at its diameter: it is in build_vr's
+    complex at scale s iff its diameter is < s.
+    """
+    out = {}
+    for k, simplices in complex_.simplices.items():
+        # reshape keeps an empty dimension two-dimensional
+        verts = np.asarray(simplices, dtype=np.intp).reshape(-1, k + 1)
+        diam = np.zeros(len(verts))
+        for a, b in combinations(range(k + 1), 2):
+            np.maximum(diam, dist[verts[:, a], verts[:, b]], out=diam)
+        out[k] = diam
+    return out
+
+
 def build_cech_circle(space: FiniteMetricSpace, radius: float, max_dim: int,
                       circumference: float) -> SimplicialComplex:
     """Exact ambient Cech complex for a circle subset, radius below circumference/6.

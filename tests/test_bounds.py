@@ -4,7 +4,8 @@ Oracle notes
 ------------
 * Welzl circumradius: checked against support-subset enumeration
   (oracles.min_enclosing_ball_brute) on random sets, and against closed forms
-  (equilateral triangle, regular simplex, collinear pairs).
+  (equilateral triangle, regular simplex, collinear pairs); a 20k-point set
+  must finish in seconds without touching the recursion limit.
 * jung_constant and min_diameter_for_circumradius: checked against each other
   at kappa = 0 (Jung's theorem), against limits (kappa -> 0+, kappa -> inf),
   and against the documented envelope sqrt(2)/pi < alpha <= 1.
@@ -15,6 +16,8 @@ Oracle notes
 from __future__ import annotations
 
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -156,6 +159,19 @@ def test_welzl_against_support_enumeration(rng):
             assert r == pytest.approx(min_enclosing_ball_brute(pts), abs=1e-9)
             # the ball actually encloses
             assert np.max(np.sqrt(((pts - center) ** 2).sum(1))) <= r * (1 + 1e-9) + 1e-12
+
+
+def test_welzl_large_planar_set_is_fast_and_leaves_recursion_limit(rng):
+    limit = sys.getrecursionlimit()
+    pts = rng.normal(size=(20_000, 2))
+    started = time.perf_counter()
+    r, center = circumradius(FiniteSubset(euclidean(2), pts))
+    assert time.perf_counter() - started < 5.0
+    assert sys.getrecursionlimit() == limit
+    dist = np.sqrt(((pts - center) ** 2).sum(1))
+    assert dist.max() <= r * (1 + 1e-9)
+    # at least two points on the boundary of a minimal ball in the plane
+    assert np.count_nonzero(dist >= r * (1 - 1e-9)) >= 2
 
 
 def test_jung_inequality_random_sets(rng):

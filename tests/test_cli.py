@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from itertools import combinations
 
 import pytest
 
+import ghbound
 from ghbound import (FiniteSubset, circle, cli, equispaced_circle, flat_torus,
                      uniform_points)
 from ghbound.serialize import subset_to_dict, write_json
@@ -140,6 +142,45 @@ def test_circle_sweep_seed_changes_output(tmp_path):
     assert _run(["circle-sweep", "--config", _sweep_config(tmp_path, 8),
                  "--out", str(out_b)]) == 0
     assert out_a.read_text() != out_b.read_text()
+
+
+def _file_sweep(tmp_path, pairs, sampler):
+    cfg = tmp_path / "file_sweep.json"
+    cfg.write_text(json.dumps({"sampler": {"kind": "file", **sampler},
+                               "pairs": pairs}))
+    return str(cfg)
+
+
+def test_circle_sweep_file_sampler_reads_files(tmp_path):
+    x = _subset_file(tmp_path, "x.json", equispaced_circle(circle(), 4))
+    y = _subset_file(tmp_path, "y.json", equispaced_circle(circle(), 3))
+    out = tmp_path / "out.csv"
+    assert _run(["circle-sweep", "--config", _file_sweep(tmp_path, [[4, 3]],
+                                                         {"x": [x], "y": [y]}),
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[:3] == ["0", "4", "3"]
+
+
+def test_circle_sweep_file_sampler_missing_key(tmp_path, capsys):
+    x = _subset_file(tmp_path, "x.json", equispaced_circle(circle(), 4))
+    cfg = _file_sweep(tmp_path, [[4, 4]], {"x": [x]})
+    assert _run(["circle-sweep", "--config", cfg]) == 1
+    assert "file sampler needs 'y'" in capsys.readouterr().err
+
+
+def test_circle_sweep_file_sampler_too_few_paths(tmp_path, capsys):
+    x = _subset_file(tmp_path, "x.json", equispaced_circle(circle(), 4))
+    cfg = _file_sweep(tmp_path, [[4, 4], [4, 4]], {"x": [x, x], "y": [x]})
+    assert _run(["circle-sweep", "--config", cfg]) == 1
+    assert "lists 1 'y' paths, but the config has 2 rows" in capsys.readouterr().err
+
+
+def test_circle_sweep_file_sampler_size_mismatch(tmp_path, capsys):
+    x = _subset_file(tmp_path, "x.json", equispaced_circle(circle(), 4))
+    cfg = _file_sweep(tmp_path, [[9, 4]], {"x": [x], "y": [x]})
+    assert _run(["circle-sweep", "--config", cfg]) == 1
+    assert "row 0:" in (err := capsys.readouterr().err)
+    assert "holds 4 points, the config asks for n_x = 9" in err
 
 
 def test_circle_sweep_rejects_torus(tmp_path, capsys):
@@ -279,6 +320,93 @@ def test_fillrad_estimate_sparse_sample_rejected(tmp_path, capsys):
     assert "sample too sparse" in capsys.readouterr().err
 
 
+def _fillrad(tmp_path, capsys, config):
+    cfg = tmp_path / "fr.json"
+    cfg.write_text(json.dumps(config))
+    assert _run(["fillrad-estimate", "--config", str(cfg)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_fillrad_estimate_exact_death_on_the_circle(tmp_path, capsys):
+    # the criterion-5 config: the fundamental class of 60 equispaced points
+    # dies at a third of the circumference, so the estimate is pi/3
+    payload = _fillrad(tmp_path, capsys, {
+        "manifold": {"kind": "circle"}, "sampler": {"kind": "equispaced"},
+        "count": 60, "max_dim": 2,
+        "scale_grid": {"start": 0.15, "stop": 2.49, "steps": 118}})
+    assert payload["censored"] is False
+    assert payload["death_scale"] == pytest.approx(math.tau / 3, abs=1e-12)
+    assert payload["estimate"] == pytest.approx(math.pi / 3, abs=1e-12)
+
+
+# rows of the 6 x 6 torus config below, as the per-scale snapshot sweep
+# (VR rebuilt and homology maps computed at every scale) reported them
+TORUS6_BETTI = ([[1, 2, 1]] * 4 + [[1, 0, 23]] * 2 + [[1, 0, 2]] * 5
+                + [[1, 0, 0]] * 12)
+TORUS6_SURVIVES = [True] * 4 + [False] * 19
+
+
+def test_fillrad_estimate_exact_death_on_the_torus(tmp_path, capsys):
+    # the 2-class of the 6 x 6 grid dies at sqrt(5)/6, between grid scales;
+    # beta_2 jumps to 23 there, so the last surviving scale is well below it
+    payload = _fillrad(tmp_path, capsys, {
+        "manifold": {"kind": "flat_torus", "params": [1.0, 1.0]},
+        "sampler": {"kind": "equispaced"}, "count": 6, "max_dim": 3,
+        "scale_grid": {"start": 0.25, "stop": 0.75, "steps": 23}})
+    assert payload["sample_size"] == 36
+    assert payload["betti"] == TORUS6_BETTI
+    assert payload["survives"] == TORUS6_SURVIVES
+    assert payload["censored"] is False
+    assert payload["death_scale"] == pytest.approx(math.sqrt(5) / 6, abs=1e-12)
+
+
+def test_fillrad_estimate_strict_tie_at_the_death(tmp_path, capsys):
+    dist = equispaced_circle(circle(), 18).to_metric_space().dist
+    # the class dies when the triangle (0, 6, 12) enters, at its diameter; the
+    # three arcs of a third of the circle differ in their last bits
+    death = max(dist[0, 6], dist[6, 12], dist[0, 12])
+    config = {"manifold": {"kind": "circle"}, "count": 18, "max_dim": 2,
+              "scale_grid": {"start": 0.4, "steps": 5}}
+    for stop in (dist[0, 6], death):
+        config["scale_grid"]["stop"] = float(stop)
+        payload = _fillrad(tmp_path, capsys, config)
+        assert payload["censored"] is True and payload["death_scale"] is None
+        assert payload["survives"][-1] is True
+    config["scale_grid"]["stop"] = math.nextafter(float(death), math.inf)
+    payload = _fillrad(tmp_path, capsys, config)
+    assert payload["censored"] is False
+    assert payload["death_scale"] == death
+    assert payload["survives"] == [True] * 4 + [False]
+
+
+def _fillrad_file(tmp_path, sampler, count=4):
+    cfg = tmp_path / "fr.json"
+    cfg.write_text(json.dumps({
+        "sampler": {"kind": "file", **sampler}, "count": count,
+        "scale_grid": {"start": 1.6, "stop": 3.2, "steps": 3}}))
+    return str(cfg)
+
+
+def test_fillrad_estimate_file_sampler(tmp_path, capsys):
+    x = _subset_file(tmp_path, "x.json", equispaced_circle(circle(), 4))
+    assert _run(["fillrad-estimate", "--config",
+                 _fillrad_file(tmp_path, {"x": [x]})]) == 0
+    assert json.loads(capsys.readouterr().out)["sample_size"] == 4
+    assert _run(["fillrad-estimate", "--config",
+                 _fillrad_file(tmp_path, {"y": [x]})]) == 1
+    assert "file sampler needs 'x'" in capsys.readouterr().err
+    # open() would take a number for a file descriptor
+    assert _run(["fillrad-estimate", "--config",
+                 _fillrad_file(tmp_path, {"x": [5]})]) == 1
+    assert "file sampler needs 'x'" in capsys.readouterr().err
+    assert _run(["fillrad-estimate", "--config",
+                 _fillrad_file(tmp_path, {"x": []})]) == 1
+    assert "lists 0 'x' paths, but the config has 1 rows" in capsys.readouterr().err
+    assert _run(["fillrad-estimate", "--config",
+                 _fillrad_file(tmp_path, {"x": [x]}, count=9)]) == 1
+    assert "holds 4 points, the config asks for n_x = 9" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- lemma-check
 
 
@@ -316,9 +444,13 @@ def test_help_exits_zero():
 def test_module_entry_point(tmp_path):
     x = tmp_path / "x.json"
     x.write_text(json.dumps({"dist": [[0.0, 1.0], [1.0, 0.0]]}))
+    # the child imports the same ghbound as this test, installed or not
+    src = os.path.dirname(os.path.dirname(ghbound.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "ghbound", "gh-exact",
          "--x", str(x), "--y", str(x)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 0.0
