@@ -179,9 +179,17 @@ def _manifold_and_sampler(d: dict, rows: int,
     return manifold, sampler
 
 
-def _read_sample(sampler: dict, key: str, row: int, size: int) -> FiniteSubset:
+def _read_sample(manifold: AmbientManifold, sampler: dict, key: str, row: int,
+                 size: int) -> FiniteSubset:
     path = sampler[key][row]
     subset = serialize.subset_from_dict(serialize.read_json(path))
+    found = subset.manifold
+    if (found.kind, found.dim, found.params) != (manifold.kind, manifold.dim,
+                                                 manifold.params):
+        raise ValueError(f"row {row}: {path} lies on a {found.kind} of dim "
+                         f"{found.dim} with params {list(found.params)}, the "
+                         f"config's manifold is a {manifold.kind} of dim "
+                         f"{manifold.dim} with params {list(manifold.params)}")
     if subset.size != size:
         raise ValueError(f"row {row}: {path} holds {subset.size} points, "
                          f"the config asks for n_{key} = {size}")
@@ -197,7 +205,7 @@ def _sample(manifold: AmbientManifold, sampler: dict, row: int, side: int,
     if kind == "uniform":
         child = master.child(2 * row + side)
         return uniform_points(manifold, size, child.next_u64())
-    return _read_sample(sampler, "xy"[side], row, size)
+    return _read_sample(manifold, sampler, "xy"[side], row, size)
 
 
 def cmd_circle_sweep(args) -> int:
@@ -321,7 +329,7 @@ def cmd_fillrad_estimate(args) -> int:
     elif sampler["kind"] == "uniform":
         sample = uniform_points(m, count, seed)
     else:
-        sample = _read_sample(sampler, "x", 0, count)
+        sample = _read_sample(m, sampler, "x", 0, count)
     space = sample.to_metric_space()
     grid = np.linspace(start, stop, steps)
     # a snapshot at the bottom of the grid rejects a sparse sample before the

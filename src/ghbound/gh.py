@@ -1,22 +1,35 @@
 """Exact Gromov-Hausdorff distance for small finite metric spaces.
 
 d_GH(X, Y) is half the minimal distortion over correspondences between X and Y.
-It suffices to search correspondences of the form graph(phi) union
-graph(psi)^T for functions phi: X -> Y and psi: Y -> X: any correspondence
-contains one of that shape built from it (pick one partner per point), and
-dropping pairs never increases the distortion. The search is therefore a
-branch-and-bound over the two assignment vectors.
+The search is a branch-and-bound over relations. A node is a set P of assigned
+pairs; it branches on one point u, of X or of Y, that P leaves uncovered, over
+every partner of u. Every correspondence containing P relates u to some
+partner, so every step adds a pair of some optimal correspondence and the
+search is exact. A leaf is a P that covers both sides; its distortion is at
+most that of any correspondence containing it.
 
-Branching assigns phi values first (points in decreasing eccentricity order),
-then psi values for the still-uncovered Y points. At each node the incremental
-distortion of every candidate partner against the pairs assigned so far is
-evaluated in one vectorized pass; candidates are explored best-first and pruned
-when they cannot beat the incumbent strictly. The trivial lower bound
-|diam X - diam Y| certifies early termination when the incumbent reaches it.
+Floors (Memoli, "Some properties of Gromov-Hausdorff distances", DCG 2012):
 
-The search is exhaustive, so the result is exact whenever the node budget is
-not exhausted; on budget exhaustion the best correspondence found is returned
-with proven_optimal = False (its half-distortion is still an upper bound).
+* L[x, y] is the Hausdorff distance between the value sets of row x of d_X and
+  row y of d_Y. A correspondence containing (x, y) relates every x' to some y'
+  and every y' to some x', so its distortion is at least L[x, y]. Computed once
+  from sorted rows with searchsorted: O(n^3 log n) time, O(n^2) memory.
+* inc[x, y] is the cost of (x, y) against the pairs in P. Every uncovered x
+  still needs a partner, so max over uncovered x of min_y max(L, inc), and the
+  same with X and Y swapped, bound every completion of P from below.
+
+A node is pruned when that look-ahead bound, or the distortion of P itself,
+reaches the incumbent; the root bound max(max_x min_y L, max_y min_x L)
+certifies an incumbent that meets it. Branching is fail-first: on the
+uncovered point with the largest look-ahead minimum, over its partners in
+increasing inc, skipping those whose L or inc reaches the incumbent. inc is
+updated with one nx x ny maximum per assigned pair and restored from an undo
+log of the changed cells when the pair is withdrawn. The depth-first loop keeps
+its own stack, so the input size never meets the recursion limit.
+
+The result is exact whenever the node budget is not exhausted; on budget
+exhaustion the best correspondence found is returned with proven_optimal =
+False (its half-distortion is still an upper bound).
 """
 
 from __future__ import annotations
@@ -83,100 +96,134 @@ class GHResult:
     proven_optimal: bool
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _farthest_gaps(row: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """For each row of values, the largest distance from one of its entries to
+    the nearest entry of the sorted vector row."""
+    hi = np.searchsorted(row, values)
+    lo = np.maximum(hi - 1, 0)
+    np.minimum(hi, len(row) - 1, out=hi)
+    near = np.minimum(np.abs(values - row[lo]), np.abs(values - row[hi]))
+    return near.max(axis=1)
+
+
+def _pair_floors(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """L[x, y]: the Hausdorff distance between the value sets of dx[x] and dy[y]."""
+    sorted_x, sorted_y = np.sort(dx, axis=1), np.sort(dy, axis=1)
+    floors = np.empty((len(dx), len(dy)))
+    for x, row in enumerate(sorted_x):
+        floors[x] = _farthest_gaps(row, dy)
+    for y, row in enumerate(sorted_y):
+        np.maximum(floors[:, y], _farthest_gaps(row, dx), out=floors[:, y])
+    return floors
 
 
 def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
              node_budget: int = 10_000_000) -> GHResult:
-    """Exact d_GH by branch-and-bound over function-pair correspondences.
+    """Exact d_GH by branch-and-bound over relations (see the module notes).
 
     Parameters
     ----------
     space_x, space_y : the two finite metric spaces.
     node_budget : maximum number of search-node expansions before giving up on
-        the optimality proof. The incumbent at that point is still returned.
+        the optimality proof. The incumbent at that point is still returned;
+        the search never stops before its first dive lands one.
 
     Returns
     -------
-    GHResult with value = best distortion / 2. Deterministic for fixed inputs:
-    branching order depends only on the distance matrices.
+    GHResult with value = best distortion / 2 and nodes_explored = the number
+    of nodes expanded. Deterministic for fixed inputs: branching order depends
+    only on the distance matrices.
     """
     dx = np.ascontiguousarray(space_x.dist)
     dy = np.ascontiguousarray(space_y.dist)
     nx, ny = space_x.size, space_y.size
+    floors = _pair_floors(dx, dy)
+    root_floor = max(floors.min(axis=1).max(), floors.min(axis=0).max())
 
-    order_x = np.argsort(-dx.max(axis=1), kind="stable")
-    order_y = np.argsort(-dy.max(axis=1), kind="stable")
-    floor = 2.0 * gh_lower_trivial(space_x, space_y)
-
+    inc = np.zeros((nx, ny))
+    inc_flat = inc.reshape(-1)
+    covers_x = np.zeros(nx, dtype=np.intp)  # assigned pairs per point
+    covers_y = np.zeros(ny, dtype=np.intp)
+    pairs: list[tuple[int, int]] = []  # P, in assignment order
     best = float("inf")
     best_pairs: list[tuple[int, int]] = []
-    axs: list[int] = []  # X side of assigned pairs, in assignment order
-    ays: list[int] = []
-    nodes = 0
-    done = False  # set when the incumbent hits the certified floor
 
-    def candidate_costs(row: np.ndarray, other: np.ndarray) -> np.ndarray:
-        # row: distances from the new point to already assigned ones on its side
-        # other: distance block from every candidate partner to assigned partners
-        if not axs:
-            return np.zeros(other.shape[0])
-        return np.abs(other - row[None, :]).max(axis=1)
+    def expand(partial: float) -> list | None:
+        """The frame branching the current node, or None if its floor reaches best.
 
-    def settle(pos: int, partial: float, pending_y: list[int] | None) -> None:
-        nonlocal best, best_pairs, nodes, done
-        if done:
-            return
-        if pending_y is None and pos == nx:
-            covered = set(ays)
-            pending_y = [int(y) for y in order_y if int(y) not in covered]
-            pos = 0
-        if pending_y is not None and pos == len(pending_y):
-            if partial < best:
-                best = partial
-                best_pairs = list(zip(axs, ays))
-                if best <= floor:
-                    done = True
-            return
+        A frame is [partial, candidates, next position, undo of the applied
+        candidate]; a candidate is (inc, L, x, y), in increasing inc.
+        """
+        cost = np.maximum(floors, inc)
+        need_x = np.where(covers_x == 0, cost.min(axis=1), -1.0)
+        need_y = np.where(covers_y == 0, cost.min(axis=0), -1.0)
+        x, y = int(need_x.argmax()), int(need_y.argmax())
+        if max(partial, need_x[x], need_y[y]) >= best:
+            return None
+        if need_x[x] >= need_y[y]:
+            order = np.argsort(inc[x], kind="stable")
+            order = order[cost[x, order] < best]
+            cands = zip(inc[x, order].tolist(), floors[x, order].tolist(),
+                        [x] * len(order), order.tolist())
+        else:
+            order = np.argsort(inc[:, y], kind="stable")
+            order = order[cost[order, y] < best]
+            cands = zip(inc[order, y].tolist(), floors[order, y].tolist(),
+                        order.tolist(), [y] * len(order))
+        return [partial, list(cands), 0, None]
+
+    def assign(x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
+        gap = np.abs(dx[x][:, None] - dy[y][None, :]).reshape(-1)
+        changed = np.flatnonzero(gap > inc_flat)
+        undo = (changed, inc_flat[changed])
+        inc_flat[changed] = gap[changed]
+        covers_x[x] += 1
+        covers_y[y] += 1
+        pairs.append((x, y))
+        return undo
+
+    def withdraw(undo: tuple[np.ndarray, np.ndarray]) -> None:
+        changed, old = undo
+        inc_flat[changed] = old
+        x, y = pairs.pop()
+        covers_x[x] -= 1
+        covers_y[y] -= 1
+
+    nodes = 1
+    proven = True
+    stack = [expand(0.0)]  # the root always branches: best is still infinite
+    while stack:
+        frame = stack[-1]
+        partial, cands, pos, undo = frame
+        if undo is not None:
+            withdraw(undo)
+            frame[3] = None
+        while pos < len(cands):
+            cost_xy, floor_xy, x, y = cands[pos]
+            pos += 1
+            if max(partial, cost_xy) >= best:
+                pos = len(cands)  # inc ascends, nothing later can improve
+            elif floor_xy < best:
+                break
+        else:
+            stack.pop()
+            continue
+        frame[2] = pos
+        frame[3] = assign(x, y)
+        child = max(partial, cost_xy)
+        if covers_x.all() and covers_y.all():
+            best, best_pairs = child, list(pairs)
+            if best <= root_floor:
+                break
+            continue
         nodes += 1
         if nodes > node_budget and best_pairs:
             # never abort before the first depth-first dive lands an incumbent
-            raise _BudgetExhausted
-        if pending_y is None:
-            x = int(order_x[pos])
-            costs = candidate_costs(dx[x, axs], dy[:, ays] if axs else dy[:, :0])
-            for y in np.argsort(costs, kind="stable"):
-                trial = max(partial, float(costs[y]))
-                if trial >= best:
-                    break  # costs ascend, nothing later can improve
-                axs.append(x)
-                ays.append(int(y))
-                settle(pos + 1, trial, None)
-                axs.pop()
-                ays.pop()
-                if done:
-                    return
-        else:
-            y = pending_y[pos]
-            costs = candidate_costs(dy[y, ays], dx[:, axs] if axs else dx[:, :0])
-            for x in np.argsort(costs, kind="stable"):
-                trial = max(partial, float(costs[x]))
-                if trial >= best:
-                    break
-                axs.append(int(x))
-                ays.append(y)
-                settle(pos + 1, trial, pending_y)
-                axs.pop()
-                ays.pop()
-                if done:
-                    return
+            proven = False
+            break
+        frame = expand(child)
+        if frame is not None:
+            stack.append(frame)
 
-    proven = True
-    try:
-        settle(0, 0.0, None)
-    except _BudgetExhausted:
-        proven = False
-
-    corr = Correspondence(tuple(set(best_pairs)))
+    corr = Correspondence(tuple(best_pairs))
     return GHResult(best / 2.0, corr, nodes, proven)

@@ -13,7 +13,7 @@ import pytest
 
 import ghbound
 from ghbound import (FiniteSubset, circle, cli, equispaced_circle, flat_torus,
-                     uniform_points)
+                     grid_points, uniform_points)
 from ghbound.serialize import subset_to_dict, write_json
 
 
@@ -181,6 +181,20 @@ def test_circle_sweep_file_sampler_size_mismatch(tmp_path, capsys):
     assert _run(["circle-sweep", "--config", cfg]) == 1
     assert "row 0:" in (err := capsys.readouterr().err)
     assert "holds 4 points, the config asks for n_x = 9" in err
+
+
+def test_circle_sweep_file_sampler_manifold_mismatch(tmp_path, capsys):
+    x = _subset_file(tmp_path, "x.json", equispaced_circle(circle(), 4))
+    t = _subset_file(tmp_path, "t.json", grid_points(flat_torus([1.0, 1.0]), 2))
+    assert _run(["circle-sweep", "--config",
+                 _file_sweep(tmp_path, [[4, 4]], {"x": [x], "y": [t]})]) == 1
+    assert f"row 0: {t} lies on a flat_torus of dim 2" in capsys.readouterr().err
+    # same kind and dim, another circumference
+    c = _subset_file(tmp_path, "c.json", equispaced_circle(circle(1.0), 4))
+    assert _run(["circle-sweep", "--config",
+                 _file_sweep(tmp_path, [[4, 4]], {"x": [c], "y": [x]})]) == 1
+    assert f"row 0: {c} lies on a circle of dim 1 with params [1.0]" in (
+        capsys.readouterr().err)
 
 
 def test_circle_sweep_rejects_torus(tmp_path, capsys):
@@ -405,6 +419,16 @@ def test_fillrad_estimate_file_sampler(tmp_path, capsys):
     assert _run(["fillrad-estimate", "--config",
                  _fillrad_file(tmp_path, {"x": [x]}, count=9)]) == 1
     assert "holds 4 points, the config asks for n_x = 9" in capsys.readouterr().err
+
+
+def test_fillrad_estimate_file_sampler_manifold_mismatch(tmp_path, capsys):
+    # a 5x5 flat-torus grid under a config with no manifold key (a circle)
+    t = _subset_file(tmp_path, "t.json", grid_points(flat_torus([1.0, 1.0]), 5))
+    assert _run(["fillrad-estimate", "--config",
+                 _fillrad_file(tmp_path, {"x": [t]}, count=25)]) == 1
+    err = capsys.readouterr().err
+    assert f"row 0: {t} lies on a flat_torus of dim 2" in err
+    assert "the config's manifold is a circle of dim 1" in err
 
 
 # ------------------------------------------------------------- lemma-check

@@ -7,16 +7,25 @@ Oracle notes
   compute max/min over the same finite set of float subtractions).
 * Metric invariants: symmetry, zero self-distance, isometry invariance,
   domination by the Hausdorff distance for common-ambient subsets.
+* Property tests (hypothesis) draw planar and integer-valued spaces; the
+  integer ones make ties between candidate costs and floors common.
 """
 
 from __future__ import annotations
 
+import sys
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghbound import (Correspondence, FiniteMetricSpace, circle, distortion,
-                     equispaced_circle, gh_exact, gh_lower_trivial,
+from ghbound import (Correspondence, FiniteMetricSpace, SplitMix64, circle,
+                     distortion, equispaced_circle, gh_exact, gh_lower_trivial,
                      hausdorff_subsets, identity_correspondence, uniform_points)
+from ghbound.gh import _pair_floors
 
 from oracles import gh_exhaustive
 
@@ -130,3 +139,119 @@ def test_node_budget_counts_and_determinism(rng):
     assert a.value == b.value
     assert a.nodes_explored == b.nodes_explored
     assert a.correspondence.pairs == b.correspondence.pairs
+
+
+# --------------------------------------------------------- property tests
+
+
+@st.composite
+def metric_spaces(draw, max_points=4):
+    """A planar point set, or the shortest-path metric of small integer weights."""
+    m = draw(st.integers(1, max_points))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 3), min_size=m * m, max_size=m * m))
+        d = np.triu(np.array(weights, dtype=np.float64).reshape(m, m), 1)
+        d = d + d.T
+        for k in range(m):
+            d = np.minimum(d, d[:, [k]] + d[[k], :])
+    else:
+        coords = draw(st.lists(st.floats(0.0, 2.0), min_size=2 * m, max_size=2 * m))
+        pts = np.array(coords).reshape(m, 2)
+        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+        d = np.triu(d, 1)
+        d = d + d.T
+    return FiniteMetricSpace(tuple(str(i) for i in range(m)), d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(metric_spaces(), metric_spaces())
+def test_gh_exact_equals_exhaustive_property(x, y):
+    result = gh_exact(x, y)
+    assert result.proven_optimal
+    assert result.value == gh_exhaustive(x.dist, y.dist)
+    assert distortion(result.correspondence, x, y) == 2 * result.value
+
+
+@settings(max_examples=100, deadline=None)
+@given(metric_spaces(5), metric_spaces(5), st.randoms(use_true_random=False))
+def test_pair_floor_below_distortion_of_correspondences_through_pair(x, y, rnd):
+    floors = _pair_floors(x.dist, y.dist)
+    pairs = list(product(range(x.size), range(y.size)))
+    for _ in range(10):
+        # a random relation, completed to cover both sides
+        chosen = {p for p in pairs if rnd.random() < 0.3}
+        chosen |= {(a, rnd.randrange(y.size)) for a in range(x.size)}
+        chosen |= {(rnd.randrange(x.size), b) for b in range(y.size)}
+        dis = distortion(Correspondence(tuple(chosen)), x, y)
+        for a, b in chosen:
+            assert floors[a, b] <= dis
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(5, 9), st.integers(5, 9), st.integers(0, 2**32 - 1),
+       st.integers(1, 12))
+def test_budget_exhausted_result_is_realized(nx, ny, seed, budget):
+    c = circle()
+    x = uniform_points(c, nx, seed).to_metric_space()
+    y = uniform_points(c, ny, seed + 1).to_metric_space()
+    clipped = gh_exact(x, y, node_budget=budget)
+    clipped.correspondence.validate(nx, ny)
+    assert distortion(clipped.correspondence, x, y) == 2 * clipped.value
+    if not clipped.proven_optimal:
+        assert clipped.nodes_explored > budget
+        assert clipped.value >= gh_exact(x, y).value
+
+
+# ------------------------------------------------ regressions and resources
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_large_input_does_not_recurse():
+    c = circle()
+    x = uniform_points(c, 120, seed=5).to_metric_space()
+    y = uniform_points(c, 2, seed=6).to_metric_space()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        result = gh_exact(x, y, node_budget=1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not result.proven_optimal
+    assert distortion(result.correspondence, x, y) == 2 * result.value
+
+
+# gh-sweep's fixed draw (bench/workloads.py): sampler seed 2, row r draws X from
+# child 2r and Y from child 2r + 1. A diameter floor left these rows unproven
+# after 100k nodes.
+@pytest.mark.parametrize("row, nx, ny, value", [
+    (5, 11, 11, 0.5363984775375299),
+    (6, 12, 12, 0.4143115393212584),
+    (16, 10, 11, 0.5973091832768553),
+])
+def test_gh_sweep_hard_rows_are_proven(row, nx, ny, value):
+    c = circle()
+    master = SplitMix64(2)
+    x = uniform_points(c, nx, master.child(2 * row).next_u64()).to_metric_space()
+    y = uniform_points(c, ny, master.child(2 * row + 1).next_u64()).to_metric_space()
+    result = gh_exact(x, y, node_budget=100_000)
+    assert result.proven_optimal
+    assert result.value == value
+
+
+def test_search_memory_stays_quadratic():
+    c = circle()
+    x = uniform_points(c, 200, seed=31).to_metric_space()
+    y = uniform_points(c, 200, seed=32).to_metric_space()
+    tracemalloc.start()
+    try:
+        gh_exact(x, y, node_budget=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
