@@ -275,11 +275,11 @@ def _complex_from_args(args):
     subset = serialize.subset_from_dict(serialize.read_json(args.subset))
     m = subset.manifold
     max_dim = args.max_dim if args.max_dim is not None else m.dim + 1
-    space = subset.to_metric_space()
     if not args.cech:
-        return build_vr(space, args.scale, max_dim)
+        return build_vr(subset.to_metric_space(), args.scale, max_dim)
     if m.kind == CIRCLE:
-        return build_cech_circle(space, args.scale, max_dim, m.params[0])
+        return build_cech_circle(subset.to_metric_space(), args.scale, max_dim,
+                                 m.params[0])
     if m.kind == EUCLIDEAN:
         raise ValueError("ambient Cech complexes need a compact manifold "
                          "(witness grids are built on circle or torus)")

@@ -206,7 +206,10 @@ def build_cech_witness(space_cross: np.ndarray, radius: float,
     if cross.ndim != 2:
         raise ValueError("space_cross must be a 2-d matrix")
     m = cross.shape[1]
-    stars = {tuple(np.nonzero(row < radius)[0]) for row in cross}
+    rows, cols = np.nonzero(cross < radius)
+    cuts = np.searchsorted(rows, np.arange(len(cross) + 1)).tolist()
+    cols = cols.tolist()
+    stars = {tuple(cols[lo:hi]) for lo, hi in zip(cuts, cuts[1:])}
     simplices: dict[int, set[tuple[int, ...]]] = {k: set() for k in range(max_dim + 1)}
     for star in stars:
         for k in range(min(len(star), max_dim + 1)):

@@ -22,6 +22,7 @@ import numpy as np
 
 TRIANGLE_TOL = 1e-9
 STRICT_SLACK = 1e-12  # open conditions "x < y" are enforced as x < y - STRICT_SLACK
+BLOCK = 2 ** 16  # doubles per temporary of the dense distance kernels (0.5 MiB)
 
 CIRCLE = "circle"
 FLAT_TORUS = "flat_torus"
@@ -102,6 +103,8 @@ def normalize_points(manifold: AmbientManifold, points) -> np.ndarray:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[1] != manifold.dim:
         raise ValueError(f"points must have shape (m, {manifold.dim})")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     if manifold.kind in (CIRCLE, FLAT_TORUS):
         sides = np.asarray(manifold.params)
         pts = np.mod(pts, sides)
@@ -109,22 +112,37 @@ def normalize_points(manifold: AmbientManifold, points) -> np.ndarray:
     return pts
 
 
-def _axis_wrap_dist(delta: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    d = np.abs(delta)
-    return np.minimum(d, sides - d)
-
-
 def cross_distances(manifold: AmbientManifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Geodesic distance matrix between two point arrays, shape (len(a), len(b))."""
-    a = normalize_points(manifold, a)
-    b = normalize_points(manifold, b)
-    delta = a[:, None, :] - b[None, :, :]
-    if manifold.kind == EUCLIDEAN:
-        return np.sqrt(np.sum(delta * delta, axis=-1))
-    per_axis = _axis_wrap_dist(delta, np.asarray(manifold.params))
-    if manifold.kind == CIRCLE:
-        return per_axis[:, :, 0]
-    return np.sqrt(np.sum(per_axis * per_axis, axis=-1))
+    return _distance_table(manifold, normalize_points(manifold, a),
+                           normalize_points(manifold, b))
+
+
+def _distance_table(manifold: AmbientManifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """cross_distances on normalized points.
+
+    Row blocks of the result take the squared per-axis terms one axis at a
+    time, in axis order, so each temporary holds about BLOCK doubles (one row
+    of the result, if a row is longer).
+    """
+    out = np.empty((len(a), len(b)))
+    rows = max(1, BLOCK // max(1, len(b)))
+    for lo in range(0, len(a), rows):
+        acc = out[lo:lo + rows]
+        for k in range(manifold.dim):
+            term = acc if k == 0 else np.empty_like(acc)
+            np.subtract.outer(a[lo:lo + rows, k], b[:, k], out=term)
+            if manifold.kind != EUCLIDEAN:
+                np.abs(term, out=term)
+                np.minimum(term, manifold.params[k] - term, out=term)
+            if manifold.kind == CIRCLE:
+                break
+            np.multiply(term, term, out=term)
+            if k:
+                acc += term
+        if manifold.kind != CIRCLE:
+            np.sqrt(acc, out=acc)
+    return out
 
 
 def geodesic_distance(manifold: AmbientManifold, p, q) -> float:
@@ -134,8 +152,8 @@ def geodesic_distance(manifold: AmbientManifold, p, q) -> float:
 
 def pairwise_distances(manifold: AmbientManifold, points) -> np.ndarray:
     """Symmetric geodesic distance matrix with an exactly zero diagonal."""
-    d = cross_distances(manifold, points, points)
-    d = np.triu(d, 1)
+    pts = normalize_points(manifold, points)
+    d = np.triu(_distance_table(manifold, pts, pts), 1)
     d = d + d.T  # mirror the upper triangle so symmetry is exact
     return d
 
@@ -144,8 +162,9 @@ def pairwise_distances(manifold: AmbientManifold, points) -> np.ndarray:
 class FiniteMetricSpace:
     """A finite metric space given by labels and a dense distance matrix.
 
-    Construction validates the metric axioms: zero diagonal, exact symmetry,
-    non-negativity, and the triangle inequality within TRIANGLE_TOL.
+    Construction validates the metric axioms: finite entries, zero diagonal,
+    exact symmetry, non-negativity, and the triangle inequality within
+    TRIANGLE_TOL.
     """
 
     labels: tuple[str, ...]
@@ -161,6 +180,8 @@ class FiniteMetricSpace:
             raise ValueError("distance matrix shape does not match labels")
         if len(set(self.labels)) != m:
             raise ValueError("labels must be distinct")
+        if not np.isfinite(d).all():
+            raise ValueError("distances must be finite")
         if np.any(np.diag(d) != 0.0):
             raise ValueError("diagonal must be exactly zero")
         if np.any(d != d.T):
@@ -169,8 +190,9 @@ class FiniteMetricSpace:
             raise ValueError("distances must be non-negative")
         # best two-leg route per pair; one leg through k=j costs d[i,j] itself,
         # so violations show up as d exceeding the min by more than the tolerance.
-        # Row blocks keep the rows x m x m temporary near 2**22 doubles (32 MiB).
-        rows = max(1, 2 ** 22 // (m * m))
+        # Row blocks keep the rows x m x m temporary near BLOCK doubles (one
+        # m x m slice, if that is larger).
+        rows = max(1, BLOCK // (m * m))
         for lo in range(0, m, rows):
             block = d[lo:lo + rows]
             two_leg = np.min(block[:, :, None] + d[None, :, :], axis=1)

@@ -3,8 +3,9 @@
 Everything here recomputes results through a different route than the library:
 dense numpy Gaussian elimination instead of bitset reduction, full enumeration
 instead of branch-and-bound, definitional subset scans instead of clique
-expansion, and support-set enumeration instead of Welzl's recursion. Keep these
-naive; clarity beats speed.
+expansion, support-set enumeration instead of Welzl's recursion, and one
+broadcast (a x b x dim) difference array instead of row-blocked per-axis
+accumulation. Keep these naive; clarity beats speed.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from itertools import combinations, product
 import numpy as np
 
 from ghbound.complexes import SimplicialComplex
+from ghbound.manifolds import (CIRCLE, EUCLIDEAN, AmbientManifold,
+                               normalize_points)
 
 
 def gf2_rank_dense(mat: np.ndarray) -> int:
@@ -95,6 +98,25 @@ def vr_brute(dist: np.ndarray, scale: float, max_dim: int) -> dict[int, set]:
             if all(dist[a, b] < scale for a, b in combinations(s, 2)):
                 out[k].add(s)
     return out
+
+
+def _axis_wrap_dist(delta: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    d = np.abs(delta)
+    return np.minimum(d, sides - d)
+
+
+def broadcast_cross_distances(manifold: AmbientManifold, a: np.ndarray,
+                              b: np.ndarray) -> np.ndarray:
+    """Geodesic distance matrix between two point arrays, shape (len(a), len(b))."""
+    a = normalize_points(manifold, a)
+    b = normalize_points(manifold, b)
+    delta = a[:, None, :] - b[None, :, :]
+    if manifold.kind == EUCLIDEAN:
+        return np.sqrt(np.sum(delta * delta, axis=-1))
+    per_axis = _axis_wrap_dist(delta, np.asarray(manifold.params))
+    if manifold.kind == CIRCLE:
+        return per_axis[:, :, 0]
+    return np.sqrt(np.sum(per_axis * per_axis, axis=-1))
 
 
 def circle_arc_dist(theta: float, points: np.ndarray, circumference: float) -> float:

@@ -12,8 +12,8 @@ from itertools import combinations
 import pytest
 
 import ghbound
-from ghbound import (FiniteSubset, circle, cli, equispaced_circle, flat_torus,
-                     grid_points, uniform_points)
+from ghbound import (FiniteSubset, circle, cli, equispaced_circle, euclidean,
+                     flat_torus, grid_points, uniform_points)
 from ghbound.serialize import subset_to_dict, write_json
 
 
@@ -101,6 +101,32 @@ def test_bounds_errors(tmp_path, capsys):
     assert _run(["bounds", "--x", x, "--theorems", "circle"]) == 1
     assert "circle bound needs" in capsys.readouterr().err
     assert _run(["bounds", "--x", str(tmp_path / "missing.json")]) == 1
+
+
+def _nan_torus_subset(tmp_path):
+    points = uniform_points(flat_torus([1.0, 1.0]), 6, seed=4).points.tolist()
+    points[2][1] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"manifold": {"kind": "flat_torus", "dim": 2,
+                                             "params": [1.0, 1.0]},
+                                "points": points}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--x", "{nan}"],
+    ["homology", "--subset", "{nan}", "--scale", "0.2", "--cech"],
+    ["gh-exact", "--x", "{nan}", "--y", "{good}"],
+], ids=["bounds", "homology-cech", "gh-exact"])
+def test_non_finite_subset_coordinates_exit_one(tmp_path, capsys, argv):
+    # past the reader, a NaN coordinate makes d_H(X, M) NaN, and bounds would
+    # report "lower_bound": NaN with "vacuous": false
+    nan = _nan_torus_subset(tmp_path)
+    good = _subset_file(tmp_path, "good.json", grid_points(flat_torus([1.0, 1.0]), 3))
+    assert _run([a.format(nan=nan, good=good) for a in argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "points must be finite" in out.err
 
 
 # ------------------------------------------------------------------- sweeps
@@ -242,6 +268,21 @@ def test_homology_cech_circle(tmp_path, capsys):
     assert payload["betti"] == [1, 1]
 
 
+def test_witnessed_cech_builds_no_metric(tmp_path, capsys, monkeypatch):
+    # the torus Cech nerve reads only witness distances, and the Euclidean
+    # refusal comes before any work
+    def refuse(self, labels=None):
+        raise AssertionError("metric space built")
+
+    monkeypatch.setattr(FiniteSubset, "to_metric_space", refuse)
+    x = _subset_file(tmp_path, "x.json", uniform_points(flat_torus([1.0, 1.0]), 20, seed=1))
+    assert _run(["homology", "--subset", x, "--scale", "0.2", "--cech"]) == 0
+    assert json.loads(capsys.readouterr().out)["simplex_counts"][0] >= 1
+    e = _subset_file(tmp_path, "e.json", FiniteSubset(euclidean(2), [[0.0, 0.0], [1.0, 0.0]]))
+    assert _run(["homology", "--subset", e, "--scale", "0.2", "--cech"]) == 1
+    assert "compact manifold" in capsys.readouterr().err
+
+
 def test_homology_complex_file_round_trip(tmp_path, capsys):
     hollow = {"scale": 1.0, "vertex_count": 4,
               "simplices": {"0": [[0], [1], [2], [3]],
@@ -300,6 +341,17 @@ def test_gh_exact_accepts_raw_metric_space(tmp_path, capsys):
     y.write_text(json.dumps({"dist": [[0.0, 5.0], [5.0, 0.0]]}))
     assert _run(["gh-exact", "--x", str(x), "--y", str(y)]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1.5)
+
+
+def test_gh_exact_rejects_infinite_distances(tmp_path, capsys):
+    # inf - inf is nan, so the triangle check alone let these through
+    x = tmp_path / "x.json"
+    x.write_text('{"dist": [[0.0, Infinity, Infinity], [Infinity, 0.0, Infinity], '
+                 '[Infinity, Infinity, 0.0]]}')
+    y = tmp_path / "y.json"
+    y.write_text(json.dumps({"dist": [[0.0, 1.0], [1.0, 0.0]]}))
+    assert _run(["gh-exact", "--x", str(x), "--y", str(y)]) == 1
+    assert "distances must be finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- fillrad

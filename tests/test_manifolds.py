@@ -8,23 +8,30 @@ Oracle notes
   sup_theta dist(theta, X) and against hausdorff_subsets with a fine sample.
 * covering_radius_witness: one-sided, never above the exact value on the
   circle; exact for mid-cell witness grids on the torus.
+* cross_distances: bit-identical to oracles.broadcast_cross_distances (one
+  broadcast difference array, summed over its last axis) on random inputs,
+  with row blocks small enough that the inputs span several.
 """
 
 from __future__ import annotations
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghbound import (FiniteMetricSpace, FiniteSubset, circle,
                      covering_radius_circle, covering_radius_witness,
-                     diameter, directed_hausdorff, euclidean, flat_torus,
-                     geodesic_distance, grid_covering_radius, grid_points,
-                     hausdorff_subsets, pairwise_distances)
+                     cross_distances, diameter, directed_hausdorff, euclidean,
+                     flat_torus, geodesic_distance, grid_covering_radius,
+                     grid_points, hausdorff_subsets, manifolds,
+                     pairwise_distances)
 
-from oracles import circle_arc_dist
+from oracles import broadcast_cross_distances, circle_arc_dist
 
 
 @pytest.fixture
@@ -95,6 +102,72 @@ def test_pairwise_symmetry_is_exact(rng):
     assert np.all(np.diag(d) == 0.0)
 
 
+@st.composite
+def kernel_inputs(draw):
+    """A manifold plus two point arrays drawn from one pool, so points repeat.
+
+    Circle and torus coordinates include 0 and the largest double below each
+    side length; tori have unequal sides.
+    """
+    kind = draw(st.sampled_from(["circle", "flat_torus", "euclidean"]))
+    dim = 1 if kind == "circle" else draw(st.integers(1, 4))
+    if kind == "euclidean":
+        manifold = euclidean(dim)
+        axes = [st.floats(-50.0, 50.0)] * dim
+    else:
+        sides = draw(st.lists(st.floats(0.25, 20.0), min_size=dim, max_size=dim,
+                              unique=True))
+        manifold = circle(sides[0]) if kind == "circle" else flat_torus(sides)
+        axes = [st.one_of(st.floats(0.0, side, exclude_max=True),
+                          st.sampled_from([0.0, math.nextafter(side, 0.0)]))
+                for side in sides]
+    pool = draw(st.lists(st.tuples(*axes), min_size=1, max_size=12))
+    pick = st.lists(st.sampled_from(pool), min_size=1, max_size=20)
+    return manifold, np.array(draw(pick)), np.array(draw(pick))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs(), st.integers(1, 64))
+def test_cross_distances_bit_identical_to_broadcast(inputs, block):
+    manifold, a, b = inputs
+    with mock.patch.object(manifolds, "BLOCK", block):
+        cross = cross_distances(manifold, a, b)
+        pair = pairwise_distances(manifold, a)
+    assert np.array_equal(cross, broadcast_cross_distances(manifold, a, b))
+    assert np.all(np.diag(pair) == 0.0)
+    assert np.array_equal(pair, pair.T)
+    expected = broadcast_cross_distances(manifold, a, a)
+    upper = np.triu_indices(len(a), 1)
+    assert np.array_equal(pair[upper], expected[upper])
+
+
+def test_cross_distances_memory_stays_near_output(rng):
+    # a (4096 x 300 x 2) broadcast peaks far above the 9.4 MiB result
+    torus = flat_torus([1.0, 1.0])
+    witnesses = grid_points(torus, 64).points
+    pts = rng.uniform(0.0, 1.0, size=(300, 2))
+    tracemalloc.start()
+    try:
+        cross = cross_distances(torus, witnesses, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cross.shape == (4096, 300)
+    assert peak < 2 * cross.nbytes
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("manifold", [circle(), flat_torus([1.0, 2.0]), euclidean(2)],
+                         ids=["circle", "torus", "eucl"])
+def test_non_finite_points_are_rejected(manifold, bad):
+    pts = np.zeros((3, manifold.dim))
+    pts[1, -1] = bad
+    with pytest.raises(ValueError, match="points must be finite"):
+        FiniteSubset(manifold, pts)
+    with pytest.raises(ValueError, match="points must be finite"):
+        cross_distances(manifold, np.zeros((2, manifold.dim)), pts)
+
+
 def test_metric_space_validation_errors():
     good = np.array([[0.0, 1.0], [1.0, 0.0]])
     FiniteMetricSpace(("a", "b"), good)
@@ -111,6 +184,14 @@ def test_metric_space_validation_errors():
         FiniteMetricSpace(("a", "a"), good)
     with pytest.raises(ValueError, match="at least one"):
         FiniteMetricSpace((), np.zeros((0, 0)))
+    # all pairs at infinity: inf - inf is nan, which never exceeds the tolerance
+    far = np.full((3, 3), math.inf)
+    np.fill_diagonal(far, 0.0)
+    with pytest.raises(ValueError, match="distances must be finite"):
+        FiniteMetricSpace(("a", "b", "c"), far)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="distances must be finite"):
+            FiniteMetricSpace(("a", "b"), np.array([[0.0, bad], [bad, 0.0]]))
 
 
 def test_triangle_tolerance_is_forgiving():
@@ -136,6 +217,21 @@ def test_triangle_check_memory_stays_quadratic(rng):
     d[m - 2, m - 1] = d[m - 1, m - 2] = 10.0
     with pytest.raises(ValueError, match="triangle"):
         FiniteMetricSpace(labels, d)
+
+
+def test_triangle_check_temporaries_stay_small(rng):
+    # row blocks of about BLOCK doubles: one 300 x 300 slice at a time
+    m = 300
+    torus = flat_torus([1.0, 1.0])
+    d = pairwise_distances(torus, rng.uniform(0.0, 1.0, size=(m, 2)))
+    labels = tuple(str(i) for i in range(m))
+    tracemalloc.start()
+    try:
+        FiniteMetricSpace(labels, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_subset_normalization_and_labels():
