@@ -15,17 +15,15 @@ from .bounds import (BoundReport, circle_bound, circle_bound_pair, circumradius,
 from .complexes import (SimplicialComplex, VertexMap, build_cech_circle,
                         build_cech_witness, build_vr, check_contiguous,
                         check_simplicial, compose_maps, inclusion_map,
-                        induced_vr_map, same_complex, simplex_diameters,
+                        induced_vr_map, simplex_diameters,
                         subset_projection_map)
-from .gh import (Correspondence, GHResult, distortion, gh_exact,
-                 gh_lower_trivial, identity_correspondence)
-from .homology import (BettiVector, HomologyBasis, HomologyMap, betti_numbers,
-                       fundamental_class_survives, induced_map, persistence_bars)
+from .gh import Correspondence, GHResult, distortion, gh_exact
+from .homology import betti_numbers, fundamental_class_survives, persistence_bars
 from .manifolds import (AmbientManifold, FiniteMetricSpace, FiniteSubset,
                         circle, covering_radius_circle, covering_radius_witness,
-                        cross_distances, diameter, directed_hausdorff, euclidean,
-                        flat_torus, geodesic_distance, hausdorff_subsets,
-                        pairwise_distances, subset_diameter)
+                        cross_distances, directed_hausdorff, euclidean,
+                        flat_torus, hausdorff_subsets, pairwise_distances,
+                        subset_diameter)
 from .ratio import (RatioInstance, RatioReport, apply_cyclic_isometry,
                     as_subsets, build_instance, verify_instance)
 from .sampling import (SplitMix64, equispaced_circle, grid_covering_radius,

@@ -295,7 +295,7 @@ def cmd_homology(args) -> int:
     betti = betti_numbers(cx, up_to)
     _emit_json({"scale": cx.scale, "max_dim": cx.max_dim,
                 "simplex_counts": cx.simplex_counts(),
-                "betti": list(betti.values)}, args.out)
+                "betti": list(betti)}, args.out)
     return 0
 
 

@@ -110,7 +110,7 @@ class SimplicialComplex:
                 f"max_dim={self.max_dim}, counts={self.simplex_counts()})")
 
 
-def same_complex(a: SimplicialComplex, b: SimplicialComplex) -> bool:
+def _same_complex(a: SimplicialComplex, b: SimplicialComplex) -> bool:
     """Structural equality: same vertex set and same simplices."""
     if a is b:
         return True
@@ -248,7 +248,7 @@ def inclusion_map(small: SimplicialComplex, big: SimplicialComplex,
 
 
 def compose_maps(outer: VertexMap, inner: VertexMap) -> VertexMap:
-    if not same_complex(inner.target, outer.source):
+    if not _same_complex(inner.target, outer.source):
         raise ValueError("maps are not composable: inner target differs from outer source")
     image = tuple(outer.image[v] for v in inner.image)
     return VertexMap(inner.source, outer.target, image)
@@ -270,7 +270,7 @@ def check_contiguous(f: VertexMap, g: VertexMap) -> bool:
     homology. The target must have been built with max_dim large enough to hold
     the unions (up to twice the source dimension plus one).
     """
-    if not (same_complex(f.source, g.source) and same_complex(f.target, g.target)):
+    if not (_same_complex(f.source, g.source) and _same_complex(f.target, g.target)):
         raise ValueError("mismatched complexes")
     for d in range(f.source.max_dim + 1):
         for s in f.source.simplices[d]:

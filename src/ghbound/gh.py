@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import FiniteMetricSpace, diameter
+from .manifolds import FiniteMetricSpace
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,6 @@ class Correspondence:
             raise ValueError("correspondence must cover both point sets")
 
 
-def identity_correspondence(size: int) -> Correspondence:
-    return Correspondence(tuple((i, i) for i in range(size)))
-
-
 def distortion(corr: Correspondence, space_x: FiniteMetricSpace,
                space_y: FiniteMetricSpace) -> float:
     """max |d_X(x, x') - d_Y(y, y')| over related pairs (x, y), (x', y')."""
@@ -78,11 +74,6 @@ def distortion(corr: Correspondence, space_x: FiniteMetricSpace,
     xs, ys = pairs[:, 0], pairs[:, 1]
     gap = space_x.dist[np.ix_(xs, xs)] - space_y.dist[np.ix_(ys, ys)]
     return float(np.abs(gap).max())
-
-
-def gh_lower_trivial(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace) -> float:
-    """|diam X - diam Y| / 2, a lower bound for d_GH valid for any spaces."""
-    return abs(diameter(space_x) - diameter(space_y)) / 2.0
 
 
 @dataclass(frozen=True)

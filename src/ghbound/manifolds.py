@@ -145,17 +145,15 @@ def _distance_table(manifold: AmbientManifold, a: np.ndarray, b: np.ndarray) -> 
     return out
 
 
-def geodesic_distance(manifold: AmbientManifold, p, q) -> float:
-    """Geodesic distance between two points of the manifold."""
-    return float(cross_distances(manifold, [np.ravel(p)], [np.ravel(q)])[0, 0])
-
-
 def pairwise_distances(manifold: AmbientManifold, points) -> np.ndarray:
     """Symmetric geodesic distance matrix with an exactly zero diagonal."""
-    pts = normalize_points(manifold, points)
+    return _pairwise_table(manifold, normalize_points(manifold, points))
+
+
+def _pairwise_table(manifold: AmbientManifold, pts: np.ndarray) -> np.ndarray:
+    """pairwise_distances on normalized points."""
     d = np.triu(_distance_table(manifold, pts, pts), 1)
-    d = d + d.T  # mirror the upper triangle so symmetry is exact
-    return d
+    return d + d.T  # mirror the upper triangle so symmetry is exact
 
 
 @dataclass(frozen=True)
@@ -209,10 +207,6 @@ class FiniteMetricSpace:
         return FiniteMetricSpace(labels, self.dist[np.ix_(idx, idx)])
 
 
-def diameter(space: FiniteMetricSpace) -> float:
-    return float(np.max(space.dist))
-
-
 @dataclass(frozen=True)
 class FiniteSubset:
     """A finite list of points pinned to an ambient manifold.
@@ -237,7 +231,7 @@ class FiniteSubset:
     def to_metric_space(self, labels=None) -> FiniteMetricSpace:
         if labels is None:
             labels = tuple(str(i) for i in range(self.size))
-        return FiniteMetricSpace(tuple(labels), pairwise_distances(self.manifold, self.points))
+        return FiniteMetricSpace(tuple(labels), _pairwise_table(self.manifold, self.points))
 
 
 def _require_same_manifold(x: FiniteSubset, y: FiniteSubset) -> AmbientManifold:
@@ -249,13 +243,13 @@ def _require_same_manifold(x: FiniteSubset, y: FiniteSubset) -> AmbientManifold:
 def directed_hausdorff(x: FiniteSubset, y: FiniteSubset) -> float:
     """sup over x of dist(x, Y), inside the common ambient manifold."""
     m = _require_same_manifold(x, y)
-    return float(cross_distances(m, x.points, y.points).min(axis=1).max())
+    return float(_distance_table(m, x.points, y.points).min(axis=1).max())
 
 
 def hausdorff_subsets(x: FiniteSubset, y: FiniteSubset) -> float:
     """Hausdorff distance between two finite subsets of one ambient manifold."""
     m = _require_same_manifold(x, y)
-    cross = cross_distances(m, x.points, y.points)
+    cross = _distance_table(m, x.points, y.points)
     return float(max(cross.min(axis=1).max(), cross.min(axis=0).max()))
 
 
@@ -287,4 +281,4 @@ def covering_radius_witness(x: FiniteSubset, witnesses: FiniteSubset) -> float:
 
 
 def subset_diameter(x: FiniteSubset) -> float:
-    return float(pairwise_distances(x.manifold, x.points).max())
+    return float(_pairwise_table(x.manifold, x.points).max())

@@ -36,6 +36,9 @@ def manifold_to_dict(m: AmbientManifold) -> dict:
 
 
 def manifold_from_dict(d: dict) -> AmbientManifold:
+    if not isinstance(d, dict):
+        raise ValueError("'manifold' must be an object with a 'kind' key, "
+                         f"not {json.dumps(d)}")
     kind = d.get("kind")
     extra = {k: d[k] for k in ("rho", "kappa", "fill_rad") if k in d}
     if kind == "circle":
@@ -90,8 +93,23 @@ def complex_to_dict(k: SimplicialComplex) -> dict:
 def complex_from_dict(d: dict) -> SimplicialComplex:
     if "scale" not in d or "simplices" not in d:
         raise ValueError("complex JSON needs 'scale' and 'simplices'")
-    simplices = {int(dim): [tuple(s) for s in entries]
-                 for dim, entries in d["simplices"].items()}
+    raw = d["simplices"]
+    if not isinstance(raw, dict) or not raw:
+        raise ValueError("complex JSON 'simplices' must map at least one "
+                         "dimension to its simplices")
+    simplices = {}
+    for dim, entries in raw.items():
+        try:
+            k = int(dim)
+        except ValueError:
+            raise ValueError(f"complex JSON 'simplices' key {dim!r} is not a "
+                             "dimension") from None
+        if not (isinstance(entries, list)
+                and all(isinstance(s, list) and all(type(v) is int for v in s)
+                        for s in entries)):
+            raise ValueError(f"complex JSON 'simplices' entry {dim!r} must be a "
+                             "list of vertex lists, e.g. [[0, 1], [1, 2]]")
+        simplices[k] = [tuple(s) for s in entries]
     max_dim = max(simplices)
     vertex_count = d.get("vertex_count")
     if vertex_count is None:

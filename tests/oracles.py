@@ -1,20 +1,24 @@
 """Independent oracles the tests check the library against.
 
 Everything here recomputes results through a different route than the library:
-dense numpy Gaussian elimination instead of bitset reduction, full enumeration
-instead of branch-and-bound, definitional subset scans instead of clique
-expansion, support-set enumeration instead of Welzl's recursion, and one
-broadcast (a x b x dim) difference array instead of row-blocked per-axis
-accumulation. Keep these naive; clarity beats speed.
+dense numpy Gaussian elimination instead of bitset reduction, explicit
+representative cycles and induced maps instead of reading ranks and survival
+off one persistence pass, full enumeration instead of branch-and-bound,
+definitional subset scans instead of clique expansion, support-set enumeration
+instead of Welzl's recursion, and one broadcast (a x b x dim) difference array
+instead of row-blocked per-axis accumulation. Keep these naive; clarity beats
+speed.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
 
-from ghbound.complexes import SimplicialComplex
+from ghbound.complexes import (SimplicialComplex, VertexMap, check_simplicial,
+                               inclusion_map)
 from ghbound.manifolds import (CIRCLE, EUCLIDEAN, AmbientManifold,
                                normalize_points)
 
@@ -64,6 +68,171 @@ def naive_betti(complex_: SimplicialComplex, up_to: int) -> list[int]:
         r_up = gf2_rank_dense(naive_boundary_matrix(complex_, k + 1))
         out.append(n_k - r_k - r_up)
     return out
+
+
+def boundary_columns(complex_: SimplicialComplex, dim: int) -> list[int]:
+    """naive_boundary_matrix as bitset columns (bit i = row i)."""
+    mat = naive_boundary_matrix(complex_, dim)
+    return [sum(1 << int(i) for i in np.flatnonzero(mat[:, j]))
+            for j in range(mat.shape[1])]
+
+
+def gf2_reduce(columns: list[int]) -> tuple[dict[int, int], list[int]]:
+    """Column reduction over GF(2) that tracks combinations.
+
+    Returns (pivots, kernel): pivots maps a pivot row to its reduced nonzero
+    column, kernel lists combination words (over input column indices) whose
+    input combination vanishes. len(pivots) is the rank.
+    """
+    pivots: dict[int, int] = {}
+    combos: dict[int, int] = {}
+    kernel: list[int] = []
+    for j, col in enumerate(columns):
+        combo = 1 << j
+        while col:
+            p = col.bit_length() - 1
+            if p not in pivots:
+                break
+            col ^= pivots[p]
+            combo ^= combos[p]
+        if col:
+            pivots[col.bit_length() - 1] = col
+            combos[col.bit_length() - 1] = combo
+        else:
+            kernel.append(combo)
+    return pivots, kernel
+
+
+class HomologyBasis:
+    """H_dim of one complex with explicit representative cycles.
+
+    Representatives are chain bitsets over the complex's simplex order;
+    coordinates expresses any cycle's class in the representative basis.
+    """
+
+    def __init__(self, complex_: SimplicialComplex, dim: int) -> None:
+        if dim < 0:
+            raise ValueError("dimension must be >= 0")
+        if dim > complex_.max_dim - 1:
+            raise ValueError("insufficient skeleton: betti at dim k needs simplices "
+                             "up to dim k+1")
+        _, kernel = gf2_reduce(boundary_columns(complex_, dim))
+        self.boundary_pivots, _ = gf2_reduce(boundary_columns(complex_, dim + 1))
+        self._rep_pivots: dict[int, int] = {}  # pivot row -> representative index
+        self._rep_reduced: list[int] = []
+        self.representatives: list[int] = []
+        for z in kernel:
+            reduced, _ = self._reduce(z)
+            if reduced:
+                self._rep_pivots[reduced.bit_length() - 1] = len(self.representatives)
+                self._rep_reduced.append(reduced)
+                self.representatives.append(z)
+        self.betti = len(self.representatives)
+
+    def _reduce(self, chain: int) -> tuple[int, int]:
+        """(residual, coords) against the boundaries plus the representatives.
+
+        The residual is zero iff the chain is a cycle of this complex; coords
+        is the bitset of representatives used.
+        """
+        coords = 0
+        while chain:
+            p = chain.bit_length() - 1
+            if p in self.boundary_pivots:
+                chain ^= self.boundary_pivots[p]
+            elif p in self._rep_pivots:
+                i = self._rep_pivots[p]
+                coords ^= 1 << i
+                chain ^= self._rep_reduced[i]
+            else:
+                break
+        return chain, coords
+
+    def is_boundary(self, chain: int) -> bool:
+        return self._reduce(chain) == (0, 0)
+
+    def coordinates(self, cycle: int) -> int:
+        """Coordinates of a cycle's class; raises if the chain is not a cycle."""
+        residual, coords = self._reduce(cycle)
+        if residual:
+            raise ValueError("chain is not a cycle of this complex")
+        return coords
+
+
+@dataclass(frozen=True)
+class HomologyMap:
+    """A map on H_dim as a GF(2) matrix: matrix[j] is the image of source
+    representative j, as a bitset of target representative indices."""
+
+    matrix: tuple[int, ...]
+    source_betti: int
+    target_betti: int
+
+    def rank(self) -> int:
+        return len(gf2_reduce(self.matrix)[0])
+
+    def is_injective(self) -> bool:
+        return self.rank() == self.source_betti
+
+    def is_isomorphism(self) -> bool:
+        return self.source_betti == self.target_betti and self.is_injective()
+
+    def after(self, inner: "HomologyMap") -> "HomologyMap":
+        """Composite self . inner (functoriality: matrices multiply)."""
+        if inner.target_betti != self.source_betti:
+            raise ValueError("maps are not composable")
+        cols = []
+        for col in inner.matrix:
+            out = 0
+            for i in range(col.bit_length()):
+                if (col >> i) & 1:
+                    out ^= self.matrix[i]
+            cols.append(out)
+        return HomologyMap(tuple(cols), inner.source_betti, self.target_betti)
+
+
+def _push_chain(f: VertexMap, dim: int, bits: int,
+                target_index: dict[tuple[int, ...], int]) -> int:
+    """Image of a dim-chain under a vertex map; degenerate simplices drop out."""
+    simplices = f.source.simplices[dim]
+    out = 0
+    for i in range(bits.bit_length()):
+        if (bits >> i) & 1:
+            image = f.apply(simplices[i])
+            if len(image) == dim + 1:
+                out ^= 1 << target_index[image]
+    return out
+
+
+def induced_map(f: VertexMap, dim: int) -> HomologyMap:
+    """The map a simplicial vertex map induces on H_dim.
+
+    Also checks that f sends boundaries to boundaries, then writes the image
+    of each source representative in the target representative basis.
+    """
+    if not check_simplicial(f):
+        raise ValueError("map is not simplicial")
+    src = HomologyBasis(f.source, dim)
+    tgt = HomologyBasis(f.target, dim)
+    target_index = {s: i for i, s in enumerate(f.target.simplices[dim])}
+    for col in src.boundary_pivots.values():
+        if not tgt.is_boundary(_push_chain(f, dim, col, target_index)):
+            raise ValueError("map does not send boundaries to boundaries")
+    cols = tuple(tgt.coordinates(_push_chain(f, dim, z, target_index))
+                 for z in src.representatives)
+    return HomologyMap(cols, src.betti, tgt.betti)
+
+
+def fundamental_class_survives(small: SimplicialComplex, big: SimplicialComplex,
+                               dim: int, vertex_image=None) -> bool:
+    """Whether the inclusion-induced map on H_dim is injective with equal
+    Betti numbers on both sides."""
+    inc = inclusion_map(small, big, vertex_image)
+    if not check_simplicial(inc):
+        raise ValueError("inclusion is not simplicial; the big complex must "
+                         "contain the small one")
+    hm = induced_map(inc, dim)
+    return hm.source_betti == hm.target_betti and hm.is_injective()
 
 
 def gh_exhaustive(dx: np.ndarray, dy: np.ndarray) -> float:

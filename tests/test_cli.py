@@ -321,6 +321,32 @@ def test_homology_needs_scale(tmp_path, capsys):
     assert "--scale" in capsys.readouterr().err
 
 
+def _run_module(argv):
+    """python -m ghbound in a child, so an uncaught exception shows as a traceback."""
+    # the child imports the same ghbound as this test, installed or not
+    src = os.path.dirname(os.path.dirname(ghbound.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "ghbound", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("homology --complex", {"scale": 1.0, "simplices": {"0": [1, 2]}}, "'0'"),
+    ("homology --complex", {"scale": 1.0, "simplices": {}}, "'simplices'"),
+    ("homology --complex", {"scale": 1.0, "simplices": {"x": [[0]]}}, "'x'"),
+    ("bounds --x", {"manifold": "circle", "points": [[0.0], [1.0]]}, "'manifold'"),
+])
+def test_malformed_json_exits_one_without_traceback(tmp_path, command, payload, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    proc = _run_module(command.split() + [str(path)])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and key in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ----------------------------------------------------------------- gh-exact
 
 
@@ -520,13 +546,6 @@ def test_help_exits_zero():
 def test_module_entry_point(tmp_path):
     x = tmp_path / "x.json"
     x.write_text(json.dumps({"dist": [[0.0, 1.0], [1.0, 0.0]]}))
-    # the child imports the same ghbound as this test, installed or not
-    src = os.path.dirname(os.path.dirname(ghbound.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ghbound", "gh-exact",
-         "--x", str(x), "--y", str(x)],
-        capture_output=True, text=True, env=env)
+    proc = _run_module(["gh-exact", "--x", str(x), "--y", str(x)])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 0.0

@@ -23,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghbound import (Correspondence, FiniteMetricSpace, SplitMix64, circle,
-                     distortion, equispaced_circle, gh_exact, gh_lower_trivial,
-                     hausdorff_subsets, identity_correspondence, uniform_points)
+                     distortion, equispaced_circle, gh_exact, hausdorff_subsets,
+                     uniform_points)
 from ghbound.gh import _pair_floors
 
 from oracles import gh_exhaustive
@@ -88,7 +88,8 @@ def test_trivial_lower_bound_holds(rng):
     for _ in range(25):
         x = _random_space(rng)
         y = _random_space(rng)
-        assert gh_lower_trivial(x, y) <= gh_exact(x, y).value + 1e-15
+        trivial = abs(x.dist.max() - y.dist.max()) / 2  # |diam X - diam Y| / 2
+        assert trivial <= gh_exact(x, y).value + 1e-15
 
 
 def test_budget_exhaustion_returns_upper_bound(rng):
@@ -118,7 +119,7 @@ def test_correspondence_validation():
         Correspondence(((0, 5),)).validate(1, 1)
     with pytest.raises(ValueError, match="cover"):
         Correspondence(((0, 0),)).validate(2, 1)
-    ident = identity_correspondence(3)
+    ident = Correspondence(((0, 0), (1, 1), (2, 2)))
     ident.validate(3, 3)
     assert ident.transpose().pairs == ident.pairs
 
@@ -126,9 +127,9 @@ def test_correspondence_validation():
 def test_distortion_known_value():
     x = FiniteMetricSpace(("a", "b"), np.array([[0.0, 2.0], [2.0, 0.0]]))
     y = FiniteMetricSpace(("u", "v"), np.array([[0.0, 5.0], [5.0, 0.0]]))
-    assert distortion(identity_correspondence(2), x, y) == pytest.approx(3.0)
-    assert gh_exact(x, y).value == pytest.approx(1.5)  # = gh_lower_trivial too
-    assert gh_lower_trivial(x, y) == pytest.approx(1.5)
+    assert distortion(Correspondence(((0, 0), (1, 1))), x, y) == pytest.approx(3.0)
+    assert gh_exact(x, y).value == pytest.approx(1.5)  # = |diam X - diam Y| / 2 too
+    assert abs(x.dist.max() - y.dist.max()) / 2 == pytest.approx(1.5)
 
 
 def test_node_budget_counts_and_determinism(rng):

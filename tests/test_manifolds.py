@@ -26,10 +26,10 @@ from hypothesis import strategies as st
 
 from ghbound import (FiniteMetricSpace, FiniteSubset, circle,
                      covering_radius_circle, covering_radius_witness,
-                     cross_distances, diameter, directed_hausdorff, euclidean,
-                     flat_torus, geodesic_distance, grid_covering_radius,
+                     cross_distances, directed_hausdorff, euclidean,
+                     flat_torus, grid_covering_radius,
                      grid_points, hausdorff_subsets, manifolds,
-                     pairwise_distances)
+                     pairwise_distances, subset_diameter)
 
 from oracles import broadcast_cross_distances, circle_arc_dist
 
@@ -74,23 +74,24 @@ def test_metric_axioms_bulk(rng, manifold):
     assert np.array_equal(ab, ba)
     assert np.all(ab >= 0)
     assert np.all(ac <= ab + bc + 1e-9)
-    # spot-check the vectorized helper against the scalar entry point
+    # spot-check the matrix kernel against the row-wise distances
     for i in range(50):
-        assert geodesic_distance(manifold, a[i], b[i]) == pytest.approx(ab[i], abs=1e-12)
+        d = cross_distances(manifold, a[i:i + 1], b[i:i + 1])[0, 0]
+        assert d == pytest.approx(ab[i], abs=1e-12)
 
 
 def test_circle_geodesic_values():
     c = circle()
-    assert geodesic_distance(c, [0.0], [math.pi]) == pytest.approx(math.pi)
+    assert cross_distances(c, [0.0], [math.pi])[0, 0] == pytest.approx(math.pi)
     # wraps the short way around
-    assert geodesic_distance(c, [0.1], [math.tau - 0.1]) == pytest.approx(0.2)
+    assert cross_distances(c, [0.1], [math.tau - 0.1])[0, 0] == pytest.approx(0.2)
     # normalization folds multiples of the circumference
-    assert geodesic_distance(c, [0.0], [math.tau + 0.5]) == pytest.approx(0.5)
+    assert cross_distances(c, [0.0], [math.tau + 0.5])[0, 0] == pytest.approx(0.5)
 
 
 def test_torus_geodesic_value():
     t = flat_torus([math.tau, math.tau])
-    d = geodesic_distance(t, [0.0, 0.0], [math.tau - 0.3, 0.4])
+    d = cross_distances(t, [[0.0, 0.0]], [[math.tau - 0.3, 0.4]])[0, 0]
     assert d == pytest.approx(math.hypot(0.3, 0.4), abs=1e-12)
 
 
@@ -100,6 +101,32 @@ def test_pairwise_symmetry_is_exact(rng):
     d = pairwise_distances(t, pts)
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
+
+
+@pytest.mark.parametrize("manifold", [circle(), flat_torus([1.0, 1.5]), euclidean(3)])
+def test_subset_distances_skip_normalization(rng, monkeypatch, manifold):
+    """Subsets hold normalized points, so their distances never normalize again."""
+    x = FiniteSubset(manifold, _random_points(rng, manifold, 30))
+    y = FiniteSubset(manifold, _random_points(rng, manifold, 20))
+    original = manifolds.normalize_points
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(manifolds, "normalize_points", counting)
+    metric = x.to_metric_space().dist
+    dh = hausdorff_subsets(x, y)
+    dh_xy = directed_hausdorff(x, y)
+    diam = subset_diameter(x)
+    assert calls == []
+    cross = cross_distances(manifold, x.points, y.points)
+    assert np.array_equal(metric, pairwise_distances(manifold, x.points))
+    assert dh == max(cross.min(axis=1).max(), cross.min(axis=0).max())
+    assert dh_xy == cross.min(axis=1).max()
+    assert diam == metric.max()
+    assert len(calls) == 3  # the public functions still normalize their input
 
 
 @st.composite
@@ -241,7 +268,7 @@ def test_subset_normalization_and_labels():
     assert s.points[1, 0] == pytest.approx(0.25)
     ms = s.to_metric_space()
     assert ms.labels == ("0", "1")
-    assert diameter(ms) == pytest.approx(0.75)
+    assert ms.dist.max() == pytest.approx(0.75)
 
 
 def test_covering_radius_circle_known_values():

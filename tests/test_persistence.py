@@ -4,13 +4,14 @@ Oracle notes
 ------------
 * fillrad-estimate reads its betti and survives rows off one reduction of the
   VR filtration at the top of the grid. The reference rebuilds VR at every
-  grid scale and takes Betti numbers from HomologyBasis and survival from the
-  inclusion-induced map (fundamental_class_survives); both must agree on
+  grid scale and takes Betti numbers from oracles.HomologyBasis and survival
+  from the inclusion-induced map (oracles.fundamental_class_survives), so its
+  homology shares no code with the persistence pass; both must agree on
   random circle and small torus samples with random grids, and a sample the
   command rejects as too sparse must have beta_n != 1 at the grid start.
 * betti_numbers (pivot-only reduction with clearing) must equal
-  HomologyBasis and dense elimination (oracles.naive_betti) on random VR and
-  witnessed Cech complexes of torus samples.
+  oracles.HomologyBasis and dense elimination (oracles.naive_betti) on random
+  VR and witnessed Cech complexes of torus samples.
 * persistence_bars must reproduce betti_numbers of every sublevel complex.
 """
 
@@ -24,12 +25,11 @@ from hypothesis import strategies as st
 
 from ghbound import (FiniteSubset, betti_numbers, build_cech_witness, build_vr,
                      circle, cli, cross_distances, equispaced_circle, flat_torus,
-                     fundamental_class_survives, grid_points, persistence_bars,
-                     simplex_diameters, uniform_points)
-from ghbound.homology import HomologyBasis
+                     grid_points, persistence_bars, simplex_diameters,
+                     uniform_points)
 from ghbound.serialize import subset_to_dict, write_json
 
-from oracles import naive_betti
+from oracles import HomologyBasis, fundamental_class_survives, naive_betti
 
 SETTINGS = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -113,7 +113,7 @@ def _torus_sample(size, seed):
 
 
 def _assert_betti_agree(cx):
-    got = list(betti_numbers(cx, 2).values)
+    got = list(betti_numbers(cx, 2))
     assert got == naive_betti(cx, 2)
     assert got == [HomologyBasis(cx, k).betti for k in range(3)]
 
@@ -145,4 +145,4 @@ def test_bars_give_betti_numbers_of_every_sublevel_complex(size, seed, scale):
     bars = persistence_bars(top, values, 2)
     for s in np.unique(np.concatenate([values[1], [scale]])):
         alive = [int(((b[:, 0] < s) & (s <= b[:, 1])).sum()) for b in bars.values()]
-        assert alive == list(betti_numbers(build_vr(space, float(s), 3), 2).values)
+        assert alive == list(betti_numbers(build_vr(space, float(s), 3), 2))
