@@ -27,13 +27,6 @@ import numpy as np
 from .manifolds import STRICT_SLACK, FiniteMetricSpace
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class SimplicialComplex:
     """An abstract simplicial complex on vertices 0..vertex_count-1.
 
@@ -49,13 +42,19 @@ class SimplicialComplex:
 
     def __init__(self, vertex_count: int, scale: float, max_dim: int,
                  simplices, flavor: str = "vr") -> None:
-        self._store(vertex_count, scale, max_dim, simplices, flavor)
+        canon = {d: sorted(set(tuple(s) for s in simplices.get(d, ())))
+                 for d in range(max_dim + 1)}
+        self._store(vertex_count, scale, max_dim, canon, flavor)
         self._validate()
 
     @classmethod
     def _closed(cls, vertex_count: int, scale: float, max_dim: int,
                 simplices, flavor: str) -> "SimplicialComplex":
-        """Wrap a builder's output, which is closed by construction, unchecked."""
+        """Wrap a builder's output unchecked.
+
+        Builders hand over, per dimension, a lexicographically sorted list of
+        strictly increasing tuples, free of duplicates and closed under faces.
+        """
         complex_ = cls.__new__(cls)
         complex_._store(vertex_count, scale, max_dim, simplices, flavor)
         return complex_
@@ -70,12 +69,8 @@ class SimplicialComplex:
         self.scale = float(scale)
         self.max_dim = max_dim
         self.flavor = flavor
-        canon: dict[int, tuple[tuple[int, ...], ...]] = {}
-        for d in range(max_dim + 1):
-            entries = simplices.get(d, ())
-            canon[d] = tuple(sorted(set(tuple(s) for s in entries)))
-        self.simplices = canon
-        self._sets = {d: frozenset(v) for d, v in canon.items()}
+        self.simplices = {d: tuple(simplices.get(d, ())) for d in range(max_dim + 1)}
+        self._sets = {d: frozenset(v) for d, v in self.simplices.items()}
 
     def _validate(self) -> None:
         for d, entries in self.simplices.items():
@@ -120,38 +115,42 @@ def _same_complex(a: SimplicialComplex, b: SimplicialComplex) -> bool:
 def build_vr(space: FiniteMetricSpace, scale: float, max_dim: int) -> SimplicialComplex:
     """Vietoris-Rips complex at one scale: simplices are sets of diameter < scale.
 
-    Built by clique expansion of the proximity graph with neighbor bitmasks; the
-    per-dimension lists come out lexicographically sorted.
+    Built one dimension at a time from the proximity graph, in the inductive
+    style of Zomorodian (2010). Each simplex carries the bitmask of its common
+    neighbours above its last vertex. Popping the lowest bit u of that mask
+    gives the coface s + (u,), whose mask is what is left of the parent's
+    intersected with the neighbours above u; a coface in the top dimension or
+    with an empty mask is not carried on. Parents are visited in order and their
+    cofaces come out by increasing u, so every dimension is emitted
+    lexicographically sorted and free of duplicates: the output is canonical.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
     m = space.size
-    d = space.dist
-    nbr = [0] * m
-    for i in range(m):
-        row = np.nonzero(d[i] < scale)[0]
-        mask = 0
-        for j in row:
-            if j != i:
-                mask |= 1 << int(j)
-        nbr[i] = mask
+    nbr = [0] * m  # nbr[i]: neighbours j > i at distance < scale
+    rows, cols = np.nonzero(np.triu(space.dist < scale, 1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        nbr[i] |= 1 << j
 
-    simplices: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(max_dim + 1)}
-    simplices[0] = [(i,) for i in range(m)]
-
-    def extend(simplex: tuple[int, ...], cand: int, dim: int) -> None:
-        for u in _iter_bits(cand):
-            bigger = simplex + (u,)
-            simplices[dim + 1].append(bigger)
-            if dim + 1 < max_dim:
-                extend(bigger, cand & nbr[u] & (-1 << (u + 1)), dim + 1)
-
-    if max_dim >= 1:
-        for i in range(m):
-            extend((i,), nbr[i] & (-1 << (i + 1)), 0)
-
+    simplices = {0: [(i,) for i in range(m)]}
+    level = list(zip(simplices[0], nbr))
+    for k in range(1, max_dim + 1):
+        found = []
+        next_level = []
+        last = k == max_dim
+        for s, cand in level:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                u = low.bit_length() - 1
+                t = s + (u,)
+                found.append(t)
+                if not last and (common := cand & nbr[u]):
+                    next_level.append((t, common))
+        simplices[k] = found
+        level = next_level
     return SimplicialComplex._closed(m, scale, max_dim, simplices, "vr")
 
 
@@ -214,7 +213,9 @@ def build_cech_witness(space_cross: np.ndarray, radius: float,
     for star in stars:
         for k in range(min(len(star), max_dim + 1)):
             simplices[k].update(combinations(star, k + 1))
-    return SimplicialComplex._closed(m, radius, max_dim, simplices, "cech-witness")
+    return SimplicialComplex._closed(m, radius, max_dim,
+                                     {k: sorted(v) for k, v in simplices.items()},
+                                     "cech-witness")
 
 
 @dataclass(frozen=True)

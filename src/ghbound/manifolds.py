@@ -62,8 +62,8 @@ class AmbientManifold:
             raise ValueError("flat torus needs one side length per dimension")
         if self.kind == EUCLIDEAN and self.params:
             raise ValueError("euclidean space takes no parameters")
-        if any(p <= 0 for p in self.params):
-            raise ValueError("size parameters must be positive")
+        if not all(0 < p < math.inf for p in self.params):
+            raise ValueError("size parameters must be finite and positive")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
 

@@ -42,17 +42,28 @@ def manifold_from_dict(d: dict) -> AmbientManifold:
     kind = d.get("kind")
     extra = {k: d[k] for k in ("rho", "kappa", "fill_rad") if k in d}
     if kind == "circle":
-        params = d.get("params") or [math.tau]
-        return circle(params[0], **extra)
+        return circle(*_params(d.get("params", [math.tau]), kind, 1), **extra)
     if kind == "flat_torus":
         if "params" not in d:
             raise ValueError("flat_torus manifold needs side lengths in 'params'")
-        return flat_torus(d["params"], **extra)
+        return flat_torus(_params(d["params"], kind), **extra)
     if kind == "euclidean":
         if "dim" not in d:
             raise ValueError("euclidean manifold needs 'dim'")
         return euclidean(int(d["dim"]), **extra)
     raise ValueError(f"unknown manifold kind {kind!r}")
+
+
+def _params(params, kind: str, length: int | None = None) -> list:
+    """A manifold's 'params': a list of numbers, of the given length if any."""
+    if not (isinstance(params, list)
+            and all(isinstance(p, (int, float)) and not isinstance(p, bool)
+                    for p in params)
+            and (length is None or len(params) == length)):
+        size = "a list of numbers" if length is None else f"a list of {length} number"
+        raise ValueError(f"{kind} manifold 'params' must be {size}, "
+                         f"not {json.dumps(params)}")
+    return params
 
 
 def subset_to_dict(s: FiniteSubset) -> dict:
@@ -73,6 +84,8 @@ def metric_space_from_dict(d: dict) -> FiniteMetricSpace:
     if "dist" not in d:
         raise ValueError("metric space JSON needs 'dist'")
     dist = np.asarray(d["dist"], dtype=np.float64)
+    if dist.ndim != 2:
+        raise ValueError("metric space 'dist' must be a matrix, a list of rows")
     labels = d.get("labels") or [str(i) for i in range(len(dist))]
     return FiniteMetricSpace(tuple(labels), dist)
 
@@ -137,7 +150,11 @@ def ratio_report_to_dict(r: RatioReport) -> dict:
 
 def read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: the top-level JSON value must be an object, "
+                         f"not {type(obj).__name__}")
+    return obj
 
 
 def write_json(obj, path: str | None) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -336,11 +337,26 @@ def _run_module(argv):
     ("homology --complex", {"scale": 1.0, "simplices": {}}, "'simplices'"),
     ("homology --complex", {"scale": 1.0, "simplices": {"x": [[0]]}}, "'x'"),
     ("bounds --x", {"manifold": "circle", "points": [[0.0], [1.0]]}, "'manifold'"),
+    ("homology --complex", 5, "must be an object"),
+    ("bounds --x", [[0.0], [1.0]], "must be an object"),
+    ("bounds --x {good} --y", "circle", "must be an object"),
+    ("gh-exact --y {good} --x", 5, "must be an object"),
+    # a falsy circle 'params' must not stand for the default 2*pi
+    ("bounds --x", {"manifold": {"kind": "circle", "params": 0},
+                    "points": [[0.0]]}, "'params'"),
+    ("bounds --x", {"manifold": {"kind": "circle", "params": "6.28"},
+                    "points": [[0.0]]}, "'params'"),
+    ("bounds --x", {"manifold": {"kind": "flat_torus", "params": 5},
+                    "points": [[0.0]]}, "'params'"),
+    ("bounds --x", {"manifold": {"kind": "flat_torus", "params": [math.inf, 1.0]},
+                    "points": [[0.1, 0.2]]}, "size parameters must be finite"),
+    ("gh-exact --y {good} --x", {"dist": 5}, "'dist'"),
 ])
 def test_malformed_json_exits_one_without_traceback(tmp_path, command, payload, key):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    proc = _run_module(command.split() + [str(path)])
+    good = _subset_file(tmp_path, "good.json", equispaced_circle(circle(), 4))
+    proc = _run_module([a.format(good=good) for a in command.split()] + [str(path)])
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and key in proc.stderr
@@ -530,6 +546,56 @@ def test_check_failed_maps_to_exit_two(monkeypatch, capsys):
     # patching the module global function the parser default points at
     assert cli.main(["ratio", "--n", "2"]) == 2
     assert "synthetic" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ byte-identical stdout
+
+# SHA-256 of each run's stdout. Results are meant to stay byte-identical, so a
+# digest changes only with a documented fix or exactness gain.
+PINNED_STDOUT = {
+    "lemma-check": "9970c46a84be67626188e1d49e2ae7752c1d173a945585e56d9c5f64b6b46a6d",
+    "homology-vr-circle":
+        "5d027f047a516053f8a62c88812ea9df55c097b1d56278974220701495527176",
+    "homology-cech-circle":
+        "179720a2e15faf9d2cf2f8e47455d549df718cd29fe6e40d528a2bc7c40d49bf",
+    "homology-vr-torus":
+        "73ec159e1c3e0830c8ee4cf5c240ba8c4a57109a00408b4c033dda74e53c5849",
+    "homology-cech-torus":
+        "7effa6904d373106e6da828dec0b7ec480d3a795e127c785f80f297559c308fd",
+    "fillrad-estimate":
+        "7748cb88b474d4d9c4bca1b030294416facf77664f28f07d1da7160937a0cad0",
+}
+
+
+def _pinned_runs(tmp_path) -> dict[str, list[str]]:
+    ring = _subset_file(tmp_path, "ring.json", uniform_points(circle(), 40, seed=2))
+    torus = _subset_file(tmp_path, "torus.json",
+                         uniform_points(flat_torus([1.0, 1.0]), 120, seed=3))
+    fillrad = tmp_path / "fillrad.json"
+    fillrad.write_text(json.dumps({  # the criterion-5 config
+        "manifold": {"kind": "circle"}, "sampler": {"kind": "equispaced"},
+        "count": 60, "max_dim": 2,
+        "scale_grid": {"start": 0.15, "stop": 2.49, "steps": 118}}))
+    return {
+        "lemma-check": ["lemma-check", "--trials", "200", "--seed", "1"],
+        "homology-vr-circle": ["homology", "--subset", ring, "--scale", "1.1",
+                               "--max-dim", "3"],
+        "homology-cech-circle": ["homology", "--subset", ring, "--scale", "0.55",
+                                 "--max-dim", "3", "--cech"],
+        "homology-vr-torus": ["homology", "--subset", torus, "--scale", "0.12",
+                              "--max-dim", "3"],
+        "homology-cech-torus": ["homology", "--subset", torus, "--scale", "0.08",
+                                "--max-dim", "3", "--cech"],
+        "fillrad-estimate": ["fillrad-estimate", "--config", str(fillrad)],
+    }
+
+
+def test_stdout_is_byte_identical_to_the_pinned_runs(tmp_path, capsys):
+    digests = {}
+    for name, argv in _pinned_runs(tmp_path).items():
+        assert _run(argv) == 0, name
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == PINNED_STDOUT
 
 
 # ------------------------------------------------------------------ general

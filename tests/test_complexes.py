@@ -2,8 +2,14 @@
 
 Oracle notes
 ------------
-* build_vr: compared simplex-for-simplex with a definitional subset scan
-  (every vertex set of diameter < scale) on random instances up to 8 points.
+* build_vr: compared with a definitional subset scan (every vertex set of
+  diameter < scale), as sets on random instances up to 8 points, and in order
+  (each dimension equals the sorted scan) on hypothesis-drawn integer metrics
+  of 1-13 points with the scale tied to a pairwise distance, and on a fixed
+  70-point instance whose neighbour masks cross 64 bits.
+* build_cech_circle, build_cech_witness: re-wrapping their output with the
+  public, checking SimplicialComplex constructor gives it back unchanged, so
+  the lists they hand over are sorted, duplicate-free and closed.
 * build_cech_circle: compared against an ambient grid probe deciding whether
   the vertex balls share a point, away from decision boundaries.
 * nesting: witnessed Cech at radius r always sits inside VR at 2r.
@@ -16,9 +22,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghbound import (FiniteSubset, SimplicialComplex, build_cech_circle,
-                     build_cech_witness, build_vr, check_contiguous,
+from ghbound import (FiniteMetricSpace, FiniteSubset, SimplicialComplex,
+                     build_cech_circle, build_cech_witness, build_vr, check_contiguous,
                      check_simplicial, circle, compose_maps, cross_distances,
                      equispaced_circle, gh_exact, grid_points, inclusion_map,
                      induced_vr_map, subset_projection_map,
@@ -43,6 +51,62 @@ def test_vr_matches_definitional_scan(rng):
         brute = vr_brute(space.dist, scale, max_dim)
         for d in range(max_dim + 1):
             assert set(k.simplices[d]) == brute[d]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_vr_is_the_sorted_definitional_scan(data):
+    # arc lengths on a circle of 24 integer steps: an exact metric full of ties
+    steps = data.draw(st.lists(st.integers(0, 23), min_size=1, max_size=13))
+    m = len(steps)
+    gap = np.abs(np.subtract.outer(steps, steps))
+    dist = np.minimum(gap, 24 - gap).astype(np.float64)
+    space = FiniteMetricSpace(tuple(str(i) for i in range(m)), dist)
+    ties = sorted(set(dist[np.triu_indices(m, 1)].tolist()) - {0.0}) or [1.0]
+    scale = data.draw(st.sampled_from(ties))
+    max_dim = data.draw(st.integers(0, m + 1))
+    k = build_vr(space, scale, max_dim)
+    brute = vr_brute(dist, scale, max_dim)
+    assert sorted(k.simplices) == list(range(max_dim + 1))
+    for d in range(max_dim + 1):
+        assert k.simplices[d] == tuple(sorted(brute[d]))
+
+
+def test_vr_order_past_64_vertices():
+    space = uniform_points(circle(), 70, seed=5).to_metric_space()
+    k = build_vr(space, 0.45, 2)
+    brute = vr_brute(space.dist, 0.45, 2)
+    assert any(s[-1] >= 64 for s in k.simplices[2])
+    for d in range(3):
+        assert k.simplices[d] == tuple(sorted(brute[d]))
+
+
+def _rewrapped(k):
+    return SimplicialComplex(k.vertex_count, k.scale, k.max_dim, k.simplices, k.flavor)
+
+
+def test_cech_builders_hand_over_canonical_lists(rng):
+    c = circle()
+    witnesses = grid_points(c, 97)
+    for _ in range(20):
+        sub = uniform_points(c, int(rng.integers(1, 30)), seed=int(rng.integers(1 << 32)))
+        space = sub.to_metric_space()
+        max_dim = int(rng.integers(0, 4))
+        radius = float(rng.uniform(0.05, math.tau / 6 - 0.05))
+        for k in (build_cech_circle(space, radius, max_dim, math.tau),
+                  build_cech_witness(cross_distances(c, witnesses.points, sub.points),
+                                     radius, max_dim)):
+            assert _rewrapped(k).simplices == k.simplices
+
+
+def test_builders_keep_their_argument_checks():
+    with pytest.raises(ValueError, match="vertex_count"):
+        build_cech_witness(np.zeros((4, 0)), 0.1, 1)
+    with pytest.raises(ValueError, match="max_dim"):
+        build_cech_witness(np.zeros((4, 3)), 0.1, -1)
+    space = equispaced_circle(circle(), 5).to_metric_space()
+    with pytest.raises(ValueError, match="max_dim"):
+        build_vr(space, 1.0, -1)
 
 
 def test_vr_strict_inequality_excludes_ties():

@@ -360,3 +360,13 @@ def test_manifold_defaults_and_validation():
         flat_torus([])
     with pytest.raises(ValueError, match="shape"):
         FiniteSubset(euclidean(2), [[0.0, 1.0, 2.0]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: circle(math.inf),
+    lambda: circle(math.nan),
+    lambda: flat_torus([1.0, math.inf]),
+], ids=["circle-inf", "circle-nan", "torus-inf"])
+def test_size_parameters_must_be_finite(make):
+    with pytest.raises(ValueError, match="size parameters must be finite and positive"):
+        make()

@@ -42,6 +42,22 @@ def test_manifold_defaults_fill_in():
         manifold_from_dict({"kind": "sphere"})
 
 
+@pytest.mark.parametrize("d", [
+    {"kind": "circle", "params": 0},
+    {"kind": "circle", "params": None},
+    {"kind": "circle", "params": []},
+    {"kind": "circle", "params": "6.28"},
+    {"kind": "circle", "params": [1.0, 2.0]},
+    {"kind": "flat_torus", "params": 5},
+    {"kind": "flat_torus", "params": "ab"},
+    {"kind": "flat_torus", "params": [1.0, True]},
+])
+def test_manifold_params_must_be_a_list_of_numbers(d):
+    # only a missing circle 'params' means the default circumference 2*pi
+    with pytest.raises(ValueError, match="'params' must be a list of"):
+        manifold_from_dict(d)
+
+
 def test_subset_round_trip(tmp_path):
     sub = uniform_points(flat_torus([2.0, 3.0]), 7, seed=5)
     path = tmp_path / "sub.json"
