@@ -163,6 +163,9 @@ def _manifold_and_sampler(d: dict, rows: int,
     sampler = d.get("sampler", {"kind": "equispaced"})
     if isinstance(sampler, str):
         sampler = {"kind": sampler}
+    if not isinstance(sampler, dict):
+        raise ValueError("config 'sampler' must be a kind name or an object "
+                         "with a 'kind' key")
     if sampler.get("kind") not in ("equispaced", "uniform", "file"):
         raise ValueError("sampler kind must be equispaced, uniform, or file")
     if sampler["kind"] == "uniform" and "seed" not in sampler:
@@ -210,9 +213,12 @@ def _sample(manifold: AmbientManifold, sampler: dict, row: int, side: int,
 
 def cmd_circle_sweep(args) -> int:
     config = serialize.read_json(args.config)
-    pairs = [(int(a), int(b)) for a, b in config.get("pairs", [])]
-    if not pairs:
-        raise ValueError("config needs a non-empty 'pairs' list")
+    pairs = config.get("pairs")
+    if not (isinstance(pairs, list) and pairs
+            and all(isinstance(p, list) and len(p) == 2
+                    and all(type(n) is int for n in p) for p in pairs)):
+        raise ValueError("config needs a non-empty 'pairs' list of [n_x, n_y] "
+                         "integer sizes")
     manifold, sampler = _manifold_and_sampler(config, len(pairs), "xy")
     if manifold.kind != CIRCLE:
         raise ValueError("circle-sweep needs a circle manifold")
@@ -313,7 +319,11 @@ def cmd_fillrad_estimate(args) -> int:
     if "scale_grid" not in config:
         raise ValueError("config needs 'scale_grid' with start/stop/steps")
     g = config["scale_grid"]
-    start, stop, steps = float(g["start"]), float(g["stop"]), int(g["steps"])
+    try:
+        start, stop, steps = float(g["start"]), float(g["stop"]), int(g["steps"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("config 'scale_grid' must be an object with numbers "
+                         "start, stop and steps") from None
     if not (start > 0 and stop > start and steps >= 2):
         raise ValueError("scale grid must be strictly increasing")
     n = m.dim

@@ -1,70 +1,128 @@
-"""Simplicial homology over Z/2 with bitset linear algebra.
+"""Simplicial homology over Z/2: persistence pairs from one coboundary reduction.
 
-Chains in each dimension are encoded as Python integers, one bit per simplex
-in a fixed order of that dimension, so column operations are single XORs on
-arbitrary-width words. Boundary matrices are reduced column by column; a
-column that survives keeps a unique pivot (its highest set bit).
+Chains are Python integers, one bit per simplex, so a column operation is a
+single XOR on an arbitrary-width word.
 
-One pivot-only reduction serves everything here: it reduces dimensions
-top-down and skips every column whose simplex is already a pivot of the
-dimension above (clearing; such a column reduces to zero). It gives ranks,
-hence Betti numbers of a snapshot, and, with simplices ordered by filtration
-value, the persistence barcode of a filtered complex. Whether an inclusion
-keeps a homology group fully alive is read off the barcode of the two-step
+One reduction serves everything here, and it reduces coboundaries, not
+boundaries. In dimension k = 0, 1, ..., up_to the columns are the k-simplices
+in decreasing filtration position, the rows are the (k+1)-simplices, and a
+column's pivot is its earliest coface. Two shortcuts keep the work small:
+
+* clearing: a k-simplex that dimension k-1 paired as a death has a column
+  that reduces to zero, so it is skipped;
+* emergent pairs: a column whose earliest coface has no owner yet is already
+  reduced. It is paired at once and kept as its list of cofaces; its integer
+  is built only if a later column has to XOR with it.
+
+Dimension up_to + 1 only supplies rows and is never reduced. The coboundary
+matrix of dimension k is the boundary matrix of dimension k + 1 with rows and
+columns swapped and both orders reversed. That flip maps the lower-left
+submatrices, whose ranks fix the persistence pairs, onto each other, so the
+pairs are exactly those of the homology reduction (de Silva, Morozov and
+Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011). Ranks give
+the Betti numbers of a snapshot; with simplices ordered by filtration value
+the pairs give the barcode of a filtered complex. Whether an inclusion keeps
+a homology group fully alive is read off the barcode of the two-step
 filtration (the subcomplex, then the whole complex).
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
 from .complexes import SimplicialComplex, check_simplicial, inclusion_map
 
 
-def _boundary_columns(simplices: dict, dim: int) -> list[int]:
-    """Columns of the boundary operator from dimension dim to dim-1.
+def _lex_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row that compares like the row's vertex tuple.
 
-    simplices maps each dimension to its simplices in the order that numbers
-    both the columns (dimension dim) and the rows (dimension dim-1).
+    The bytes of big-endian non-negative int64s compare in numeric order, so
+    the keys sort lexicographically and no packing can overflow.
     """
-    if dim == 0:
-        return [0] * len(simplices[0])
-    face_index = {s: i for i, s in enumerate(simplices[dim - 1])}
-    cols = []
-    for s in simplices[dim]:
-        bits = 0
-        for k in range(len(s)):
-            face = s[:k] + s[k + 1:]
-            bits ^= 1 << face_index[face]
-        cols.append(bits)
-    return cols
+    rows = np.ascontiguousarray(rows, dtype=">i8")
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
 
 
-def _reduce_pivots(simplices: dict, top: int) -> dict[int, dict[int, int]]:
-    """Pivot-only reduction of the boundaries of dimensions top down to 1.
+def _cofaces(faces: np.ndarray, cofaces: np.ndarray, face_pos: np.ndarray,
+             coface_pos: np.ndarray) -> tuple[list[int], list[int]]:
+    """Cofaces of every face, by position, earliest first.
 
-    Returns pairs[k], mapping each pivot row (a (k-1)-simplex position) to the
-    k-simplex column that owns it, so len(pairs[k]) is the rank of the k-th
-    boundary. Columns are reduced left to right; a k-column whose simplex is a
-    pivot row of pairs[k+1] is skipped, since it would reduce to zero.
+    faces and cofaces are lex-sorted vertex arrays of adjacent dimensions, and
+    *_pos give each row's filtration position. Returns (flat, starts): the
+    face at position p has the cofaces flat[starts[p]:starts[p + 1]].
     """
+    keys = _lex_keys(faces)
+    col = face_pos[np.stack([np.searchsorted(keys, _lex_keys(np.delete(cofaces, i, 1)))
+                             for i in range(cofaces.shape[1])], axis=1)].ravel()
+    row = np.repeat(coface_pos, cofaces.shape[1])
+    by_col = np.lexsort((row, col))
+    starts = np.searchsorted(col[by_col], np.arange(len(faces) + 1)).tolist()
+    row = row[by_col]
+    del col, by_col  # only the lists outlive this call
+    return row.tolist(), starts
+
+
+def _pair_columns(flat: list[int], starts: list[int], rows: int,
+                  cleared: dict[int, int]) -> dict[int, int]:
+    """Reduce one coboundary matrix; return pivot row -> owning column.
+
+    Column j holds the rows flat[starts[j]:starts[j + 1]], earliest first.
+    Columns are taken from the last to the first, skipping those in cleared.
+    """
+    top = rows - 1  # row p is bit top - p, so the pivot is the highest bit
+
+    def column(j: int) -> int:
+        return sum(1 << (top - p) for p in flat[starts[j]:starts[j + 1]])
+
+    owner: dict[int, int] = {}    # pivot row -> the column that owns it
+    reduced: dict[int, int] = {}  # pivot row -> its owner's column, once built
+    for j in range(len(starts) - 2, -1, -1):
+        if j in cleared or starts[j] == starts[j + 1]:
+            continue
+        p = flat[starts[j]]
+        if p not in owner:  # emergent: the column is already reduced
+            owner[p] = j
+            continue
+        col = column(j)
+        while col:
+            p = top - col.bit_length() + 1
+            if p not in owner:
+                owner[p] = j
+                reduced[p] = col
+                break
+            if p not in reduced:
+                reduced[p] = column(owner[p])
+            col ^= reduced[p]
+    return owner
+
+
+def _reduce_coboundaries(simplices: dict, up_to: int,
+                         order: dict | None = None) -> dict[int, dict[int, int]]:
+    """Persistence pairs of dimensions 1..up_to + 1, by reducing coboundaries.
+
+    simplices maps each dimension to its simplices in lexicographic order.
+    order[k], if given, lists dimension k's indices in filtration order;
+    without it each dimension is filtered in its own order. pairs[k] maps the
+    position of every k-simplex that kills a class to the position of the
+    (k-1)-simplex that gave birth to it, so len(pairs[k]) is the rank of the
+    k-th boundary.
+    """
+    verts = {k: np.fromiter(chain.from_iterable(simplices[k]), dtype=">i8",
+                            count=len(simplices[k]) * (k + 1)).reshape(-1, k + 1)
+             for k in range(up_to + 2)}
+    position = {}
+    for k, v in verts.items():
+        position[k] = np.arange(len(v))
+        if order is not None:
+            position[k][order[k]] = np.arange(len(v))
     pairs: dict[int, dict[int, int]] = {}
-    cleared: dict[int, int] = {}
-    for k in range(top, 0, -1):
-        reduced: dict[int, int] = {}
-        owner: dict[int, int] = {}
-        for j, col in enumerate(_boundary_columns(simplices, k)):
-            if j in cleared:
-                continue
-            while col:
-                p = col.bit_length() - 1
-                other = reduced.get(p)
-                if other is None:
-                    reduced[p] = col
-                    owner[p] = j
-                    break
-                col ^= other
-        pairs[k] = cleared = owner
+    deaths: dict[int, int] = {}
+    for k in range(up_to + 1):
+        pairs[k + 1] = deaths = _pair_columns(
+            *_cofaces(verts[k], verts[k + 1], position[k], position[k + 1]),
+            len(verts[k + 1]), deaths)
     return pairs
 
 
@@ -79,11 +137,11 @@ def _check_up_to(complex_: SimplicialComplex, up_to: int) -> None:
 def betti_numbers(complex_: SimplicialComplex, up_to: int) -> tuple[int, ...]:
     """Betti numbers beta_0..beta_up_to; requires max_dim >= up_to + 1.
 
-    beta_k = #k-simplices - rank d_k - rank d_(k+1), ranks from one pivot-only
-    reduction.
+    beta_k = #k-simplices - rank d_k - rank d_(k+1), ranks from one
+    coboundary reduction.
     """
     _check_up_to(complex_, up_to)
-    pairs = _reduce_pivots(complex_.simplices, up_to + 1)
+    pairs = _reduce_coboundaries(complex_.simplices, up_to)
     rank = [0] + [len(pairs[k]) for k in range(1, up_to + 2)]
     return tuple(len(complex_.simplices[k]) - rank[k] - rank[k + 1]
                  for k in range(up_to + 1))
@@ -95,23 +153,24 @@ def persistence_bars(complex_: SimplicialComplex, values: dict[int, np.ndarray],
     at its value.
 
     values[k][i] is the value of complex_.simplices[k][i], and no face may
-    exceed its cofaces. Each dimension is ordered by (value, lex) and reduced
-    once. bars[k] holds one (birth, death) row per k-class in birth order;
-    death is inf for a class that never dies. Under the strict convention (a
-    simplex is present at scale s iff its value is < s) a bar is alive at s
-    iff birth < s <= death, so beta_k(s) = #{birth < s} - #{death < s}.
+    exceed its cofaces. Each dimension is ordered by (value, lex) and the
+    coboundaries are reduced once. bars[k] holds one (birth, death) row per
+    k-class in birth order; death is inf for a class that never dies. Under
+    the strict convention (a simplex is present at scale s iff its value is
+    < s) a bar is alive at s iff birth < s <= death, so
+    beta_k(s) = #{birth < s} - #{death < s}.
     """
     _check_up_to(complex_, up_to)
     order = {k: np.argsort(values[k], kind="stable") for k in range(up_to + 2)}
-    pairs = _reduce_pivots({k: [complex_.simplices[k][i] for i in idx]
-                            for k, idx in order.items()}, up_to + 1)
+    pairs = _reduce_coboundaries(complex_.simplices, up_to, order)
     ordered_values = {k: values[k][idx] for k, idx in order.items()}
     bars = {}
     for k in range(up_to + 1):
         death = np.full(len(order[k]), np.inf)
-        death[list(pairs[k + 1])] = ordered_values[k + 1][list(pairs[k + 1].values())]
+        killed = pairs[k + 1]  # death position -> birth position
+        death[list(killed.values())] = ordered_values[k + 1][list(killed)]
         positive = np.ones(len(death), dtype=bool)
-        positive[list(pairs.get(k, {}).values())] = False
+        positive[list(pairs.get(k, {}))] = False
         bars[k] = np.column_stack((ordered_values[k], death))[positive]
     return bars
 

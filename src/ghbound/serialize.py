@@ -41,6 +41,10 @@ def manifold_from_dict(d: dict) -> AmbientManifold:
                          f"not {json.dumps(d)}")
     kind = d.get("kind")
     extra = {k: d[k] for k in ("rho", "kappa", "fill_rad") if k in d}
+    for key, value in extra.items():  # rho and fill_rad may be null: unknown
+        if not (_is_number(value) or (value is None and key != "kappa")):
+            raise ValueError(f"manifold {key!r} must be a number, "
+                             f"not {json.dumps(value)}")
     if kind == "circle":
         return circle(*_params(d.get("params", [math.tau]), kind, 1), **extra)
     if kind == "flat_torus":
@@ -54,11 +58,13 @@ def manifold_from_dict(d: dict) -> AmbientManifold:
     raise ValueError(f"unknown manifold kind {kind!r}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _params(params, kind: str, length: int | None = None) -> list:
     """A manifold's 'params': a list of numbers, of the given length if any."""
-    if not (isinstance(params, list)
-            and all(isinstance(p, (int, float)) and not isinstance(p, bool)
-                    for p in params)
+    if not (isinstance(params, list) and all(_is_number(p) for p in params)
             and (length is None or len(params) == length)):
         size = "a list of numbers" if length is None else f"a list of {length} number"
         raise ValueError(f"{kind} manifold 'params' must be {size}, "
@@ -83,10 +89,18 @@ def metric_space_to_dict(s: FiniteMetricSpace) -> dict:
 def metric_space_from_dict(d: dict) -> FiniteMetricSpace:
     if "dist" not in d:
         raise ValueError("metric space JSON needs 'dist'")
-    dist = np.asarray(d["dist"], dtype=np.float64)
-    if dist.ndim != 2:
-        raise ValueError("metric space 'dist' must be a matrix, a list of rows")
+    try:
+        dist = np.asarray(d["dist"], dtype=np.float64)
+    except (TypeError, ValueError):
+        dist = None
+    if dist is None or dist.ndim != 2:
+        raise ValueError("metric space 'dist' must be a matrix, a list of rows "
+                         "of numbers")
     labels = d.get("labels") or [str(i) for i in range(len(dist))]
+    if not (isinstance(labels, list)
+            and all(isinstance(x, (str, int, float)) for x in labels)):
+        raise ValueError("metric space 'labels' must be a list of names, "
+                         f"not {json.dumps(labels)}")
     return FiniteMetricSpace(tuple(labels), dist)
 
 

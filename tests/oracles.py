@@ -70,6 +70,41 @@ def naive_betti(complex_: SimplicialComplex, up_to: int) -> list[int]:
     return out
 
 
+def standard_barcode(complex_: SimplicialComplex, values: dict[int, np.ndarray],
+                     up_to: int) -> dict[int, np.ndarray]:
+    """Barcode by the textbook reduction of the whole filtered boundary matrix.
+
+    Every simplex of dimension <= up_to + 1 is one row and one column of a
+    dense matrix, ordered by (value, dimension, index in complex_). Columns
+    are reduced left to right, each until its lowest entry is unique, with no
+    clearing; a reduced column j with lowest row i pairs i (birth) with j
+    (death). bars[k] lists (birth, death) per zero column of a k-simplex in
+    that order, death inf when its row is nobody's lowest entry.
+    """
+    cells = sorted((float(values[k][i]), k, i) for k in range(up_to + 2)
+                   for i in range(len(complex_.simplices[k])))
+    where = {(k, complex_.simplices[k][i]): n for n, (_, k, i) in enumerate(cells)}
+    cols = np.zeros((len(cells), len(cells)), dtype=bool)  # cols[j] is column j
+    for j, (_, k, i) in enumerate(cells):
+        s = complex_.simplices[k][i]
+        for drop in range(len(s) if k else 0):
+            cols[j, where[(k - 1, s[:drop] + s[drop + 1:])]] = True
+    owner: dict[int, int] = {}  # lowest row -> the reduced column that has it
+    for j in range(len(cells)):
+        while cols[j].any():
+            low = int(np.flatnonzero(cols[j])[-1])
+            if low not in owner:
+                owner[low] = j
+                break
+            cols[j] ^= cols[owner[low]]
+    bars: dict[int, list] = {k: [] for k in range(up_to + 1)}
+    for n, (value, k, _) in enumerate(cells):
+        if k <= up_to and not cols[n].any():
+            bars[k].append((value, cells[owner[n]][0] if n in owner else np.inf))
+    return {k: np.array(rows, dtype=np.float64).reshape(-1, 2)
+            for k, rows in bars.items()}
+
+
 def boundary_columns(complex_: SimplicialComplex, dim: int) -> list[int]:
     """naive_boundary_matrix as bitset columns (bit i = row i)."""
     mat = naive_boundary_matrix(complex_, dim)

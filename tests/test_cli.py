@@ -10,6 +10,7 @@ import subprocess
 import sys
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import ghbound
@@ -351,6 +352,18 @@ def _run_module(argv):
     ("bounds --x", {"manifold": {"kind": "flat_torus", "params": [math.inf, 1.0]},
                     "points": [[0.1, 0.2]]}, "size parameters must be finite"),
     ("gh-exact --y {good} --x", {"dist": 5}, "'dist'"),
+    ("gh-exact --y {good} --x", {"dist": {}}, "'dist'"),
+    ("gh-exact --y {good} --x", {"dist": [[0.0, 1.0], [1.0, 0.0]], "labels": 5},
+     "'labels'"),
+    ("bounds --x", {"manifold": {"kind": "circle", "rho": "x"},
+                    "points": [[0.0]]}, "'rho'"),
+    ("bounds --x", {"manifold": {"kind": "circle", "kappa": "x"},
+                    "points": [[0.0]]}, "'kappa'"),
+    ("bounds --x", {"manifold": {"kind": "circle", "fill_rad": "x"},
+                    "points": [[0.0]]}, "'fill_rad'"),
+    ("circle-sweep --config", {"pairs": 5}, "'pairs'"),
+    ("circle-sweep --config", {"pairs": [[4, 3]], "sampler": 5}, "'sampler'"),
+    ("fillrad-estimate --config", {"count": 8, "scale_grid": 5}, "'scale_grid'"),
 ])
 def test_malformed_json_exits_one_without_traceback(tmp_path, command, payload, key):
     path = tmp_path / "bad.json"
@@ -562,20 +575,40 @@ PINNED_STDOUT = {
         "73ec159e1c3e0830c8ee4cf5c240ba8c4a57109a00408b4c033dda74e53c5849",
     "homology-cech-torus":
         "7effa6904d373106e6da828dec0b7ec480d3a795e127c785f80f297559c308fd",
+    "homology-cech-torus-300":
+        "2120a7bbe3e9f783bbf204255bb2baca3035a865c9a3f3b0e23eb35691fc1197",
     "fillrad-estimate":
         "7748cb88b474d4d9c4bca1b030294416facf77664f28f07d1da7160937a0cad0",
+    "fillrad-estimate-torus":
+        "125bf8a59da020f4bd5ceb2977d73e9bc679cdd26db86f0834ee0d80d99095c2",
 }
+
+
+def _stratified_torus(size, grid, seed):
+    """One uniform point per cell of a cols x rows grid on the unit flat torus."""
+    cols, rows = grid
+    torus = flat_torus([1.0, 1.0])
+    u = uniform_points(torus, size, seed).points
+    cell = np.arange(size)
+    return FiniteSubset(torus, np.stack([(cell % cols + u[:, 0]) / cols,
+                                         (cell // cols + u[:, 1]) / rows], axis=1))
 
 
 def _pinned_runs(tmp_path) -> dict[str, list[str]]:
     ring = _subset_file(tmp_path, "ring.json", uniform_points(circle(), 40, seed=2))
     torus = _subset_file(tmp_path, "torus.json",
                          uniform_points(flat_torus([1.0, 1.0]), 120, seed=3))
+    dense = _subset_file(tmp_path, "dense.json", _stratified_torus(300, (20, 15), 5))
     fillrad = tmp_path / "fillrad.json"
     fillrad.write_text(json.dumps({  # the criterion-5 config
         "manifold": {"kind": "circle"}, "sampler": {"kind": "equispaced"},
         "count": 60, "max_dim": 2,
         "scale_grid": {"start": 0.15, "stop": 2.49, "steps": 118}}))
+    fillrad_torus = tmp_path / "fillrad_torus.json"
+    fillrad_torus.write_text(json.dumps({  # the 6 x 6 grid, with 2-dim coboundaries
+        "manifold": {"kind": "flat_torus", "params": [1.0, 1.0]},
+        "sampler": {"kind": "equispaced"}, "count": 6, "max_dim": 3,
+        "scale_grid": {"start": 0.25, "stop": 0.75, "steps": 23}}))
     return {
         "lemma-check": ["lemma-check", "--trials", "200", "--seed", "1"],
         "homology-vr-circle": ["homology", "--subset", ring, "--scale", "1.1",
@@ -586,7 +619,11 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
                               "--max-dim", "3"],
         "homology-cech-torus": ["homology", "--subset", torus, "--scale", "0.08",
                                 "--max-dim", "3", "--cech"],
+        "homology-cech-torus-300": ["homology", "--subset", dense, "--scale", "0.08",
+                                    "--max-dim", "3", "--cech"],
         "fillrad-estimate": ["fillrad-estimate", "--config", str(fillrad)],
+        "fillrad-estimate-torus": ["fillrad-estimate", "--config",
+                                   str(fillrad_torus)],
     }
 
 
