@@ -7,10 +7,9 @@ through Vietoris-Rips/Cech complexes and Z/2 homology, and ships a family of
 instances whose GH/Hausdorff ratio is arbitrarily small.
 """
 
-from .bounds import (BoundReport, circle_bound, circle_bound_pair, circumradius,
+from .bounds import (BoundReport, circle_bound, circle_bound_pair,
                      convexity_bound, convexity_bound_pair, fillrad_bound,
                      fillrad_bound_pair, jung_bound_pair, jung_constant,
-                     jung_radius_upper, min_diameter_for_circumradius,
                      scale_cap)
 from .complexes import (SimplicialComplex, VertexMap, build_cech_circle,
                         build_cech_witness, build_vr, check_contiguous,
@@ -22,8 +21,7 @@ from .homology import betti_numbers, fundamental_class_survives, persistence_bar
 from .manifolds import (AmbientManifold, FiniteMetricSpace, FiniteSubset,
                         circle, covering_radius_circle, covering_radius_witness,
                         cross_distances, directed_hausdorff, euclidean,
-                        flat_torus, hausdorff_subsets, pairwise_distances,
-                        subset_diameter)
+                        flat_torus, hausdorff_subsets)
 from .ratio import (RatioInstance, RatioReport, apply_cyclic_isometry,
                     as_subsets, build_instance, verify_instance)
 from .sampling import (SplitMix64, equispaced_circle, grid_covering_radius,

@@ -11,20 +11,14 @@ d_GH(X, Y) when a second subset Y approximates M well. The circle variants are
 sharper and come with an equality certificate below the critical density. The
 Jung-type variant works in any dimension through the curvature-dependent
 packing constant alpha(n, kappa) and the scale cap tau(rho, kappa).
-
-Circumradius is computed exactly: largest-gap arithmetic on the circle, and a
-Welzl minimal enclosing ball for Euclidean point sets.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .manifolds import CIRCLE, EUCLIDEAN, STRICT_SLACK, FiniteSubset
+from .manifolds import STRICT_SLACK
 
 
 @dataclass(frozen=True)
@@ -139,6 +133,8 @@ def jung_constant(n: int, kappa: float) -> float:
     Equals sqrt((n+1)/(2n)) for kappa <= 0; positive curvature multiplies by
     sin(x)/x at x = (pi/2) sqrt(kappa/(kappa+1)). Decreases in both n and kappa,
     equals 1 exactly at (n, kappa) = (1, 0), and stays above sqrt(2)/pi.
+    At kappa = 0 it is Jung's constant: a set of diameter d in R^n lies in a
+    ball of radius d / (2 alpha), with equality on the regular n-simplex.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -173,120 +169,3 @@ def jung_bound_pair(dh_xm: float, rho: float, kappa: float, n: int,
     return _report("jung-pair", terms, {"alpha_at_least_half": alpha >= 0.5},
                    {"dh_xm": dh_xm, "rho": rho, "kappa": kappa, "n": n,
                     "dh_ym": dh_ym, "alpha": alpha, "tau": tau})
-
-
-def min_diameter_for_circumradius(radius: float, n: int, kappa: float) -> float:
-    """Least possible diameter of a set with circumradius >= radius, curvature kappa.
-
-    Three closed forms by the sign of kappa; for kappa > 0 the radius must not
-    exceed pi / (2 sqrt(kappa)). At kappa = 0 this is the sharp Euclidean Jung
-    relation diam >= 2 R sqrt((n+1)/(2n)).
-    """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    c = math.sqrt((n + 1) / (2 * n))
-    if kappa == 0:
-        return 2.0 * radius * c
-    if kappa < 0:
-        s = math.sqrt(-kappa)
-        return (2.0 / s) * math.asinh(c * math.sinh(s * radius))
-    s = math.sqrt(kappa)
-    if radius > math.pi / (2.0 * s) + STRICT_SLACK:
-        raise ValueError("circumradius out of range for positive curvature")
-    arg = min(1.0, c * math.sin(min(s * radius, math.pi / 2.0)))
-    return (2.0 / s) * math.asin(arg)
-
-
-def jung_radius_upper(diam: float, n: int) -> float:
-    """Euclidean Jung upper bound: circumradius <= diam * sqrt(n / (2(n+1)))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return diam * math.sqrt(n / (2.0 * (n + 1)))
-
-
-def _ball_from_support(support: list[np.ndarray]) -> tuple[np.ndarray | None, float]:
-    """Smallest sphere through all support points: (center, squared radius)."""
-    if not support:
-        return None, -1.0
-    base = support[0]
-    if len(support) == 1:
-        return base, 0.0
-    u = np.array([p - base for p in support[1:]])
-    rhs = 0.5 * np.einsum("ij,ij->i", u, u)
-    # least squares handles affinely dependent supports that transit through Welzl
-    coeff, *_ = np.linalg.lstsq(u @ u.T, rhs, rcond=None)
-    center = base + coeff @ u
-    r2 = float(max(np.sum((p - center) ** 2) for p in support))
-    return center, r2
-
-
-def _inside(p: np.ndarray, ball: tuple[np.ndarray | None, float]) -> bool:
-    center, r2 = ball
-    return (center is not None
-            and float(np.sum((p - center) ** 2)) <= r2 * (1 + 1e-10) + 1e-18)
-
-
-def _welzl(points: list[np.ndarray], dim: int) -> tuple[np.ndarray | None, float]:
-    """Minimal enclosing ball by move-to-front Welzl, with an explicit stack.
-
-    A frame (end, support, i, ball) encloses points[:end] with the support on
-    the boundary; scanning from i, the first point outside the ball opens a
-    child frame over points[:i] with that point added to the support, and
-    moves to the front once the child returns. The stack never holds more
-    than dim + 2 frames.
-    """
-    stack = [[len(points), [], 0, _ball_from_support([])]]
-    returned = None
-    while stack:
-        frame = stack[-1]
-        end, support, i, ball = frame
-        if returned is not None:
-            ball, returned = returned, None
-            points.insert(0, points.pop(i))
-            i += 1
-        if len(support) == dim + 1:
-            i = end  # a full support fixes the ball
-        while i < end and _inside(points[i], ball):
-            i += 1
-        if i < end:
-            frame[2:] = [i, ball]
-            child = support + [points[i]]
-            stack.append([i, child, 0, _ball_from_support(child)])
-        else:
-            stack.pop()
-            returned = ball
-    return returned
-
-
-def circumradius(subset: FiniteSubset) -> tuple[float, np.ndarray]:
-    """Circumradius and center of the minimal enclosing ball of a finite subset.
-
-    Euclidean subsets use move-to-front Welzl after a deterministic shuffle; circle
-    subsets use the exact arc form (the covering arc is the complement of the
-    largest angular gap, its midpoint is the center). Other manifolds raise.
-    """
-    m = subset.manifold
-    if m.kind == CIRCLE:
-        circumference = m.params[0]
-        theta = np.sort(np.unique(subset.points[:, 0]))
-        gaps = np.diff(theta)
-        wrap = theta[0] + circumference - theta[-1]
-        if len(theta) == 1 or wrap >= gaps.max():
-            gap = wrap
-            arc_start = theta[0]
-        else:
-            k = int(np.argmax(gaps))
-            gap = gaps[k]
-            arc_start = theta[k + 1]
-        radius = max((circumference - gap) / 2.0, 0.0)
-        center = np.array([(arc_start + radius) % circumference])
-        return float(radius), center
-    if m.kind != EUCLIDEAN:
-        raise ValueError("circumradius supports circle and euclidean subsets")
-    pts = [row for row in subset.points]
-    rng = random.Random(0x5EED11CE)
-    rng.shuffle(pts)
-    center, r2 = _welzl(pts, m.dim)
-    return float(math.sqrt(max(r2, 0.0))), center

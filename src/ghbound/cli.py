@@ -41,6 +41,7 @@ from .manifolds import (CIRCLE, EUCLIDEAN, FLAT_TORUS, AmbientManifold,
 from .ratio import as_subsets, build_instance, verify_instance
 from .sampling import (SplitMix64, equispaced_circle, grid_covering_radius,
                        grid_points, uniform_points)
+from .serialize import REQUIRED, read_key
 
 SANDWICH_TOL = 1e-9
 
@@ -123,11 +124,13 @@ def _evaluate(name: str, constants: dict) -> dict:
 def cmd_bounds(args) -> int:
     if args.inputs:
         raw = serialize.read_json(args.inputs)
-        inputs = {k: raw[k] for k in ("rho", "kappa", "n", "fill_rad", "circumference")
-                  if k in raw}
-        inputs["dh_xm"] = float(raw["dh_xm"])
+        inputs = {k: read_key(raw, k, kind, "inputs")
+                  for k, kind in (("rho", "a number"), ("kappa", "a number"),
+                                  ("n", "an integer"), ("fill_rad", "a number or null"),
+                                  ("circumference", "a number")) if k in raw}
+        inputs["dh_xm"] = float(read_key(raw, "dh_xm", "a number", "inputs"))
         if "dh_ym" in raw:
-            inputs["dh_ym"] = float(raw["dh_ym"])
+            inputs["dh_ym"] = float(read_key(raw, "dh_ym", "a number", "inputs"))
         default = ["convexity", "jung"]
     else:
         if not args.x:
@@ -152,34 +155,31 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _manifold_and_sampler(d: dict, rows: int,
-                          sides: str) -> tuple[AmbientManifold, dict]:
-    """The config keys circle-sweep and fillrad-estimate share.
+def _manifold_and_sampler(d: dict, rows: int, sides: str,
+                          seed: int | None) -> tuple[AmbientManifold, dict, int]:
+    """The config keys circle-sweep and fillrad-estimate share, and the seed.
 
     A file sampler must list a subset path per row under each key in sides.
+    A seed given on the command line overrides the sampler's.
     """
-    manifold = (serialize.manifold_from_dict(d["manifold"]) if "manifold" in d
-                else circle())
-    sampler = d.get("sampler", {"kind": "equispaced"})
+    manifold = read_key(d, "manifold", "an object", "config", None)
+    manifold = circle() if manifold is None else serialize.manifold_from_dict(manifold)
+    sampler = read_key(d, "sampler", "a kind name or an object", "config",
+                       {"kind": "equispaced"})
     if isinstance(sampler, str):
         sampler = {"kind": sampler}
-    if not isinstance(sampler, dict):
-        raise ValueError("config 'sampler' must be a kind name or an object "
-                         "with a 'kind' key")
-    if sampler.get("kind") not in ("equispaced", "uniform", "file"):
+    kind = sampler.get("kind")
+    if kind not in ("equispaced", "uniform", "file"):
         raise ValueError("sampler kind must be equispaced, uniform, or file")
-    if sampler["kind"] == "uniform" and "seed" not in sampler:
-        raise ValueError("uniform sampler needs a seed")
-    if sampler["kind"] == "file":
+    config_seed = read_key(sampler, "seed", "an integer", f"{kind} sampler",
+                           REQUIRED if kind == "uniform" else 0)
+    if kind == "file":
         for key in sides:
-            paths = sampler.get(key)
-            if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
-                raise ValueError(f"file sampler needs {key!r}: a list of subset "
-                                 "file paths")
+            paths = read_key(sampler, key, "a list of strings", "file sampler")
             if len(paths) < rows:
                 raise ValueError(f"file sampler lists {len(paths)} {key!r} paths, "
                                  f"but the config has {rows} rows")
-    return manifold, sampler
+    return manifold, sampler, int(config_seed) if seed is None else seed
 
 
 def _read_sample(manifold: AmbientManifold, sampler: dict, key: str, row: int,
@@ -203,7 +203,8 @@ def _sample(manifold: AmbientManifold, sampler: dict, row: int, side: int,
             size: int, master: SplitMix64) -> FiniteSubset:
     kind = sampler["kind"]
     if kind == "equispaced":
-        phase = float(sampler.get("phase_y" if side else "phase_x", 0.0))
+        phase = float(read_key(sampler, "phase_y" if side else "phase_x", "a number",
+                               "equispaced sampler", 0.0))
         return equispaced_circle(manifold, size, phase)
     if kind == "uniform":
         child = master.child(2 * row + side)
@@ -219,12 +220,12 @@ def cmd_circle_sweep(args) -> int:
                     and all(type(n) is int for n in p) for p in pairs)):
         raise ValueError("config needs a non-empty 'pairs' list of [n_x, n_y] "
                          "integer sizes")
-    manifold, sampler = _manifold_and_sampler(config, len(pairs), "xy")
+    manifold, sampler, seed = _manifold_and_sampler(config, len(pairs), "xy", args.seed)
     if manifold.kind != CIRCLE:
         raise ValueError("circle-sweep needs a circle manifold")
     circumference = manifold.params[0]
-    budget = args.budget or int(config.get("node_budget", 10_000_000))
-    seed = args.seed if args.seed is not None else sampler.get("seed", 0)
+    budget = args.budget or int(read_key(config, "node_budget", "an integer", "config",
+                                         10_000_000))
     master = SplitMix64(seed)
     rows = []
     for i, (nx, ny) in enumerate(pairs):
@@ -246,7 +247,8 @@ def cmd_circle_sweep(args) -> int:
     writer.writerow(["index", "n_x", "n_y", "dh_x_circle", "dh_y_circle",
                      "pair_bound", "gh_exact", "dh_xy", "nodes", "proven_optimal"])
     writer.writerows([list(r) for r in rows])
-    _write_text(buf.getvalue(), args.out or config.get("out"))
+    _write_text(buf.getvalue(), args.out or read_key(config, "out", "a string",
+                                                      "config", None))
     return 0
 
 
@@ -315,24 +317,17 @@ def cmd_gh_exact(args) -> int:
 
 def cmd_fillrad_estimate(args) -> int:
     config = serialize.read_json(args.config)
-    m, sampler = _manifold_and_sampler(config, 1, "x")
-    if "scale_grid" not in config:
-        raise ValueError("config needs 'scale_grid' with start/stop/steps")
-    g = config["scale_grid"]
-    try:
-        start, stop, steps = float(g["start"]), float(g["stop"]), int(g["steps"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("config 'scale_grid' must be an object with numbers "
-                         "start, stop and steps") from None
+    m, sampler, seed = _manifold_and_sampler(config, 1, "x", args.seed)
+    g = read_key(config, "scale_grid", "an object", "config")
+    start, stop = (float(read_key(g, k, "a number", "config 'scale_grid'"))
+                   for k in ("start", "stop"))
+    steps = int(read_key(g, "steps", "an integer", "config 'scale_grid'"))
     if not (start > 0 and stop > start and steps >= 2):
         raise ValueError("scale grid must be strictly increasing")
     n = m.dim
-    if int(config.get("max_dim", n + 1)) < n + 1:
+    if read_key(config, "max_dim", "an integer", "config", n + 1) < n + 1:
         raise ValueError(f"max_dim must be at least {n + 1} to compute beta_{n}")
-    if "count" not in config:
-        raise ValueError("config needs 'count' (sample size)")
-    count = int(config["count"])
-    seed = args.seed if args.seed is not None else sampler.get("seed", 0)
+    count = int(read_key(config, "count", "an integer", "config"))
     if sampler["kind"] == "equispaced":
         sample = (equispaced_circle(m, count) if m.kind == CIRCLE
                   else grid_points(m, count))
@@ -363,7 +358,7 @@ def cmd_fillrad_estimate(args) -> int:
                 "death_scale": None if censored else float(death),
                 "censored": censored,
                 "estimate": None if censored else float(death) / 2.0},
-               args.out or config.get("out"))
+               args.out or read_key(config, "out", "a string", "config", None))
     return 0
 
 
@@ -426,6 +421,13 @@ def cmd_lemma_check(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts, budgets and grid sizes: an integer >= 1."""
+    if not (text.strip().isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ghbound",
                                      description=__doc__.splitlines()[0])
@@ -436,14 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", help="subset JSON for Y (enables pair bounds)")
     p.add_argument("--inputs", help="raw inputs JSON (dh_xm, rho, ...)")
     p.add_argument("--theorems", help="comma list: convexity,circle,fillrad,jung")
-    p.add_argument("--witness-grid", type=int, help="witness points per axis")
+    p.add_argument("--witness-grid", type=_positive_int,
+                   help="witness points per axis")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("circle-sweep", help="pair bound vs exact GH vs Hausdorff")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_circle_sweep)
 
@@ -451,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="2,3,4,9,100", help="comma list of sizes")
     p.add_argument("--crosscheck-max", type=int, default=5,
                    help="run gh_exact for n up to this size")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ratio)
 
@@ -461,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float)
     p.add_argument("--cech", action="store_true",
                    help="ambient Cech instead of VR (circle exact, torus witnessed)")
-    p.add_argument("--witness-grid", type=int)
+    p.add_argument("--witness-grid", type=_positive_int)
     p.add_argument("--max-dim", type=int)
     p.add_argument("--up-to", type=int)
     p.add_argument("--out")
@@ -470,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gh-exact", help="exact GH between two spaces")
     p.add_argument("--x", required=True, help="metric-space or subset JSON")
     p.add_argument("--y", required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_gh_exact)
 
@@ -481,9 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fillrad_estimate)
 
     p = sub.add_parser("lemma-check", help="executable lemma validations")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_lemma_check)
     return parser

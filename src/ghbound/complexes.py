@@ -41,26 +41,26 @@ class SimplicialComplex:
     """
 
     def __init__(self, vertex_count: int, scale: float, max_dim: int,
-                 simplices, flavor: str = "vr") -> None:
+                 simplices) -> None:
         canon = {d: sorted(set(tuple(s) for s in simplices.get(d, ())))
                  for d in range(max_dim + 1)}
-        self._store(vertex_count, scale, max_dim, canon, flavor)
+        self._store(vertex_count, scale, max_dim, canon)
         self._validate()
 
     @classmethod
     def _closed(cls, vertex_count: int, scale: float, max_dim: int,
-                simplices, flavor: str) -> "SimplicialComplex":
+                simplices) -> "SimplicialComplex":
         """Wrap a builder's output unchecked.
 
         Builders hand over, per dimension, a lexicographically sorted list of
         strictly increasing tuples, free of duplicates and closed under faces.
         """
         complex_ = cls.__new__(cls)
-        complex_._store(vertex_count, scale, max_dim, simplices, flavor)
+        complex_._store(vertex_count, scale, max_dim, simplices)
         return complex_
 
     def _store(self, vertex_count: int, scale: float, max_dim: int,
-               simplices, flavor: str) -> None:
+               simplices) -> None:
         if vertex_count < 1:
             raise ValueError("vertex_count must be >= 1")
         if max_dim < 0:
@@ -68,7 +68,6 @@ class SimplicialComplex:
         self.vertex_count = vertex_count
         self.scale = float(scale)
         self.max_dim = max_dim
-        self.flavor = flavor
         self.simplices = {d: tuple(simplices.get(d, ())) for d in range(max_dim + 1)}
         self._sets = {d: frozenset(v) for d, v in self.simplices.items()}
 
@@ -95,10 +94,6 @@ class SimplicialComplex:
 
     def simplex_counts(self) -> list[int]:
         return [len(self.simplices[d]) for d in range(self.max_dim + 1)]
-
-    def top_dim(self) -> int:
-        """Largest dimension that actually holds a simplex (-1 if none)."""
-        return max((d for d, v in self.simplices.items() if v), default=-1)
 
     def __repr__(self) -> str:
         return (f"SimplicialComplex(vertices={self.vertex_count}, scale={self.scale:g}, "
@@ -151,7 +146,7 @@ def build_vr(space: FiniteMetricSpace, scale: float, max_dim: int) -> Simplicial
                     next_level.append((t, common))
         simplices[k] = found
         level = next_level
-    return SimplicialComplex._closed(m, scale, max_dim, simplices, "vr")
+    return SimplicialComplex._closed(m, scale, max_dim, simplices)
 
 
 def simplex_diameters(complex_: SimplicialComplex,
@@ -185,8 +180,7 @@ def build_cech_circle(space: FiniteMetricSpace, radius: float, max_dim: int,
     if not (2 * radius < circumference / 3.0 - STRICT_SLACK):
         raise ValueError("lemma scale bound violated: need 2*radius < circumference/3")
     vr = build_vr(space, 2 * radius, max_dim)
-    return SimplicialComplex._closed(vr.vertex_count, radius, max_dim, vr.simplices,
-                                     "cech")
+    return SimplicialComplex._closed(vr.vertex_count, radius, max_dim, vr.simplices)
 
 
 def build_cech_witness(space_cross: np.ndarray, radius: float,
@@ -214,8 +208,7 @@ def build_cech_witness(space_cross: np.ndarray, radius: float,
         for k in range(min(len(star), max_dim + 1)):
             simplices[k].update(combinations(star, k + 1))
     return SimplicialComplex._closed(m, radius, max_dim,
-                                     {k: sorted(v) for k, v in simplices.items()},
-                                     "cech-witness")
+                                     {k: sorted(v) for k, v in simplices.items()})
 
 
 @dataclass(frozen=True)

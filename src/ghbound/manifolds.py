@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-TRIANGLE_TOL = 1e-9
+TRIANGLE_TOL = 1e-9  # relative to the largest distance, if that exceeds 1
 STRICT_SLACK = 1e-12  # open conditions "x < y" are enforced as x < y - STRICT_SLACK
 BLOCK = 2 ** 16  # doubles per temporary of the dense distance kernels (0.5 MiB)
 
@@ -145,24 +145,14 @@ def _distance_table(manifold: AmbientManifold, a: np.ndarray, b: np.ndarray) -> 
     return out
 
 
-def pairwise_distances(manifold: AmbientManifold, points) -> np.ndarray:
-    """Symmetric geodesic distance matrix with an exactly zero diagonal."""
-    return _pairwise_table(manifold, normalize_points(manifold, points))
-
-
-def _pairwise_table(manifold: AmbientManifold, pts: np.ndarray) -> np.ndarray:
-    """pairwise_distances on normalized points."""
-    d = np.triu(_distance_table(manifold, pts, pts), 1)
-    return d + d.T  # mirror the upper triangle so symmetry is exact
-
-
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """A finite metric space given by labels and a dense distance matrix.
 
     Construction validates the metric axioms: finite entries, zero diagonal,
     exact symmetry, non-negativity, and the triangle inequality within
-    TRIANGLE_TOL.
+    TRIANGLE_TOL * max(1, largest distance), which absorbs float rounding at
+    any scale.
     """
 
     labels: tuple[str, ...]
@@ -191,10 +181,11 @@ class FiniteMetricSpace:
         # Row blocks keep the rows x m x m temporary near BLOCK doubles (one
         # m x m slice, if that is larger).
         rows = max(1, BLOCK // (m * m))
+        tol = TRIANGLE_TOL * max(1.0, float(d.max()))
         for lo in range(0, m, rows):
             block = d[lo:lo + rows]
             two_leg = np.min(block[:, :, None] + d[None, :, :], axis=1)
-            if np.any(block - two_leg > TRIANGLE_TOL):
+            if np.any(block - two_leg > tol):
                 raise ValueError("triangle inequality violated beyond tolerance")
 
     @property
@@ -228,10 +219,11 @@ class FiniteSubset:
     def size(self) -> int:
         return len(self.points)
 
-    def to_metric_space(self, labels=None) -> FiniteMetricSpace:
-        if labels is None:
-            labels = tuple(str(i) for i in range(self.size))
-        return FiniteMetricSpace(tuple(labels), _pairwise_table(self.manifold, self.points))
+    def to_metric_space(self) -> FiniteMetricSpace:
+        """The geodesic distance matrix, with labels "0".."m-1" in point order."""
+        d = np.triu(_distance_table(self.manifold, self.points, self.points), 1)
+        labels = tuple(str(i) for i in range(self.size))
+        return FiniteMetricSpace(labels, d + d.T)  # mirroring makes symmetry exact
 
 
 def _require_same_manifold(x: FiniteSubset, y: FiniteSubset) -> AmbientManifold:
@@ -278,7 +270,3 @@ def covering_radius_witness(x: FiniteSubset, witnesses: FiniteSubset) -> float:
     you need.
     """
     return directed_hausdorff(witnesses, x)
-
-
-def subset_diameter(x: FiniteSubset) -> float:
-    return float(_pairwise_table(x.manifold, x.points).max())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import FiniteSubset, euclidean
+from .manifolds import BLOCK, FiniteSubset, euclidean
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,6 @@ class RatioInstance:
     n: int
     full_points: np.ndarray     # int64, shape (n, n), rows p_1..p_n
     subset_points: np.ndarray   # int64, shape (n-1, n), rows p_1..p_{n-1}
-
-    @property
-    def dim(self) -> int:
-        return self.n
 
 
 @dataclass(frozen=True)
@@ -63,10 +59,20 @@ def apply_cyclic_isometry(points: np.ndarray) -> np.ndarray:
 
 
 def _directed_sq(a: np.ndarray, b: np.ndarray) -> int:
-    """max over rows of a of the min squared distance to rows of b, exact."""
-    delta = a[:, None, :].astype(np.int64) - b[None, :, :].astype(np.int64)
-    sq = np.sum(delta * delta, axis=-1)
-    return int(sq.min(axis=1).max())
+    """max over rows of a of the min squared distance to rows of b, exact.
+
+    Uses |x - y|^2 = |x|^2 + |y|^2 - 2 x.y in int64 on row blocks of a, so each
+    temporary holds about BLOCK entries (one row of len(b), if that is longer).
+    """
+    a, b = a.astype(np.int64), b.astype(np.int64)
+    norms_b = np.einsum("ij,ij->i", b, b)
+    rows = max(1, BLOCK // len(b))
+    worst = 0
+    for lo in range(0, len(a), rows):
+        block = a[lo:lo + rows]
+        sq = np.einsum("ij,ij->i", block, block)[:, None] + norms_b - 2 * (block @ b.T)
+        worst = max(worst, int(sq.min(axis=1).max()))
+    return worst
 
 
 def _hausdorff_sq(a: np.ndarray, b: np.ndarray) -> int:

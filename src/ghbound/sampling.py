@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .manifolds import CIRCLE, EUCLIDEAN, FLAT_TORUS, AmbientManifold, FiniteSubset
+from .manifolds import CIRCLE, FLAT_TORUS, AmbientManifold, FiniteSubset
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -66,12 +66,11 @@ def equispaced_circle(manifold: AmbientManifold, count: int, phase: float = 0.0)
     return FiniteSubset(manifold, theta)
 
 
-def uniform_points(manifold: AmbientManifold, count: int, seed: int,
-                   box: float = 1.0) -> FiniteSubset:
+def uniform_points(manifold: AmbientManifold, count: int, seed: int) -> FiniteSubset:
     """count points sampled coordinate-wise from splitmix64 floats.
 
     Circle and torus coordinates are uniform over the fundamental domain.
-    Euclidean coordinates are uniform over [0, box)^n.
+    Euclidean coordinates are uniform over [0, 1)^n.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -79,8 +78,6 @@ def uniform_points(manifold: AmbientManifold, count: int, seed: int,
     u = rng.floats(count * manifold.dim).reshape(count, manifold.dim)
     if manifold.kind in (CIRCLE, FLAT_TORUS):
         u = u * np.asarray(manifold.params)
-    elif manifold.kind == EUCLIDEAN:
-        u = u * box
     return FiniteSubset(manifold, u)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -35,41 +36,77 @@ def manifold_to_dict(m: AmbientManifold) -> dict:
     return out
 
 
+def _number(v) -> bool:
+    """A JSON number a double can hold: not a bool, not an integer past 1e308."""
+    return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
+                                    and abs(v) <= sys.float_info.max)
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(map(check, v))
+
+
+_numbers = _list_of(_number)
+
+
+def _matrix(v) -> bool:
+    return _list_of(_numbers)(v) and len({len(row) for row in v}) <= 1
+
+
+_KINDS = {
+    "a number": _number,
+    "a number or null": lambda v: v is None or _number(v),
+    "an integer": lambda v: _number(v) and (isinstance(v, int) or v.is_integer()),
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a kind name or an object": lambda v: isinstance(v, (str, dict)),
+    "a list of numbers": _numbers,
+    "a list of strings": _list_of(lambda x: isinstance(x, str)),
+    "a list of names": _list_of(lambda x: isinstance(x, (str, int, float))),
+    "a list of vertex lists": _list_of(_list_of(lambda x: type(x) is int)),
+    "a matrix of numbers": _matrix,
+    "a list of points": lambda v: _numbers(v) or _matrix(v),
+}
+REQUIRED = object()
+
+
+def read_key(d: dict, key, kind: str, where: str, default=REQUIRED):
+    """d[key] from outside input, checked to be of the given kind (a _KINDS key).
+
+    Returns the JSON value unchanged; an integer may be an integral float, and
+    a string never stands for a number. A missing key gives the default, or a
+    ValueError naming the key when there is none.
+    """
+    if key not in d:
+        if default is REQUIRED:
+            raise ValueError(f"{where} needs {key!r}")
+        return default
+    value = d[key]
+    if not _KINDS[kind](value):
+        raise ValueError(f"{where} {key!r} must be {kind}, not {json.dumps(value)}")
+    return value
+
+
 def manifold_from_dict(d: dict) -> AmbientManifold:
-    if not isinstance(d, dict):
-        raise ValueError("'manifold' must be an object with a 'kind' key, "
-                         f"not {json.dumps(d)}")
     kind = d.get("kind")
-    extra = {k: d[k] for k in ("rho", "kappa", "fill_rad") if k in d}
-    for key, value in extra.items():  # rho and fill_rad may be null: unknown
-        if not (_is_number(value) or (value is None and key != "kappa")):
-            raise ValueError(f"manifold {key!r} must be a number, "
-                             f"not {json.dumps(value)}")
+    where = f"{kind} manifold"
+    extra = {}  # a null rho or fill_rad is unknown: the model's default applies
+    for key, key_kind in (("rho", "a number or null"), ("kappa", "a number"),
+                          ("fill_rad", "a number or null")):
+        value = read_key(d, key, key_kind, "manifold", None)
+        if value is not None:
+            extra[key] = value
     if kind == "circle":
-        return circle(*_params(d.get("params", [math.tau]), kind, 1), **extra)
+        params = read_key(d, "params", "a list of numbers", where, [math.tau])
+        if len(params) != 1:
+            raise ValueError(f"circle manifold 'params' must be a list of 1 number, "
+                             f"not {json.dumps(params)}")
+        return circle(*params, **extra)
     if kind == "flat_torus":
-        if "params" not in d:
-            raise ValueError("flat_torus manifold needs side lengths in 'params'")
-        return flat_torus(_params(d["params"], kind), **extra)
+        return flat_torus(read_key(d, "params", "a list of numbers", where), **extra)
     if kind == "euclidean":
-        if "dim" not in d:
-            raise ValueError("euclidean manifold needs 'dim'")
-        return euclidean(int(d["dim"]), **extra)
+        return euclidean(int(read_key(d, "dim", "an integer", where)), **extra)
     raise ValueError(f"unknown manifold kind {kind!r}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _params(params, kind: str, length: int | None = None) -> list:
-    """A manifold's 'params': a list of numbers, of the given length if any."""
-    if not (isinstance(params, list) and all(_is_number(p) for p in params)
-            and (length is None or len(params) == length)):
-        size = "a list of numbers" if length is None else f"a list of {length} number"
-        raise ValueError(f"{kind} manifold 'params' must be {size}, "
-                         f"not {json.dumps(params)}")
-    return params
 
 
 def subset_to_dict(s: FiniteSubset) -> dict:
@@ -77,9 +114,9 @@ def subset_to_dict(s: FiniteSubset) -> dict:
 
 
 def subset_from_dict(d: dict) -> FiniteSubset:
-    if "manifold" not in d or "points" not in d:
-        raise ValueError("subset JSON needs 'manifold' and 'points'")
-    return FiniteSubset(manifold_from_dict(d["manifold"]), np.asarray(d["points"]))
+    manifold = manifold_from_dict(read_key(d, "manifold", "an object", "subset JSON"))
+    points = read_key(d, "points", "a list of points", "subset JSON")
+    return FiniteSubset(manifold, np.asarray(points, dtype=np.float64))
 
 
 def metric_space_to_dict(s: FiniteMetricSpace) -> dict:
@@ -87,21 +124,10 @@ def metric_space_to_dict(s: FiniteMetricSpace) -> dict:
 
 
 def metric_space_from_dict(d: dict) -> FiniteMetricSpace:
-    if "dist" not in d:
-        raise ValueError("metric space JSON needs 'dist'")
-    try:
-        dist = np.asarray(d["dist"], dtype=np.float64)
-    except (TypeError, ValueError):
-        dist = None
-    if dist is None or dist.ndim != 2:
-        raise ValueError("metric space 'dist' must be a matrix, a list of rows "
-                         "of numbers")
-    labels = d.get("labels") or [str(i) for i in range(len(dist))]
-    if not (isinstance(labels, list)
-            and all(isinstance(x, (str, int, float)) for x in labels)):
-        raise ValueError("metric space 'labels' must be a list of names, "
-                         f"not {json.dumps(labels)}")
-    return FiniteMetricSpace(tuple(labels), dist)
+    dist = read_key(d, "dist", "a matrix of numbers", "metric space JSON")
+    labels = read_key(d, "labels", "a list of names", "metric space JSON", [])
+    return FiniteMetricSpace(tuple(labels or (str(i) for i in range(len(dist)))),
+                             np.asarray(dist, dtype=np.float64))
 
 
 def load_space(d: dict) -> FiniteMetricSpace:
@@ -118,31 +144,27 @@ def complex_to_dict(k: SimplicialComplex) -> dict:
 
 
 def complex_from_dict(d: dict) -> SimplicialComplex:
-    if "scale" not in d or "simplices" not in d:
-        raise ValueError("complex JSON needs 'scale' and 'simplices'")
-    raw = d["simplices"]
-    if not isinstance(raw, dict) or not raw:
+    scale = read_key(d, "scale", "a number", "complex JSON")
+    raw = read_key(d, "simplices", "an object", "complex JSON")
+    if not raw:
         raise ValueError("complex JSON 'simplices' must map at least one "
                          "dimension to its simplices")
     simplices = {}
-    for dim, entries in raw.items():
+    for dim in raw:
         try:
             k = int(dim)
         except ValueError:
             raise ValueError(f"complex JSON 'simplices' key {dim!r} is not a "
                              "dimension") from None
-        if not (isinstance(entries, list)
-                and all(isinstance(s, list) and all(type(v) is int for v in s)
-                        for s in entries)):
-            raise ValueError(f"complex JSON 'simplices' entry {dim!r} must be a "
-                             "list of vertex lists, e.g. [[0, 1], [1, 2]]")
+        entries = read_key(raw, dim, "a list of vertex lists",
+                           "complex JSON 'simplices' entry")
         simplices[k] = [tuple(s) for s in entries]
     max_dim = max(simplices)
-    vertex_count = d.get("vertex_count")
+    vertex_count = read_key(d, "vertex_count", "an integer", "complex JSON", None)
     if vertex_count is None:
         vertex_count = 1 + max((v for entries in simplices.values()
                                 for s in entries for v in s), default=0)
-    return SimplicialComplex(int(vertex_count), float(d["scale"]), max_dim, simplices)
+    return SimplicialComplex(int(vertex_count), float(scale), max_dim, simplices)
 
 
 def bound_report_to_dict(r: BoundReport) -> dict:

@@ -5,9 +5,9 @@ dense numpy Gaussian elimination instead of bitset reduction, explicit
 representative cycles and induced maps instead of reading ranks and survival
 off one persistence pass, full enumeration instead of branch-and-bound,
 definitional subset scans instead of clique expansion, support-set enumeration
-instead of Welzl's recursion, and one broadcast (a x b x dim) difference array
-instead of row-blocked per-axis accumulation. Keep these naive; clarity beats
-speed.
+of enclosing balls instead of Jung's closed form, and one broadcast
+(a x b x dim) difference array instead of row-blocked per-axis accumulation.
+Keep these naive; clarity beats speed.
 """
 
 from __future__ import annotations
@@ -334,24 +334,25 @@ def min_enclosing_ball_brute(points: np.ndarray) -> float:
 
     The optimal ball is determined by at most dim+1 points on its surface;
     enumerate every subset of size <= dim+1, build its smallest circumsphere,
-    and keep the smallest ball that contains everything.
+    and keep the smallest ball that contains everything. The subsets of one
+    size are solved together as a stack of small Gram systems.
     """
     pts = np.asarray(points, dtype=np.float64)
     m, dim = pts.shape
     best = np.inf
     for k in range(1, min(m, dim + 1) + 1):
-        for s in combinations(range(m), k):
-            base = pts[s[0]]
-            u = pts[list(s[1:])] - base
-            if len(u):
-                rhs = 0.5 * np.einsum("ij,ij->i", u, u)
-                coeff, *_ = np.linalg.lstsq(u @ u.T, rhs, rcond=None)
-                center = base + coeff @ u
-            else:
-                center = base
-            r2 = float(np.max(np.sum((pts[list(s)] - center) ** 2, axis=1)))
-            if np.all(np.sum((pts - center) ** 2, axis=1) <= r2 * (1 + 1e-10) + 1e-18):
-                best = min(best, np.sqrt(r2))
+        subsets = np.array(list(combinations(range(m), k)))
+        base = pts[subsets[:, 0]]
+        u = pts[subsets[:, 1:]] - base[:, None, :]
+        rhs = 0.5 * np.einsum("sij,sij->si", u, u)
+        gram = u @ u.transpose(0, 2, 1)
+        coeff = (np.linalg.pinv(gram) @ rhs[:, :, None])[:, :, 0]
+        center = base + np.einsum("si,sij->sj", coeff, u)
+        r2 = np.max(np.sum((pts[subsets] - center[:, None, :]) ** 2, axis=2), axis=1)
+        reach = np.sum((pts[None, :, :] - center[:, None, :]) ** 2, axis=2)
+        encloses = np.all(reach <= r2[:, None] * (1 + 1e-10) + 1e-18, axis=1)
+        if encloses.any():
+            best = min(best, float(np.sqrt(r2[encloses].min())))
     return float(best)
 
 

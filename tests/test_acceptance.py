@@ -21,14 +21,14 @@ import numpy as np
 
 from ghbound import (FiniteMetricSpace, FiniteSubset, as_subsets,
                      betti_numbers, build_instance, circle, circle_bound,
-                     circle_bound_pair, circumradius, cli, convexity_bound,
+                     circle_bound_pair, cli, convexity_bound,
                      convexity_bound_pair, covering_radius_circle, euclidean,
                      equispaced_circle, fillrad_bound, fillrad_bound_pair,
                      gh_exact, hausdorff_subsets, jung_bound_pair,
-                     jung_constant, jung_radius_upper, subset_diameter,
-                     uniform_points, verify_instance)
+                     jung_constant, uniform_points, verify_instance)
 
-from oracles import gh_exhaustive, naive_betti, random_complex
+from oracles import (gh_exhaustive, min_enclosing_ball_brute, naive_betti,
+                     random_complex)
 
 TOL = 1e-9
 KAPPA_GRID = [-10.0, -2.0, -1.0, -0.25, 0.0, 0.25, 1.0, 2.0, 10.0,
@@ -106,20 +106,21 @@ def test_criterion_4_jung_suite():
         for kappa in KAPPA_GRID:
             alpha = jung_constant(n, kappa)
             assert floor <= alpha <= 1.0
-    # (c) Euclidean Jung inequality vs the enclosing-ball circumradius
+    # (c) Jung's theorem at kappa = 0: circumradius <= diam / (2 alpha), with
+    # the circumradius from support-subset enumeration
     rng = np.random.default_rng(0x1CE)
     for dim in (2, 3):
+        alpha = jung_constant(dim, 0.0)
         for _ in range(500):
             m = int(rng.integers(2, 13))
             pts = rng.normal(size=(m, dim)) * float(rng.uniform(0.2, 5.0))
-            sub = FiniteSubset(euclidean(dim), pts)
-            radius, _ = circumradius(sub)
-            assert radius <= jung_radius_upper(subset_diameter(sub), dim) + TOL
-    # (d) the equilateral triangle saturates the planar bound
-    tri = FiniteSubset(euclidean(2), [[0.0, 0.0], [1.0, 0.0],
-                                      [0.5, math.sqrt(3) / 2]])
-    radius, _ = circumradius(tri)
-    assert abs(radius - jung_radius_upper(1.0, 2)) <= TOL
+            diam = FiniteSubset(euclidean(dim), pts).to_metric_space().dist.max()
+            assert min_enclosing_ball_brute(pts) <= diam / (2 * alpha) + TOL
+    # (d) the equilateral triangle of side 1 saturates the planar bound
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
+    radius = min_enclosing_ball_brute(tri)
+    assert abs(radius - 1 / math.sqrt(3)) <= TOL
+    assert abs(radius - 1.0 / (2 * jung_constant(2, 0.0))) <= TOL
     print("criterion 4 PASS: constants, envelope, 1000 Jung checks, saturation")
 
 

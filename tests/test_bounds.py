@@ -1,13 +1,11 @@
-"""Bound evaluators, Jung constants, circumradius.
+"""Bound evaluators and the Jung constant.
 
 Oracle notes
 ------------
-* Welzl circumradius: checked against support-subset enumeration
-  (oracles.min_enclosing_ball_brute) on random sets, and against closed forms
-  (equilateral triangle, regular simplex, collinear pairs); a 20k-point set
-  must finish in seconds without touching the recursion limit.
-* jung_constant and min_diameter_for_circumradius: checked against each other
-  at kappa = 0 (Jung's theorem), against limits (kappa -> 0+, kappa -> inf),
+* jung_constant: checked at kappa = 0 against Jung's theorem, both on random
+  sets (circumradius by support-subset enumeration,
+  oracles.min_enclosing_ball_brute) and in closed form on the regular
+  n-simplex, which saturates it; against limits (kappa -> 0+, kappa -> inf);
   and against the documented envelope sqrt(2)/pi < alpha <= 1.
 * Bound reports: lower_bound is the min of the terms, vacuous iff <= 0,
   formula spot-checks on hand-computed inputs.
@@ -16,17 +14,14 @@ Oracle notes
 from __future__ import annotations
 
 import math
-import sys
-import time
 
 import numpy as np
 import pytest
 
-from ghbound import (FiniteSubset, circle, circle_bound, circle_bound_pair,
-                     circumradius, convexity_bound, convexity_bound_pair,
-                     euclidean, fillrad_bound, fillrad_bound_pair, flat_torus,
-                     jung_bound_pair, jung_constant, jung_radius_upper,
-                     min_diameter_for_circumradius, scale_cap, subset_diameter)
+from ghbound import (FiniteSubset, circle_bound, circle_bound_pair,
+                     convexity_bound, convexity_bound_pair, euclidean,
+                     fillrad_bound, fillrad_bound_pair, jung_bound_pair,
+                     jung_constant, scale_cap)
 
 from oracles import min_enclosing_ball_brute
 
@@ -83,95 +78,18 @@ def test_scale_cap():
         scale_cap(0.0, 1.0)
 
 
-def test_min_diameter_flat_matches_jung():
-    for n in (1, 2, 3, 7):
-        for radius in (0.1, 1.0, 3.0):
-            d = min_diameter_for_circumradius(radius, n, 0.0)
-            # Jung: radius <= d * sqrt(n / (2(n+1))), tight exactly here
-            assert jung_radius_upper(d, n) == pytest.approx(radius, rel=1e-12)
-
-
-def test_min_diameter_curvature_branches():
-    d_flat = min_diameter_for_circumradius(1.0, 2, 0.0)
-    d_neg = min_diameter_for_circumradius(1.0, 2, -1.0)
-    d_pos = min_diameter_for_circumradius(1.0, 2, 0.5)
-    # negative curvature spreads points (larger diameter needed), positive shrinks
-    assert d_neg > d_flat > d_pos
-    assert min_diameter_for_circumradius(1.0, 2, 1e-10) == pytest.approx(d_flat, abs=1e-8)
-    with pytest.raises(ValueError, match="out of range"):
-        min_diameter_for_circumradius(2.0, 2, 4.0)  # cap is pi/4
-    # exactly at the cap is allowed
-    min_diameter_for_circumradius(math.pi / 4, 2, 4.0)
-
-
-# ---------------------------------------------------------------- circumradius
-
-
-def test_circle_circumradius_examples():
-    c = circle()
-    r, center = circumradius(FiniteSubset(c, [[0.0], [math.pi / 2]]))
-    assert r == pytest.approx(math.pi / 4)
-    assert center[0] == pytest.approx(math.pi / 4)
-    r, _ = circumradius(FiniteSubset(c, [[0.5]]))
-    assert r == 0.0
-    # antipodal pair: covering arc is half the circle
-    r, _ = circumradius(FiniteSubset(c, [[0.0], [math.pi]]))
-    assert r == pytest.approx(math.pi / 2)
-
-
-def test_circle_circumradius_below_pi(rng):
-    c = circle()
-    for _ in range(20):
-        pts = rng.random(int(rng.integers(1, 10))) * math.tau
-        r, _ = circumradius(FiniteSubset(c, pts))
-        assert 0.0 <= r < math.pi
-
-
-def test_welzl_equilateral_triangle():
-    side = 1.0
-    tri = FiniteSubset(euclidean(2), [[0, 0], [side, 0],
-                                      [side / 2, side * math.sqrt(3) / 2]])
-    r, center = circumradius(tri)
-    assert r == pytest.approx(1 / math.sqrt(3), abs=1e-12)
-    assert center == pytest.approx([0.5, 1 / (2 * math.sqrt(3))], abs=1e-9)
-
-
-def test_welzl_regular_simplex_saturates_jung():
-    # the regular n-simplex is the extremal set in Jung's theorem
-    for n in (2, 3, 4):
-        pts = np.eye(n + 1)  # side sqrt(2) regular simplex in R^{n+1}
-        # project into an n-flat: subtract the centroid, keep any orthobasis
-        centered = pts - pts.mean(axis=0)
-        u, s, vt = np.linalg.svd(centered, full_matrices=False)
-        coords = centered @ vt[:n].T
-        sub = FiniteSubset(euclidean(n), coords)
-        r, _ = circumradius(sub)
-        assert r == pytest.approx(jung_radius_upper(math.sqrt(2), n), abs=1e-9)
-
-
-def test_welzl_against_support_enumeration(rng):
-    for dim in (1, 2, 3):
-        for _ in range(40):
-            m = int(rng.integers(2, 9))
-            pts = rng.normal(size=(m, dim)) * float(rng.uniform(0.5, 3.0))
-            sub = FiniteSubset(euclidean(dim), pts)
-            r, center = circumradius(sub)
-            assert r == pytest.approx(min_enclosing_ball_brute(pts), abs=1e-9)
-            # the ball actually encloses
-            assert np.max(np.sqrt(((pts - center) ** 2).sum(1))) <= r * (1 + 1e-9) + 1e-12
-
-
-def test_welzl_large_planar_set_is_fast_and_leaves_recursion_limit(rng):
-    limit = sys.getrecursionlimit()
-    pts = rng.normal(size=(20_000, 2))
-    started = time.perf_counter()
-    r, center = circumradius(FiniteSubset(euclidean(2), pts))
-    assert time.perf_counter() - started < 5.0
-    assert sys.getrecursionlimit() == limit
-    dist = np.sqrt(((pts - center) ** 2).sum(1))
-    assert dist.max() <= r * (1 + 1e-9)
-    # at least two points on the boundary of a minimal ball in the plane
-    assert np.count_nonzero(dist >= r * (1 - 1e-9)) >= 2
+def test_jung_constant_regular_simplex_closed_form():
+    # the vertices e_0..e_n of R^{n+1} span a regular n-simplex of side
+    # sqrt(2); its circumcentre is its centroid, so its circumradius is
+    # sqrt(n / (n+1)), and Jung's bound diam / (2 alpha) meets it exactly
+    for n in range(1, 8):
+        pts = np.eye(n + 1)
+        radius = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
+        assert radius == pytest.approx(math.sqrt(n / (n + 1)), rel=1e-12)
+        assert math.sqrt(2) / (2 * jung_constant(n, 0.0)) == pytest.approx(
+            radius, rel=1e-12)
+        if n <= 4:
+            assert min_enclosing_ball_brute(pts) == pytest.approx(radius, abs=1e-9)
 
 
 def test_jung_inequality_random_sets(rng):
@@ -179,14 +97,9 @@ def test_jung_inequality_random_sets(rng):
         for _ in range(80):
             m = int(rng.integers(2, 11))
             pts = rng.normal(size=(m, dim))
-            sub = FiniteSubset(euclidean(dim), pts)
-            r, _ = circumradius(sub)
-            assert r <= jung_radius_upper(subset_diameter(sub), dim) + 1e-9
-
-
-def test_circumradius_rejects_torus():
-    with pytest.raises(ValueError, match="circle and euclidean"):
-        circumradius(FiniteSubset(flat_torus([1.0, 1.0]), [[0.0, 0.0]]))
+            diam = FiniteSubset(euclidean(dim), pts).to_metric_space().dist.max()
+            radius = min_enclosing_ball_brute(pts)
+            assert radius <= diam / (2 * jung_constant(dim, 0.0)) + 1e-9
 
 
 # ---------------------------------------------------------------- reports

@@ -333,6 +333,9 @@ def _run_module(argv):
                           capture_output=True, text=True, env=env)
 
 
+_FILLRAD = {"count": 4, "scale_grid": {"start": 1.6, "stop": 3.2, "steps": 3}}
+
+
 @pytest.mark.parametrize("command, payload, key", [
     ("homology --complex", {"scale": 1.0, "simplices": {"0": [1, 2]}}, "'0'"),
     ("homology --complex", {"scale": 1.0, "simplices": {}}, "'simplices'"),
@@ -364,6 +367,27 @@ def _run_module(argv):
     ("circle-sweep --config", {"pairs": 5}, "'pairs'"),
     ("circle-sweep --config", {"pairs": [[4, 3]], "sampler": 5}, "'sampler'"),
     ("fillrad-estimate --config", {"count": 8, "scale_grid": 5}, "'scale_grid'"),
+    ("homology --complex", {"scale": [1], "simplices": {"0": [[0]]}}, "'scale'"),
+    ("homology --complex", {"scale": 1.0, "vertex_count": [3],
+                            "simplices": {"0": [[0]]}}, "'vertex_count'"),
+    ("bounds --x", {"manifold": {"kind": "circle"}, "points": {}}, "'points'"),
+    ("gh-exact --y {good} --x", {"manifold": {"kind": "euclidean", "dim": [2]},
+                                 "points": [[0.0, 0.0]]}, "'dim'"),
+    ("fillrad-estimate --config", {**_FILLRAD, "count": [60]}, "'count'"),
+    ("fillrad-estimate --config", {**_FILLRAD, "count": "60"}, "'count'"),
+    ("fillrad-estimate --config", {**_FILLRAD, "max_dim": [2]}, "'max_dim'"),
+    ("fillrad-estimate --config", {**_FILLRAD, "out": 7}, "'out'"),
+    ("circle-sweep --config", {"pairs": [[4, 3]],
+                               "sampler": {"kind": "uniform", "seed": [1]}}, "'seed'"),
+    ("circle-sweep --config", {"pairs": [[4, 3]], "sampler": {"phase_x": [0],
+                                                              "kind": "equispaced"}},
+     "'phase_x'"),
+    ("circle-sweep --config", {"pairs": [[4, 3]], "node_budget": [5]}, "'node_budget'"),
+    ("circle-sweep --config", {"pairs": [[4, 3]], "out": 7}, "'out'"),
+    ("bounds --inputs", {"dh_xm": [1]}, "'dh_xm'"),
+    ("bounds --inputs", {"dh_xm": 0.1, "rho": "x"}, "'rho'"),
+    ("bounds --inputs", {"rho": 1.0}, "inputs needs 'dh_xm'"),
+    ("gh-exact --y {good} --x", {"dist": [[0, 10 ** 400], [10 ** 400, 0]]}, "'dist'"),
 ])
 def test_malformed_json_exits_one_without_traceback(tmp_path, command, payload, key):
     path = tmp_path / "bad.json"
@@ -396,6 +420,19 @@ def test_gh_exact_accepts_raw_metric_space(tmp_path, capsys):
     y.write_text(json.dumps({"dist": [[0.0, 5.0], [5.0, 0.0]]}))
     assert _run(["gh-exact", "--x", str(x), "--y", str(y)]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gh_exact_accepts_large_collinear_subsets(tmp_path, capsys, dim):
+    # distances up to 1e7 round by more than an absolute 1e-9 on the triangle
+    # inequality; this used to exit 1 with "triangle inequality violated"
+    t = np.random.default_rng(dim).uniform(0.0, 1e7, size=40)
+    x = _subset_file(tmp_path, "x.json", FiniteSubset(
+        euclidean(dim), t[:, None] * np.full(dim, 1 / math.sqrt(dim))))
+    y = tmp_path / "y.json"
+    y.write_text(json.dumps({"dist": [[0.0, 1.0], [1.0, 0.0]]}))
+    assert _run(["gh-exact", "--x", x, "--y", str(y), "--budget", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] > 0
 
 
 def test_gh_exact_rejects_infinite_distances(tmp_path, capsys):
@@ -519,7 +556,7 @@ def test_fillrad_estimate_file_sampler(tmp_path, capsys):
     # open() would take a number for a file descriptor
     assert _run(["fillrad-estimate", "--config",
                  _fillrad_file(tmp_path, {"x": [5]})]) == 1
-    assert "file sampler needs 'x'" in capsys.readouterr().err
+    assert "file sampler 'x' must be a list of strings" in capsys.readouterr().err
     assert _run(["fillrad-estimate", "--config",
                  _fillrad_file(tmp_path, {"x": []})]) == 1
     assert "lists 0 'x' paths, but the config has 1 rows" in capsys.readouterr().err
@@ -550,6 +587,23 @@ def test_lemma_check_small(capsys):
         "roundtrip_contiguous", "projection_simplicial",
         "projection_contiguous"}
     assert all(v == 4 for v in payload["passes"].values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma-check", "--trials", "0"],
+    ["lemma-check", "--trials", "-3"],
+    ["lemma-check", "--trials", "4", "--budget", "0"],
+    ["lemma-check", "--trials", "4", "--budget", "-1"],
+    ["bounds", "--x", "{x}", "--witness-grid", "0"],
+])
+def test_counts_below_one_are_rejected(tmp_path, capsys, argv):
+    # --trials 0 used to report a vacuous "all_passed", and 0 for --budget
+    # or --witness-grid silently meant the default
+    x = _subset_file(tmp_path, "x.json", uniform_points(flat_torus([1.0, 1.0]), 4, seed=0))
+    assert _run([a.format(x=x) for a in argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "must be an integer >= 1" in out.err
 
 
 def test_check_failed_maps_to_exit_two(monkeypatch, capsys):

@@ -82,7 +82,7 @@ def test_vr_order_past_64_vertices():
 
 
 def _rewrapped(k):
-    return SimplicialComplex(k.vertex_count, k.scale, k.max_dim, k.simplices, k.flavor)
+    return SimplicialComplex(k.vertex_count, k.scale, k.max_dim, k.simplices)
 
 
 def test_cech_builders_hand_over_canonical_lists(rng):
@@ -141,7 +141,6 @@ def test_complex_validation():
                                        2: list(combinations(range(40), 3))})
     k = SimplicialComplex(3, 1.0, 2, {0: [(0,), (1,), (2,)], 1: [(0, 1)]})
     assert k.simplex_counts() == [3, 1, 0]
-    assert k.top_dim() == 1
     assert k.max_dim == 2
 
 
@@ -153,7 +152,6 @@ def test_cech_circle_equals_vr_at_doubled_scale():
     vr = build_vr(space, 0.9, 2)
     assert cech.vertex_count == vr.vertex_count and cech.simplices == vr.simplices
     assert cech.scale == pytest.approx(0.45)
-    assert cech.flavor == "cech"
 
 
 def test_cech_circle_scale_gate():

@@ -28,8 +28,7 @@ from ghbound import (FiniteMetricSpace, FiniteSubset, circle,
                      covering_radius_circle, covering_radius_witness,
                      cross_distances, directed_hausdorff, euclidean,
                      flat_torus, grid_covering_radius,
-                     grid_points, hausdorff_subsets, manifolds,
-                     pairwise_distances, subset_diameter)
+                     grid_points, hausdorff_subsets, manifolds)
 
 from oracles import broadcast_cross_distances, circle_arc_dist
 
@@ -98,7 +97,7 @@ def test_torus_geodesic_value():
 def test_pairwise_symmetry_is_exact(rng):
     t = flat_torus([1.0, 3.0])
     pts = _random_points(rng, t, 40)
-    d = pairwise_distances(t, pts)
+    d = FiniteSubset(t, pts).to_metric_space().dist
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
 
@@ -119,13 +118,12 @@ def test_subset_distances_skip_normalization(rng, monkeypatch, manifold):
     metric = x.to_metric_space().dist
     dh = hausdorff_subsets(x, y)
     dh_xy = directed_hausdorff(x, y)
-    diam = subset_diameter(x)
     assert calls == []
     cross = cross_distances(manifold, x.points, y.points)
-    assert np.array_equal(metric, pairwise_distances(manifold, x.points))
+    again = FiniteSubset(manifold, x.points).to_metric_space().dist
+    assert np.array_equal(metric, again)
     assert dh == max(cross.min(axis=1).max(), cross.min(axis=0).max())
     assert dh_xy == cross.min(axis=1).max()
-    assert diam == metric.max()
     assert len(calls) == 3  # the public functions still normalize their input
 
 
@@ -159,7 +157,7 @@ def test_cross_distances_bit_identical_to_broadcast(inputs, block):
     manifold, a, b = inputs
     with mock.patch.object(manifolds, "BLOCK", block):
         cross = cross_distances(manifold, a, b)
-        pair = pairwise_distances(manifold, a)
+        pair = FiniteSubset(manifold, a).to_metric_space().dist
     assert np.array_equal(cross, broadcast_cross_distances(manifold, a, b))
     assert np.all(np.diag(pair) == 0.0)
     assert np.array_equal(pair, pair.T)
@@ -225,13 +223,19 @@ def test_triangle_tolerance_is_forgiving():
     # violation inside the 1e-9 budget must be accepted
     d = np.array([[0.0, 1.0, 2.0 + 5e-10], [1.0, 0.0, 1.0], [2.0 + 5e-10, 1.0, 0.0]])
     FiniteMetricSpace(("a", "b", "c"), d)
+    # the budget scales with the largest distance, rounding included ...
+    FiniteMetricSpace(("a", "b", "c"), d * 1e7)
+    # ... but a violation of one part in a million still fails at that scale
+    d[0, 2] = d[2, 0] = 2.0 + 1e-6
+    with pytest.raises(ValueError, match="triangle"):
+        FiniteMetricSpace(("a", "b", "c"), d * 1e7)
 
 
 def test_triangle_check_memory_stays_quadratic(rng):
     # one m x m x m temporary would peak near 207 MiB at m = 300
     m = 300
     torus = flat_torus([1.0, 1.0])
-    d = pairwise_distances(torus, rng.uniform(0.0, 1.0, size=(m, 2)))
+    d = FiniteSubset(torus, rng.uniform(0.0, 1.0, size=(m, 2))).to_metric_space().dist
     labels = tuple(str(i) for i in range(m))
     tracemalloc.start()
     try:
@@ -250,7 +254,7 @@ def test_triangle_check_temporaries_stay_small(rng):
     # row blocks of about BLOCK doubles: one 300 x 300 slice at a time
     m = 300
     torus = flat_torus([1.0, 1.0])
-    d = pairwise_distances(torus, rng.uniform(0.0, 1.0, size=(m, 2)))
+    d = FiniteSubset(torus, rng.uniform(0.0, 1.0, size=(m, 2))).to_metric_space().dist
     labels = tuple(str(i) for i in range(m))
     tracemalloc.start()
     try:

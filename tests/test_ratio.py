@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from ghbound import (apply_cyclic_isometry, as_subsets, build_instance,
-                     gh_exact, hausdorff_subsets, verify_instance)
+                     gh_exact, hausdorff_subsets, ratio, verify_instance)
 
 
 def test_build_shape_and_rows():
@@ -34,6 +36,31 @@ def test_verify_exact_values(n):
     assert report.hausdorff == float(n)
     assert report.gh_upper == pytest.approx(math.sqrt(n))
     assert report.ratio_upper == pytest.approx(1 / math.sqrt(n))
+
+
+@pytest.mark.parametrize("block", [1, 7, 2 ** 16])
+def test_directed_sq_matches_broadcast(block):
+    rng = np.random.default_rng(block)
+    with mock.patch.object(ratio, "BLOCK", block):
+        for _ in range(50):
+            rows_a, rows_b, dim = rng.integers(1, 30, size=3)
+            a = rng.integers(-60, 60, size=(rows_a, dim))
+            b = rng.integers(-60, 60, size=(rows_b, dim))
+            delta = a[:, None, :] - b[None, :, :]
+            expected = int((delta * delta).sum(axis=-1).min(axis=1).max())
+            assert ratio._directed_sq(a, b) == expected
+
+
+def test_verify_memory_stays_quadratic():
+    # the (n-1) x n x n broadcast peaked at 123 MiB here
+    instance = build_instance(200)
+    tracemalloc.start()
+    try:
+        verify_instance(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_shifted_point_distance_law():

@@ -69,8 +69,8 @@ def test_uniform_points_deterministic_and_in_domain():
     s = uniform_points(t, 9, seed=5)
     assert s.points.shape == (9, 2)
     assert np.all(s.points < [1.0, 4.0])
-    e = uniform_points(euclidean(3), 4, seed=8, box=2.5)
-    assert np.all((0 <= e.points) & (e.points < 2.5))
+    e = uniform_points(euclidean(3), 4, seed=8)
+    assert np.all((0 <= e.points) & (e.points < 1.0))
 
 
 def test_uniform_points_row_major_consumption():

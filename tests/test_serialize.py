@@ -34,10 +34,14 @@ def test_manifold_defaults_fill_in():
     m = manifold_from_dict({"kind": "circle"})
     assert m.params[0] == pytest.approx(math.tau)
     assert m.rho == pytest.approx(math.pi / 2)
-    with pytest.raises(ValueError, match="side lengths"):
+    with pytest.raises(ValueError, match="flat_torus manifold needs 'params'"):
         manifold_from_dict({"kind": "flat_torus"})
     with pytest.raises(ValueError, match="dim"):
         manifold_from_dict({"kind": "euclidean"})
+    # a null rho or fill_rad is unknown, so the model's default applies
+    flat = manifold_from_dict({"kind": "euclidean", "dim": 2, "rho": None})
+    assert flat.rho == math.inf
+    assert manifold_from_dict({"kind": "circle", "rho": None, "fill_rad": None}) == m
     with pytest.raises(ValueError, match="unknown manifold"):
         manifold_from_dict({"kind": "sphere"})
 
