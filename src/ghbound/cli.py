@@ -226,6 +226,8 @@ def cmd_circle_sweep(args) -> int:
     circumference = manifold.params[0]
     budget = args.budget or int(read_key(config, "node_budget", "an integer", "config",
                                          10_000_000))
+    if budget < 1:  # the same rule as --budget
+        raise ValueError(f"config 'node_budget' must be an integer >= 1, not {budget}")
     master = SplitMix64(seed)
     rows = []
     for i, (nx, ny) in enumerate(pairs):

@@ -22,10 +22,22 @@ A node is pruned when that look-ahead bound, or the distortion of P itself,
 reaches the incumbent; the root bound max(max_x min_y L, max_y min_x L)
 certifies an incumbent that meets it. Branching is fail-first: on the
 uncovered point with the largest look-ahead minimum, over its partners in
-increasing inc, skipping those whose L or inc reaches the incumbent. inc is
-updated with one nx x ny maximum per assigned pair and restored from an undo
-log of the changed cells when the pair is withdrawn. The depth-first loop keeps
-its own stack, so the input size never meets the recursion limit.
+increasing inc, skipping those whose L or inc reaches the incumbent. The
+depth-first loop keeps its own stack, so the input size never meets the
+recursion limit.
+
+Node step. On small inputs a node costs numpy call overhead, not arithmetic,
+so each step makes a fixed handful of calls on preallocated nx x ny buffers and
+does its bookkeeping in Python. A node takes the row and column minima of
+max(L, inc) in two reductions; a cap vector (+inf on uncovered points, -1 on
+covered ones, kept beside the Python cover counts) masks covered points, and
+argmax picks the first largest minimum. The candidates are read off .tolist()
+rows in stable argsort order of inc. Assigning (x, y) writes
+|d_X[x, :] - d_Y[y, :]| into a scratch matrix, logs the cells it raises above
+inc with their old values, and takes the elementwise maximum in place;
+withdrawing the pair writes the logged values back. The log holds only the
+raised cells, so memory stays quadratic in practice, where a snapshot of inc per
+level would be cubic.
 
 The result is exact whenever the node budget is not exhausted; on budget
 exhaustion the best correspondence found is returned with proven_optimal =
@@ -133,8 +145,13 @@ def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
 
     inc = np.zeros((nx, ny))
     inc_flat = inc.reshape(-1)
-    covers_x = np.zeros(nx, dtype=np.intp)  # assigned pairs per point
-    covers_y = np.zeros(ny, dtype=np.intp)
+    cost, gap = np.empty((nx, ny)), np.empty((nx, ny))  # scratch, one node at a time
+    raised = np.empty((nx, ny), dtype=bool)
+    raised_flat = raised.reshape(-1)
+    covers_x = [0] * nx  # assigned pairs per point
+    covers_y = [0] * ny
+    cap_x = np.full(nx, np.inf)  # -1 on covered points, below every cost
+    cap_y = np.full(ny, np.inf)
     pairs: list[tuple[int, int]] = []  # P, in assignment order
     best = float("inf")
     best_pairs: list[tuple[int, int]] = []
@@ -145,31 +162,33 @@ def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
         A frame is [partial, candidates, next position, undo of the applied
         candidate]; a candidate is (inc, L, x, y), in increasing inc.
         """
-        cost = np.maximum(floors, inc)
-        need_x = np.where(covers_x == 0, cost.min(axis=1), -1.0)
-        need_y = np.where(covers_y == 0, cost.min(axis=0), -1.0)
+        np.maximum(floors, inc, out=cost)
+        need_x = np.minimum(cost.min(axis=1), cap_x)
+        need_y = np.minimum(cost.min(axis=0), cap_y)
         x, y = int(need_x.argmax()), int(need_y.argmax())
-        if max(partial, need_x[x], need_y[y]) >= best:
+        top_x, top_y = float(need_x[x]), float(need_y[y])
+        if max(partial, top_x, top_y) >= best:
             return None
-        if need_x[x] >= need_y[y]:
-            order = np.argsort(inc[x], kind="stable")
-            order = order[cost[x, order] < best]
-            cands = zip(inc[x, order].tolist(), floors[x, order].tolist(),
-                        [x] * len(order), order.tolist())
-        else:
-            order = np.argsort(inc[:, y], kind="stable")
-            order = order[cost[order, y] < best]
-            cands = zip(inc[order, y].tolist(), floors[order, y].tolist(),
-                        order.tolist(), [y] * len(order))
-        return [partial, list(cands), 0, None]
+        if top_x >= top_y:
+            incs, lows = inc[x].tolist(), floors[x].tolist()
+            return [partial, [(incs[y], lows[y], x, y)
+                              for y in np.argsort(inc[x], kind="stable").tolist()
+                              if incs[y] < best and lows[y] < best], 0, None]
+        incs, lows = inc[:, y].tolist(), floors[:, y].tolist()
+        return [partial, [(incs[x], lows[x], x, y)
+                          for x in np.argsort(inc[:, y], kind="stable").tolist()
+                          if incs[x] < best and lows[x] < best], 0, None]
 
     def assign(x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
-        gap = np.abs(dx[x][:, None] - dy[y][None, :]).reshape(-1)
-        changed = np.flatnonzero(gap > inc_flat)
+        np.subtract.outer(dx[x], dy[y], out=gap)
+        np.abs(gap, out=gap)
+        np.greater(gap, inc, out=raised)
+        changed = raised_flat.nonzero()[0]
         undo = (changed, inc_flat[changed])
-        inc_flat[changed] = gap[changed]
+        np.maximum(inc, gap, out=inc)
         covers_x[x] += 1
         covers_y[y] += 1
+        cap_x[x] = cap_y[y] = -1.0
         pairs.append((x, y))
         return undo
 
@@ -179,6 +198,10 @@ def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
         x, y = pairs.pop()
         covers_x[x] -= 1
         covers_y[y] -= 1
+        if not covers_x[x]:
+            cap_x[x] = np.inf
+        if not covers_y[y]:
+            cap_y[y] = np.inf
 
     nodes = 1
     proven = True
@@ -202,7 +225,7 @@ def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
         frame[2] = pos
         frame[3] = assign(x, y)
         child = max(partial, cost_xy)
-        if covers_x.all() and covers_y.all():
+        if all(covers_x) and all(covers_y):
             best, best_pairs = child, list(pairs)
             if best <= root_floor:
                 break

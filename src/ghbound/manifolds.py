@@ -220,10 +220,15 @@ class FiniteSubset:
         return len(self.points)
 
     def to_metric_space(self) -> FiniteMetricSpace:
-        """The geodesic distance matrix, with labels "0".."m-1" in point order."""
-        d = np.triu(_distance_table(self.manifold, self.points, self.points), 1)
+        """The geodesic distance matrix, with labels "0".."m-1" in point order.
+
+        The table is exactly symmetric with a +0.0 diagonal: IEEE subtraction
+        gives a - b = -(b - a), and the per-axis terms of both entries are summed
+        in the same order.
+        """
         labels = tuple(str(i) for i in range(self.size))
-        return FiniteMetricSpace(labels, d + d.T)  # mirroring makes symmetry exact
+        return FiniteMetricSpace(labels, _distance_table(self.manifold, self.points,
+                                                         self.points))
 
 
 def _require_same_manifold(x: FiniteSubset, y: FiniteSubset) -> AmbientManifold:

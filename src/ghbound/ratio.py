@@ -8,9 +8,11 @@ moves every p_j close to p_{j+1}: the image of the subset is within sqrt(n) of
 the full set in Hausdorff distance, so d_GH(subset, full) <= sqrt(n) and the
 ratio d_GH / d_H is at most 1/sqrt(n), arbitrarily small as n grows.
 
-All coordinates are small integers, so every squared distance here is computed
-in exact integer arithmetic; square roots are taken through math.isqrt and stay
-exact on perfect squares.
+All coordinates are integers in [0, n], so every norm, dot product and squared
+distance here is an integer below n^3 (for n >= 4; tiny n stay tiny). They are
+computed with float64 matrix products, which are exact on integers below 2^53,
+so build_instance refuses n with n^3 >= 2^53. Square roots are taken through
+math.isqrt and stay exact on perfect squares.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ class RatioReport:
 def build_instance(n: int) -> RatioInstance:
     if n < 2:
         raise ValueError("n must be >= 2 (the subset must be non-empty)")
+    if n ** 3 >= 2 ** 53:  # past it, float64 may round the products
+        raise ValueError(f"n must have n^3 < 2^53 for exact float64 distances, not {n}")
     full = np.tril(np.broadcast_to(np.arange(1, n + 1, dtype=np.int64), (n, n)))
     return RatioInstance(n, full, full[:-1].copy())
 
@@ -61,10 +65,12 @@ def apply_cyclic_isometry(points: np.ndarray) -> np.ndarray:
 def _directed_sq(a: np.ndarray, b: np.ndarray) -> int:
     """max over rows of a of the min squared distance to rows of b, exact.
 
-    Uses |x - y|^2 = |x|^2 + |y|^2 - 2 x.y in int64 on row blocks of a, so each
+    Uses |x - y|^2 = |x|^2 + |y|^2 - 2 x.y on row blocks of a, so each
     temporary holds about BLOCK entries (one row of len(b), if that is longer).
+    The products run in float64 (BLAS); every partial sum is an integer below
+    2^53 for integer points within build_instance's bound, so each is exact.
     """
-    a, b = a.astype(np.int64), b.astype(np.int64)
+    a, b = a.astype(np.float64), b.astype(np.float64)
     norms_b = np.einsum("ij,ij->i", b, b)
     rows = max(1, BLOCK // len(b))
     worst = 0

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import ghbound
-from ghbound import (FiniteSubset, circle, cli, equispaced_circle, euclidean,
-                     flat_torus, grid_points, uniform_points)
+from ghbound import (FiniteSubset, SplitMix64, circle, cli, equispaced_circle,
+                     euclidean, flat_torus, grid_points, uniform_points)
 from ghbound.serialize import subset_to_dict, write_json
 
 
@@ -388,6 +388,8 @@ _FILLRAD = {"count": 4, "scale_grid": {"start": 1.6, "stop": 3.2, "steps": 3}}
     ("bounds --inputs", {"dh_xm": 0.1, "rho": "x"}, "'rho'"),
     ("bounds --inputs", {"rho": 1.0}, "inputs needs 'dh_xm'"),
     ("gh-exact --y {good} --x", {"dist": [[0, 10 ** 400], [10 ** 400, 0]]}, "'dist'"),
+    ("circle-sweep --config", {"pairs": [[4, 3]], "node_budget": -5}, "'node_budget'"),
+    ("circle-sweep --config", {"pairs": [[4, 3]], "node_budget": 0}, "'node_budget'"),
 ])
 def test_malformed_json_exits_one_without_traceback(tmp_path, command, payload, key):
     path = tmp_path / "bad.json"
@@ -635,6 +637,8 @@ PINNED_STDOUT = {
         "7748cb88b474d4d9c4bca1b030294416facf77664f28f07d1da7160937a0cad0",
     "fillrad-estimate-torus":
         "125bf8a59da020f4bd5ceb2977d73e9bc679cdd26db86f0834ee0d80d99095c2",
+    "circle-sweep": "5d09d5bcc6469721554f29cb92f70f691a969537c6dd75548ae2562186bde971",
+    "gh-exact": "d8f2f4ec30ee8be3f5e0e9c29f1694e5028fe68cf2760fe5d900ecd9fd30c4ca",
 }
 
 
@@ -663,6 +667,17 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
         "manifold": {"kind": "flat_torus", "params": [1.0, 1.0]},
         "sampler": {"kind": "equispaced"}, "count": 6, "max_dim": 3,
         "scale_grid": {"start": 0.25, "stop": 0.75, "steps": 23}}))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({  # gh-sweep's fixed draw; only row 16 runs out
+        "manifold": {"kind": "circle"}, "sampler": {"kind": "uniform", "seed": 2},
+        "pairs": ([[n, n] for n in range(6, 13)] * 2
+                  + [[8, 12], [12, 8], [10, 11], [11, 10]]),
+        "node_budget": 200}))
+    draw = SplitMix64(2)  # row 16 of that draw, searched to the end
+    hard_x = _subset_file(tmp_path, "hard_x.json",
+                          uniform_points(circle(), 10, draw.child(32).next_u64()))
+    hard_y = _subset_file(tmp_path, "hard_y.json",
+                          uniform_points(circle(), 11, draw.child(33).next_u64()))
     return {
         "lemma-check": ["lemma-check", "--trials", "200", "--seed", "1"],
         "homology-vr-circle": ["homology", "--subset", ring, "--scale", "1.1",
@@ -678,6 +693,8 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
         "fillrad-estimate": ["fillrad-estimate", "--config", str(fillrad)],
         "fillrad-estimate-torus": ["fillrad-estimate", "--config",
                                    str(fillrad_torus)],
+        "circle-sweep": ["circle-sweep", "--config", str(sweep)],
+        "gh-exact": ["gh-exact", "--x", hard_x, "--y", hard_y],
     }
 
 

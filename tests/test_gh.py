@@ -13,6 +13,7 @@ Oracle notes
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import tracemalloc
 from itertools import product
@@ -228,21 +229,94 @@ def test_large_input_does_not_recurse():
 
 
 # gh-sweep's fixed draw (bench/workloads.py): sampler seed 2, row r draws X from
-# child 2r and Y from child 2r + 1. A diameter floor left these rows unproven
-# after 100k nodes.
+# child 2r and Y from child 2r + 1.
+GH_SWEEP_SIZES = ([(n, n) for n in range(6, 13)] * 2
+                  + [(8, 12), (12, 8), (10, 11), (11, 10)])
+
+
+def _gh_sweep_row(row):
+    c = circle()
+    master = SplitMix64(2)
+    nx, ny = GH_SWEEP_SIZES[row]
+    x = uniform_points(c, nx, master.child(2 * row).next_u64()).to_metric_space()
+    y = uniform_points(c, ny, master.child(2 * row + 1).next_u64()).to_metric_space()
+    return x, y
+
+
+# A diameter floor left these rows unproven after 100k nodes.
 @pytest.mark.parametrize("row, nx, ny, value", [
     (5, 11, 11, 0.5363984775375299),
     (6, 12, 12, 0.4143115393212584),
     (16, 10, 11, 0.5973091832768553),
 ])
 def test_gh_sweep_hard_rows_are_proven(row, nx, ny, value):
-    c = circle()
-    master = SplitMix64(2)
-    x = uniform_points(c, nx, master.child(2 * row).next_u64()).to_metric_space()
-    y = uniform_points(c, ny, master.child(2 * row + 1).next_u64()).to_metric_space()
+    x, y = _gh_sweep_row(row)
+    assert (x.size, y.size) == (nx, ny)
     result = gh_exact(x, y, node_budget=100_000)
     assert result.proven_optimal
     assert result.value == value
+
+
+# (value, nodes_explored, proven_optimal, first 16 hex digits of the SHA-256 of
+# repr(correspondence.pairs)) per gh-sweep row: searched to the end at 100k,
+# and cut at 50 nodes, where 15 of the 18 rows run out of budget. Any change to
+# the branching point, the candidate order, the prunes or the budget accounting
+# moves a node count or a correspondence here, even when values stay put.
+GH_SWEEP_SEARCH = {
+    100_000: [
+        (0.3343299200161396, 22, True, "8e3e047bfb868ac4"),
+        (0.5365072664932073, 25, True, "f8a2ca813ce305c6"),
+        (0.3729031931264207, 99, True, "9a53d883b259d529"),
+        (0.3978764547163551, 136, True, "3f89dc4306ba1d3b"),
+        (0.36022579996236703, 125, True, "6e48472c609c97e5"),
+        (0.5363984775375299, 193, True, "6cc493234f8c12bc"),
+        (0.4143115393212584, 114, True, "977af10214bad675"),
+        (0.45456041001988834, 61, True, "0bbd8ce1ff1b2949"),
+        (0.35916710774400196, 26, True, "2905da6dcd39be2f"),
+        (0.49852016824590506, 91, True, "41f9eee9faa89754"),
+        (0.31465929797849856, 63, True, "fd220576479f44bf"),
+        (0.3916834257433188, 58, True, "791b36c568d195d9"),
+        (0.28356661614766643, 55, True, "20d028c093d19f14"),
+        (0.2880547766776893, 117, True, "b63b39da8ae18417"),
+        (0.49450356089560854, 139, True, "821445a66d074cbb"),
+        (0.4522375313143957, 183, True, "41429d714335e574"),
+        (0.5973091832768553, 1770, True, "eab2aced195ee8c5"),
+        (0.34786785085461425, 98, True, "138578c3d1a37a8b"),
+    ],
+    50: [
+        (0.3343299200161396, 22, True, "8e3e047bfb868ac4"),
+        (0.5365072664932073, 25, True, "f8a2ca813ce305c6"),
+        (0.5557880054276871, 51, False, "8b851d5e695133fd"),
+        (0.6248445453953184, 51, False, "e4a173d4032fa97b"),
+        (0.739102514940049, 51, False, "4a454f27ec6c8bc2"),
+        (0.7250987505678279, 51, False, "cbfdbdf902f9dd09"),
+        (0.48674087334978755, 51, False, "9718dbff6d34db47"),
+        (0.5456564131102863, 51, False, "7fd06c7cf6e63f4f"),
+        (0.35916710774400196, 26, True, "2905da6dcd39be2f"),
+        (0.6056127689997535, 51, False, "eef8182265cace34"),
+        (0.3313510058939064, 51, False, "cfeb63e4589b44ab"),
+        (0.3916834257433188, 51, False, "791b36c568d195d9"),
+        (0.28356661614766643, 51, False, "20d028c093d19f14"),
+        (0.394597041550911, 51, False, "d21d8c2ee7980629"),
+        (0.6832779515164882, 51, False, "3ef6179031ccdb74"),
+        (0.6630160666297125, 51, False, "33b97c7bd787e1a2"),
+        (0.947325586624503, 51, False, "0829171315bba7cc"),
+        (0.34993042420820875, 51, False, "10998d1bc2a2dbe2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("budget", sorted(GH_SWEEP_SEARCH))
+def test_gh_sweep_search_is_pinned(budget):
+    got = []
+    for row in range(len(GH_SWEEP_SIZES)):
+        result = gh_exact(*_gh_sweep_row(row), node_budget=budget)
+        digest = hashlib.sha256(repr(result.correspondence.pairs).encode()).hexdigest()
+        got.append((result.value, result.nodes_explored, result.proven_optimal,
+                    digest[:16]))
+    assert got == GH_SWEEP_SEARCH[budget]
+    if budget == 100_000:
+        assert sum(nodes for _, nodes, _, _ in got) == 3375  # gh-sweep's gh.nodes
 
 
 def test_search_memory_stays_quadratic():

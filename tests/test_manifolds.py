@@ -166,6 +166,19 @@ def test_cross_distances_bit_identical_to_broadcast(inputs, block):
     assert np.array_equal(pair[upper], expected[upper])
 
 
+@settings(max_examples=200, deadline=None)
+@given(kernel_inputs(), st.integers(1, 64))
+def test_metric_space_equals_triu_mirror_bit_for_bit(inputs, block):
+    # the table is symmetric as computed, so mirroring its upper triangle
+    # (what to_metric_space once did) changes no bit
+    manifold, a, _ = inputs
+    with mock.patch.object(manifolds, "BLOCK", block):
+        pair = FiniteSubset(manifold, a).to_metric_space().dist
+        upper = np.triu(manifolds.cross_distances(manifold, a, a), 1)
+    mirrored = upper + upper.T
+    assert pair.tobytes() == mirrored.tobytes()
+
+
 def test_cross_distances_memory_stays_near_output(rng):
     # a (4096 x 300 x 2) broadcast peaks far above the 9.4 MiB result
     torus = flat_torus([1.0, 1.0])

@@ -98,3 +98,13 @@ def test_tamper_detection():
 def test_rejects_tiny_n():
     with pytest.raises(ValueError):
         build_instance(1)
+
+
+def test_rejects_n_past_float64_exactness():
+    # The largest value _directed_sq forms is |p_n|^2 + |p_(n-1)|^2 <=
+    # 2 * sum(i^2), below n^3 from n = 4 on; float64 holds it exactly while
+    # n^3 < 2^53. The check runs before the n x n staircase is allocated.
+    assert all(2 * sum(i * i for i in range(1, n + 1)) < n ** 3 for n in range(4, 200))
+    assert 208_063 ** 3 < 2 ** 53 <= 208_064 ** 3
+    with pytest.raises(ValueError, match=r"2\^53"):
+        build_instance(208_064)
