@@ -182,8 +182,18 @@ def _manifold_and_sampler(d: dict, rows: int, sides: str,
     return manifold, sampler, int(config_seed) if seed is None else seed
 
 
-def _read_sample(manifold: AmbientManifold, sampler: dict, key: str, row: int,
-                 size: int) -> FiniteSubset:
+def _sample(manifold: AmbientManifold, sampler: dict, key: str, row: int,
+            size: int, seed: int) -> FiniteSubset:
+    """Row's subset for config key "x" or "y"; only the uniform kind reads seed."""
+    kind = sampler["kind"]
+    if kind == "equispaced":
+        if manifold.kind != CIRCLE:
+            return grid_points(manifold, size)
+        phase = float(read_key(sampler, f"phase_{key}", "a number",
+                               "equispaced sampler", 0.0))
+        return equispaced_circle(manifold, size, phase)
+    if kind == "uniform":
+        return uniform_points(manifold, size, seed)
     path = sampler[key][row]
     subset = serialize.subset_from_dict(serialize.read_json(path))
     found = subset.manifold
@@ -197,19 +207,6 @@ def _read_sample(manifold: AmbientManifold, sampler: dict, key: str, row: int,
         raise ValueError(f"row {row}: {path} holds {subset.size} points, "
                          f"the config asks for n_{key} = {size}")
     return subset
-
-
-def _sample(manifold: AmbientManifold, sampler: dict, row: int, side: int,
-            size: int, master: SplitMix64) -> FiniteSubset:
-    kind = sampler["kind"]
-    if kind == "equispaced":
-        phase = float(read_key(sampler, "phase_y" if side else "phase_x", "a number",
-                               "equispaced sampler", 0.0))
-        return equispaced_circle(manifold, size, phase)
-    if kind == "uniform":
-        child = master.child(2 * row + side)
-        return uniform_points(manifold, size, child.next_u64())
-    return _read_sample(manifold, sampler, "xy"[side], row, size)
 
 
 def cmd_circle_sweep(args) -> int:
@@ -231,8 +228,9 @@ def cmd_circle_sweep(args) -> int:
     master = SplitMix64(seed)
     rows = []
     for i, (nx, ny) in enumerate(pairs):
-        sub_x = _sample(manifold, sampler, i, 0, nx, master)
-        sub_y = _sample(manifold, sampler, i, 1, ny, master)
+        sub_x = _sample(manifold, sampler, "x", i, nx, master.child(2 * i).next_u64())
+        sub_y = _sample(manifold, sampler, "y", i, ny,
+                        master.child(2 * i + 1).next_u64())
         dh_x = covering_radius_circle(sub_x)
         dh_y = covering_radius_circle(sub_y)
         bound = circle_bound_pair(dh_x, dh_y, circumference).lower_bound
@@ -280,8 +278,9 @@ def cmd_ratio(args) -> int:
 def _complex_from_args(args):
     if args.complex:
         return serialize.complex_from_dict(serialize.read_json(args.complex))
-    if not args.subset or args.scale is None:
-        raise ValueError("homology needs --complex, or --subset with --scale")
+    if not (args.subset and args.scale is not None and 0 < args.scale < math.inf):
+        raise ValueError("homology needs --complex, or --subset with a finite "
+                         "--scale > 0")
     subset = serialize.subset_from_dict(serialize.read_json(args.subset))
     m = subset.manifold
     max_dim = args.max_dim if args.max_dim is not None else m.dim + 1
@@ -330,13 +329,7 @@ def cmd_fillrad_estimate(args) -> int:
     if read_key(config, "max_dim", "an integer", "config", n + 1) < n + 1:
         raise ValueError(f"max_dim must be at least {n + 1} to compute beta_{n}")
     count = int(read_key(config, "count", "an integer", "config"))
-    if sampler["kind"] == "equispaced":
-        sample = (equispaced_circle(m, count) if m.kind == CIRCLE
-                  else grid_points(m, count))
-    elif sampler["kind"] == "uniform":
-        sample = uniform_points(m, count, seed)
-    else:
-        sample = _read_sample(m, sampler, "x", 0, count)
+    sample = _sample(m, sampler, "x", 0, count, seed)
     space = sample.to_metric_space()
     grid = np.linspace(start, stop, steps)
     # a snapshot at the bottom of the grid rejects a sparse sample before the

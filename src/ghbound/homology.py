@@ -19,11 +19,11 @@ matrix of dimension k is the boundary matrix of dimension k + 1 with rows and
 columns swapped and both orders reversed. That flip maps the lower-left
 submatrices, whose ranks fix the persistence pairs, onto each other, so the
 pairs are exactly those of the homology reduction (de Silva, Morozov and
-Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011). Ranks give
-the Betti numbers of a snapshot; with simplices ordered by filtration value
-the pairs give the barcode of a filtered complex. Whether an inclusion keeps
-a homology group fully alive is read off the barcode of the two-step
-filtration (the subcomplex, then the whole complex).
+Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011). With
+simplices ordered by filtration value the pairs give the barcode, and all
+else is read off a barcode: Betti numbers count the bars that never die when
+every simplex enters at 0, and whether an inclusion keeps a homology group
+alive is read off the two-step filtration (the subcomplex, then the rest).
 """
 
 from __future__ import annotations
@@ -99,24 +99,18 @@ def _pair_columns(flat: list[int], starts: list[int], rows: int,
 
 
 def _reduce_coboundaries(simplices: dict, up_to: int,
-                         order: dict | None = None) -> dict[int, dict[int, int]]:
+                         order: dict) -> dict[int, dict[int, int]]:
     """Persistence pairs of dimensions 1..up_to + 1, by reducing coboundaries.
 
-    simplices maps each dimension to its simplices in lexicographic order.
-    order[k], if given, lists dimension k's indices in filtration order;
-    without it each dimension is filtered in its own order. pairs[k] maps the
+    simplices maps each dimension to its simplices in lexicographic order, and
+    order[k] lists dimension k's indices in filtration order. pairs[k] maps the
     position of every k-simplex that kills a class to the position of the
-    (k-1)-simplex that gave birth to it, so len(pairs[k]) is the rank of the
-    k-th boundary.
+    (k-1)-simplex that gave birth to it.
     """
     verts = {k: np.fromiter(chain.from_iterable(simplices[k]), dtype=">i8",
                             count=len(simplices[k]) * (k + 1)).reshape(-1, k + 1)
              for k in range(up_to + 2)}
-    position = {}
-    for k, v in verts.items():
-        position[k] = np.arange(len(v))
-        if order is not None:
-            position[k][order[k]] = np.arange(len(v))
+    position = {k: np.argsort(idx) for k, idx in order.items()}  # inverse permutations
     pairs: dict[int, dict[int, int]] = {}
     deaths: dict[int, int] = {}
     for k in range(up_to + 1):
@@ -137,14 +131,11 @@ def _check_up_to(complex_: SimplicialComplex, up_to: int) -> None:
 def betti_numbers(complex_: SimplicialComplex, up_to: int) -> tuple[int, ...]:
     """Betti numbers beta_0..beta_up_to; requires max_dim >= up_to + 1.
 
-    beta_k = #k-simplices - rank d_k - rank d_(k+1), ranks from one
-    coboundary reduction.
+    beta_k counts the k-bars that never die when every simplex enters at 0.
     """
-    _check_up_to(complex_, up_to)
-    pairs = _reduce_coboundaries(complex_.simplices, up_to)
-    rank = [0] + [len(pairs[k]) for k in range(1, up_to + 2)]
-    return tuple(len(complex_.simplices[k]) - rank[k] - rank[k + 1]
-                 for k in range(up_to + 1))
+    zeros = {k: np.zeros(len(s)) for k, s in complex_.simplices.items()}
+    bars = persistence_bars(complex_, zeros, up_to)
+    return tuple(int(np.isinf(bars[k][:, 1]).sum()) for k in range(up_to + 1))
 
 
 def persistence_bars(complex_: SimplicialComplex, values: dict[int, np.ndarray],

@@ -8,9 +8,12 @@ kappa, filling radius) are carried on the manifold record; they are user-supplie
 constants, never computed here.
 
 Finite data comes in two layers: a FiniteSubset pins points to an ambient
-manifold, while a FiniteMetricSpace is just a labeled distance matrix (what the
+manifold, while a FiniteMetricSpace is just a distance matrix (what the
 Gromov-Hausdorff search consumes). Subsets are compared with the Hausdorff
 distance inside their common ambient manifold.
+The FiniteMetricSpace constructor, the door for outside input, checks every
+axiom. Builders of matrices that are metrics by construction (geodesic tables,
+principal submatrices) hand them over unchecked through its _closed.
 """
 
 from __future__ import annotations
@@ -147,27 +150,23 @@ def _distance_table(manifold: AmbientManifold, a: np.ndarray, b: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """A finite metric space given by labels and a dense distance matrix.
+    """A finite metric space given by a dense distance matrix.
 
-    Construction validates the metric axioms: finite entries, zero diagonal,
-    exact symmetry, non-negativity, and the triangle inequality within
-    TRIANGLE_TOL * max(1, largest distance), which absorbs float rounding at
-    any scale.
+    Construction validates the metric axioms: at least one point, a square
+    matrix of finite entries, zero diagonal, exact symmetry, non-negativity,
+    and the triangle inequality within TRIANGLE_TOL * max(1, largest
+    distance), which absorbs float rounding at any scale.
     """
 
-    labels: tuple[str, ...]
     dist: np.ndarray
 
     def __post_init__(self) -> None:
         d = np.asarray(self.dist, dtype=np.float64)
         object.__setattr__(self, "dist", d)
-        m = len(self.labels)
-        if m == 0:
+        if d.size == 0:
             raise ValueError("metric space must contain at least one point")
-        if d.shape != (m, m):
-            raise ValueError("distance matrix shape does not match labels")
-        if len(set(self.labels)) != m:
-            raise ValueError("labels must be distinct")
+        if d.ndim != 2 or d.shape[0] != d.shape[1]:
+            raise ValueError("distance matrix must be square")
         if not np.isfinite(d).all():
             raise ValueError("distances must be finite")
         if np.any(np.diag(d) != 0.0):
@@ -180,22 +179,30 @@ class FiniteMetricSpace:
         # so violations show up as d exceeding the min by more than the tolerance.
         # Row blocks keep the rows x m x m temporary near BLOCK doubles (one
         # m x m slice, if that is larger).
-        rows = max(1, BLOCK // (m * m))
+        rows = max(1, BLOCK // d.size)
         tol = TRIANGLE_TOL * max(1.0, float(d.max()))
-        for lo in range(0, m, rows):
+        for lo in range(0, len(d), rows):
             block = d[lo:lo + rows]
             two_leg = np.min(block[:, :, None] + d[None, :, :], axis=1)
             if np.any(block - two_leg > tol):
                 raise ValueError("triangle inequality violated beyond tolerance")
 
+    @classmethod
+    def _closed(cls, dist: np.ndarray) -> FiniteMetricSpace:
+        """Wrap, unchecked, a builder's matrix that meets every axiom above."""
+        space = cls.__new__(cls)
+        object.__setattr__(space, "dist", dist)
+        return space
+
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return len(self.dist)
 
     def submatrix(self, indices) -> FiniteMetricSpace:
         idx = list(indices)
-        labels = tuple(self.labels[i] for i in idx)
-        return FiniteMetricSpace(labels, self.dist[np.ix_(idx, idx)])
+        if not idx:
+            raise ValueError("metric space must contain at least one point")
+        return FiniteMetricSpace._closed(self.dist[np.ix_(idx, idx)])
 
 
 @dataclass(frozen=True)
@@ -203,7 +210,7 @@ class FiniteSubset:
     """A finite list of points pinned to an ambient manifold.
 
     Points are normalized into the fundamental domain on construction. Order is
-    preserved (it fixes labels and vertex indices downstream); duplicates are
+    preserved (it fixes vertex indices downstream); duplicates are
     allowed and are the caller's concern.
     """
 
@@ -220,15 +227,15 @@ class FiniteSubset:
         return len(self.points)
 
     def to_metric_space(self) -> FiniteMetricSpace:
-        """The geodesic distance matrix, with labels "0".."m-1" in point order.
-
-        The table is exactly symmetric with a +0.0 diagonal: IEEE subtraction
-        gives a - b = -(b - a), and the per-axis terms of both entries are summed
-        in the same order.
-        """
-        labels = tuple(str(i) for i in range(self.size))
-        return FiniteMetricSpace(labels, _distance_table(self.manifold, self.points,
-                                                         self.points))
+        """The geodesic distance matrix, in point order, checked only for
+        overflow to inf (squares of coordinates from about 1e154 up). Geodesics
+        obey the triangle inequality, and the table is exactly symmetric with a
+        +0.0 diagonal: IEEE subtraction gives a - b = -(b - a), and the per-axis
+        terms of both entries are summed in the same order."""
+        d = _distance_table(self.manifold, self.points, self.points)
+        if not np.isfinite(d).all():
+            raise ValueError("distances must be finite")
+        return FiniteMetricSpace._closed(d)
 
 
 def _require_same_manifold(x: FiniteSubset, y: FiniteSubset) -> AmbientManifold:

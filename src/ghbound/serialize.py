@@ -3,7 +3,7 @@
 Subsets: {"manifold": {"kind": "circle"|"flat_torus"|"euclidean", "dim": n,
           "params": [...]}, "points": [[...], ...]} with optional "rho",
           "kappa", "fill_rad" keys on the manifold.
-Metric spaces: {"labels": [...], "dist": [[...], ...]} (full symmetric matrix).
+Metric spaces: {"dist": [[...], ...], "labels": [...]} (labels checked, not kept).
 Complexes: {"scale": r, "vertex_count": m, "simplices": {"0": [[0], ...], ...}}
           with every dimension up to max_dim present (possibly empty), so the
           construction cap survives the round trip.
@@ -42,6 +42,10 @@ def _number(v) -> bool:
                                     and abs(v) <= sys.float_info.max)
 
 
+def _finite(v) -> bool:
+    return _number(v) and math.isfinite(v)
+
+
 def _list_of(check):
     return lambda v: isinstance(v, list) and all(map(check, v))
 
@@ -54,9 +58,9 @@ def _matrix(v) -> bool:
 
 
 _KINDS = {
-    "a number": _number,
-    "a number or null": lambda v: v is None or _number(v),
-    "an integer": lambda v: _number(v) and (isinstance(v, int) or v.is_integer()),
+    "a number": _finite,
+    "a number or null": lambda v: v is None or _finite(v),
+    "an integer": lambda v: _finite(v) and (isinstance(v, int) or v.is_integer()),
     "a string": lambda v: isinstance(v, str),
     "an object": lambda v: isinstance(v, dict),
     "a kind name or an object": lambda v: isinstance(v, (str, dict)),
@@ -73,9 +77,10 @@ REQUIRED = object()
 def read_key(d: dict, key, kind: str, where: str, default=REQUIRED):
     """d[key] from outside input, checked to be of the given kind (a _KINDS key).
 
-    Returns the JSON value unchanged; an integer may be an integral float, and
-    a string never stands for a number. A missing key gives the default, or a
-    ValueError naming the key when there is none.
+    Returns the JSON value unchanged; an integer may be an integral float, a
+    string never stands for a number, and a lone number must be finite (lists
+    of numbers are checked for finiteness where they are used). A missing key
+    gives the default, or a ValueError naming the key when there is none.
     """
     if key not in d:
         if default is REQUIRED:
@@ -120,14 +125,17 @@ def subset_from_dict(d: dict) -> FiniteSubset:
 
 
 def metric_space_to_dict(s: FiniteMetricSpace) -> dict:
-    return {"labels": list(s.labels), "dist": s.dist.tolist()}
+    return {"dist": s.dist.tolist()}
 
 
 def metric_space_from_dict(d: dict) -> FiniteMetricSpace:
     dist = read_key(d, "dist", "a matrix of numbers", "metric space JSON")
     labels = read_key(d, "labels", "a list of names", "metric space JSON", [])
-    return FiniteMetricSpace(tuple(labels or (str(i) for i in range(len(dist)))),
-                             np.asarray(dist, dtype=np.float64))
+    if labels and len(labels) != len(dist):
+        raise ValueError("distance matrix shape does not match labels")
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be distinct")
+    return FiniteMetricSpace(np.asarray(dist, dtype=np.float64))
 
 
 def load_space(d: dict) -> FiniteMetricSpace:
@@ -194,7 +202,7 @@ def read_json(path: str) -> dict:
 
 
 def write_json(obj, path: str | None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

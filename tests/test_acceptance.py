@@ -178,7 +178,7 @@ def _random_space(rng, max_points=4):
     pts = rng.random((m, 2)) * 2.0
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
     d = np.triu(d, 1)
-    return FiniteMetricSpace(tuple(str(i) for i in range(m)), d + d.T)
+    return FiniteMetricSpace(d + d.T)
 
 
 def test_criterion_8_lemma_checks(tmp_path):

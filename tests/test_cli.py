@@ -273,7 +273,7 @@ def test_homology_cech_circle(tmp_path, capsys):
 def test_witnessed_cech_builds_no_metric(tmp_path, capsys, monkeypatch):
     # the torus Cech nerve reads only witness distances, and the Euclidean
     # refusal comes before any work
-    def refuse(self, labels=None):
+    def refuse(self):
         raise AssertionError("metric space built")
 
     monkeypatch.setattr(FiniteSubset, "to_metric_space", refuse)
@@ -321,6 +321,16 @@ def test_homology_needs_scale(tmp_path, capsys):
     x = _subset_file(tmp_path, "x.json", equispaced_circle(circle(), 6))
     assert _run(["homology", "--subset", x]) == 1
     assert "--scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_homology_refuses_a_non_finite_scale(tmp_path, capsys, scale):
+    # these printed "scale": NaN or Infinity, which is not JSON
+    x = _subset_file(tmp_path, "x.json", equispaced_circle(circle(), 6))
+    assert _run(["homology", "--subset", x, "--scale", scale]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "finite --scale" in out.err
 
 
 def _run_module(argv):
@@ -390,6 +400,20 @@ _FILLRAD = {"count": 4, "scale_grid": {"start": 1.6, "stop": 3.2, "steps": 3}}
     ("gh-exact --y {good} --x", {"dist": [[0, 10 ** 400], [10 ** 400, 0]]}, "'dist'"),
     ("circle-sweep --config", {"pairs": [[4, 3]], "node_budget": -5}, "'node_budget'"),
     ("circle-sweep --config", {"pairs": [[4, 3]], "node_budget": 0}, "'node_budget'"),
+    # a lone number must be finite; these printed NaN or Infinity, or ran on them
+    ("bounds --inputs", {"dh_xm": 0.3, "dh_ym": math.nan, "rho": 1.0}, "'dh_ym'"),
+    ("bounds --inputs", {"dh_xm": math.inf}, "'dh_xm'"),
+    ("homology --complex", {"scale": math.nan, "simplices": {"0": [[0]]}}, "'scale'"),
+    ("fillrad-estimate --config", {**_FILLRAD, "scale_grid": {
+        "start": 1.6, "stop": math.inf, "steps": 3}}, "'stop'"),
+    ("bounds --x", {"manifold": {"kind": "circle", "fill_rad": math.nan},
+                    "points": [[0.0]]}, "'fill_rad'"),
+    ("circle-sweep --config", {"pairs": [[4, 3]], "sampler": {"phase_x": math.nan,
+                                                              "kind": "equispaced"}},
+     "'phase_x'"),
+    # fillrad-estimate reads the equispaced phase too
+    ("fillrad-estimate --config", {**_FILLRAD, "sampler": {"kind": "equispaced",
+                                                           "phase_x": "x"}}, "'phase_x'"),
 ])
 def test_malformed_json_exits_one_without_traceback(tmp_path, command, payload, key):
     path = tmp_path / "bad.json"
@@ -435,6 +459,18 @@ def test_gh_exact_accepts_large_collinear_subsets(tmp_path, capsys, dim):
     y.write_text(json.dumps({"dist": [[0.0, 1.0], [1.0, 0.0]]}))
     assert _run(["gh-exact", "--x", x, "--y", str(y), "--budget", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] > 0
+
+
+def test_gh_exact_rejects_subsets_whose_distances_overflow(tmp_path):
+    # finite coordinates whose squared differences overflow to inf
+    x = _subset_file(tmp_path, "x.json",
+                     FiniteSubset(euclidean(1), [[1e200], [-1e200], [0.0]]))
+    good = _subset_file(tmp_path, "good.json", equispaced_circle(circle(), 4))
+    proc = _run_module(["gh-exact", "--x", x, "--y", good])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "error: distances must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_gh_exact_rejects_infinite_distances(tmp_path, capsys):
@@ -698,11 +734,18 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
     }
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_stdout_is_byte_identical_to_the_pinned_runs(tmp_path, capsys):
     digests = {}
     for name, argv in _pinned_runs(tmp_path).items():
         assert _run(argv) == 0, name
-        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        out = capsys.readouterr().out
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+        if name != "circle-sweep":  # CSV; the rest is strict JSON
+            json.loads(out, parse_constant=_refuse_constant)
     assert digests == PINNED_STDOUT
 
 

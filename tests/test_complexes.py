@@ -61,7 +61,7 @@ def test_vr_is_the_sorted_definitional_scan(data):
     m = len(steps)
     gap = np.abs(np.subtract.outer(steps, steps))
     dist = np.minimum(gap, 24 - gap).astype(np.float64)
-    space = FiniteMetricSpace(tuple(str(i) for i in range(m)), dist)
+    space = FiniteMetricSpace(dist)
     ties = sorted(set(dist[np.triu_indices(m, 1)].tolist()) - {0.0}) or [1.0]
     scale = data.draw(st.sampled_from(ties))
     max_dim = data.draw(st.integers(0, m + 1))

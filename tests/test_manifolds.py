@@ -29,6 +29,7 @@ from ghbound import (FiniteMetricSpace, FiniteSubset, circle,
                      cross_distances, directed_hausdorff, euclidean,
                      flat_torus, grid_covering_radius,
                      grid_points, hausdorff_subsets, manifolds)
+from ghbound.serialize import metric_space_from_dict
 
 from oracles import broadcast_cross_distances, circle_arc_dist
 
@@ -128,20 +129,21 @@ def test_subset_distances_skip_normalization(rng, monkeypatch, manifold):
 
 
 @st.composite
-def kernel_inputs(draw):
+def kernel_inputs(draw, scale=1.0):
     """A manifold plus two point arrays drawn from one pool, so points repeat.
 
     Circle and torus coordinates include 0 and the largest double below each
-    side length; tori have unequal sides.
+    side length; tori have unequal sides. Sides are at most 20 * scale and
+    Euclidean coordinates at most 50 * scale in absolute value.
     """
     kind = draw(st.sampled_from(["circle", "flat_torus", "euclidean"]))
     dim = 1 if kind == "circle" else draw(st.integers(1, 4))
     if kind == "euclidean":
         manifold = euclidean(dim)
-        axes = [st.floats(-50.0, 50.0)] * dim
+        axes = [st.floats(-50.0 * scale, 50.0 * scale)] * dim
     else:
-        sides = draw(st.lists(st.floats(0.25, 20.0), min_size=dim, max_size=dim,
-                              unique=True))
+        sides = draw(st.lists(st.floats(0.25, 20.0 * scale), min_size=dim,
+                              max_size=dim, unique=True))
         manifold = circle(sides[0]) if kind == "circle" else flat_torus(sides)
         axes = [st.one_of(st.floats(0.0, side, exclude_max=True),
                           st.sampled_from([0.0, math.nextafter(side, 0.0)]))
@@ -179,6 +181,20 @@ def test_metric_space_equals_triu_mirror_bit_for_bit(inputs, block):
     assert pair.tobytes() == mirrored.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1.0, 2e5]).flatmap(kernel_inputs), st.data())
+def test_builders_hand_over_what_the_public_check_accepts(inputs, data):
+    # to_metric_space and submatrix skip the axiom check, so everything they
+    # build, up to coordinates of 1e7, must pass it
+    manifold, a, _ = inputs
+    space = FiniteSubset(manifold, a).to_metric_space()
+    FiniteMetricSpace(space.dist)
+    idx = data.draw(st.lists(st.integers(0, space.size - 1), min_size=1, max_size=24))
+    sub = space.submatrix(idx)
+    assert np.array_equal(sub.dist, space.dist[np.ix_(idx, idx)])
+    FiniteMetricSpace(sub.dist)
+
+
 def test_cross_distances_memory_stays_near_output(rng):
     # a (4096 x 300 x 2) broadcast peaks far above the 9.4 MiB result
     torus = flat_torus([1.0, 1.0])
@@ -208,40 +224,47 @@ def test_non_finite_points_are_rejected(manifold, bad):
 
 def test_metric_space_validation_errors():
     good = np.array([[0.0, 1.0], [1.0, 0.0]])
-    FiniteMetricSpace(("a", "b"), good)
+    FiniteMetricSpace(good)
     with pytest.raises(ValueError, match="diagonal"):
-        FiniteMetricSpace(("a", "b"), np.array([[0.1, 1.0], [1.0, 0.0]]))
+        FiniteMetricSpace(np.array([[0.1, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="symmetric"):
-        FiniteMetricSpace(("a", "b"), np.array([[0.0, 1.0], [1.1, 0.0]]))
+        FiniteMetricSpace(np.array([[0.0, 1.0], [1.1, 0.0]]))
     with pytest.raises(ValueError, match="triangle"):
-        FiniteMetricSpace(("a", "b", "c"), np.array([
+        FiniteMetricSpace(np.array([
             [0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]))
     with pytest.raises(ValueError, match="non-negative"):
-        FiniteMetricSpace(("a", "b"), np.array([[0.0, -1.0], [-1.0, 0.0]]))
-    with pytest.raises(ValueError, match="distinct"):
-        FiniteMetricSpace(("a", "a"), good)
+        FiniteMetricSpace(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(ValueError, match="at least one"):
-        FiniteMetricSpace((), np.zeros((0, 0)))
+        FiniteMetricSpace(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="at least one"):
+        FiniteMetricSpace(good).submatrix([])
+    with pytest.raises(ValueError, match="square"):
+        FiniteMetricSpace(np.zeros((1, 2)))
+    # labels live only in the JSON form, which checks them and drops them
+    with pytest.raises(ValueError, match="distinct"):
+        metric_space_from_dict({"labels": ["a", "a"], "dist": good.tolist()})
+    with pytest.raises(ValueError, match="does not match labels"):
+        metric_space_from_dict({"labels": ["a", "b", "c"], "dist": good.tolist()})
     # all pairs at infinity: inf - inf is nan, which never exceeds the tolerance
     far = np.full((3, 3), math.inf)
     np.fill_diagonal(far, 0.0)
     with pytest.raises(ValueError, match="distances must be finite"):
-        FiniteMetricSpace(("a", "b", "c"), far)
+        FiniteMetricSpace(far)
     for bad in (math.nan, -math.inf):
         with pytest.raises(ValueError, match="distances must be finite"):
-            FiniteMetricSpace(("a", "b"), np.array([[0.0, bad], [bad, 0.0]]))
+            FiniteMetricSpace(np.array([[0.0, bad], [bad, 0.0]]))
 
 
 def test_triangle_tolerance_is_forgiving():
     # violation inside the 1e-9 budget must be accepted
     d = np.array([[0.0, 1.0, 2.0 + 5e-10], [1.0, 0.0, 1.0], [2.0 + 5e-10, 1.0, 0.0]])
-    FiniteMetricSpace(("a", "b", "c"), d)
+    FiniteMetricSpace(d)
     # the budget scales with the largest distance, rounding included ...
-    FiniteMetricSpace(("a", "b", "c"), d * 1e7)
+    FiniteMetricSpace(d * 1e7)
     # ... but a violation of one part in a million still fails at that scale
     d[0, 2] = d[2, 0] = 2.0 + 1e-6
     with pytest.raises(ValueError, match="triangle"):
-        FiniteMetricSpace(("a", "b", "c"), d * 1e7)
+        FiniteMetricSpace(d * 1e7)
 
 
 def test_triangle_check_memory_stays_quadratic(rng):
@@ -249,10 +272,9 @@ def test_triangle_check_memory_stays_quadratic(rng):
     m = 300
     torus = flat_torus([1.0, 1.0])
     d = FiniteSubset(torus, rng.uniform(0.0, 1.0, size=(m, 2))).to_metric_space().dist
-    labels = tuple(str(i) for i in range(m))
     tracemalloc.start()
     try:
-        FiniteMetricSpace(labels, d)
+        FiniteMetricSpace(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -260,7 +282,7 @@ def test_triangle_check_memory_stays_quadratic(rng):
     # a violation confined to the last rows is still caught
     d[m - 2, m - 1] = d[m - 1, m - 2] = 10.0
     with pytest.raises(ValueError, match="triangle"):
-        FiniteMetricSpace(labels, d)
+        FiniteMetricSpace(d)
 
 
 def test_triangle_check_temporaries_stay_small(rng):
@@ -268,10 +290,9 @@ def test_triangle_check_temporaries_stay_small(rng):
     m = 300
     torus = flat_torus([1.0, 1.0])
     d = FiniteSubset(torus, rng.uniform(0.0, 1.0, size=(m, 2))).to_metric_space().dist
-    labels = tuple(str(i) for i in range(m))
     tracemalloc.start()
     try:
-        FiniteMetricSpace(labels, d)
+        FiniteMetricSpace(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -284,7 +305,7 @@ def test_subset_normalization_and_labels():
     assert s.points[0, 0] == pytest.approx(math.tau - 0.5)
     assert s.points[1, 0] == pytest.approx(0.25)
     ms = s.to_metric_space()
-    assert ms.labels == ("0", "1")
+    assert ms.size == 2
     assert ms.dist.max() == pytest.approx(0.75)
 
 

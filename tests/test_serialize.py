@@ -75,12 +75,12 @@ def test_subset_round_trip(tmp_path):
 
 def test_metric_space_round_trip_and_default_labels():
     dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
-    space = FiniteMetricSpace(("a", "b", "c"), dist)
+    space = FiniteMetricSpace(dist)
     back = metric_space_from_dict(json.loads(json.dumps(metric_space_to_dict(space))))
-    assert back.labels == space.labels
     assert np.array_equal(back.dist, space.dist)
-    unlabeled = metric_space_from_dict({"dist": dist.tolist()})
-    assert unlabeled.labels == ("0", "1", "2")
+    # labels are checked, then dropped: a labeled file loads the same space
+    labeled = metric_space_from_dict({"labels": ["a", "b", "c"], "dist": dist.tolist()})
+    assert np.array_equal(labeled.dist, space.dist)
     with pytest.raises(ValueError, match="dist"):
         metric_space_from_dict({"labels": ["a"]})
 
@@ -120,3 +120,12 @@ def test_write_json_returns_text(tmp_path):
     path = tmp_path / "out.json"
     write_json({"x": [1, 2]}, str(path))
     assert read_json(str(path)) == {"x": [1, 2]}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_non_finite_numbers(tmp_path, bad):
+    # NaN and Infinity are not JSON; a run that produced one exits 1 instead
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        write_json({"x": [1.0, bad]}, str(path))
+    assert not path.exists()
