@@ -31,8 +31,9 @@ from .complexes import (build_cech_circle, build_cech_witness, build_vr,
                         check_contiguous, check_simplicial, compose_maps,
                         inclusion_map, induced_vr_map, simplex_diameters,
                         subset_projection_map)
-from .gh import distortion, gh_exact
-# fundamental_class_survives is not called here; bench/spans.py patches it by name
+# distortion and fundamental_class_survives are not called here; bench/spans.py
+# patches them by name
+from .gh import distortion, gh_exact, rigid_incumbent
 from .homology import betti_numbers, fundamental_class_survives, persistence_bars
 from .manifolds import (CIRCLE, EUCLIDEAN, FLAT_TORUS, AmbientManifold,
                         FiniteSubset, circle, covering_radius_circle,
@@ -234,7 +235,8 @@ def cmd_circle_sweep(args) -> int:
         dh_x = covering_radius_circle(sub_x)
         dh_y = covering_radius_circle(sub_y)
         bound = circle_bound_pair(dh_x, dh_y, circumference).lower_bound
-        result = gh_exact(sub_x.to_metric_space(), sub_y.to_metric_space(), budget)
+        result = gh_exact(sub_x.to_metric_space(), sub_y.to_metric_space(), budget,
+                          incumbent=rigid_incumbent(sub_x, sub_y))
         dh_xy = hausdorff_subsets(sub_x, sub_y)
         rows.append((i, nx, ny, dh_x, dh_y, bound, result.value, dh_xy,
                      result.nodes_explored, result.proven_optimal))
@@ -370,7 +372,7 @@ def _lemma_trial(trial: int, master: SplitMix64, budget: int) -> dict:
 
     result = gh_exact(space_x, space_y, budget)
     corr = result.correspondence
-    r = distortion(corr, space_x, space_y) + 1e-6
+    r = 2.0 * result.value + 1e-6  # the distortion of corr, exactly
 
     source_y = build_vr(space_y, eps, ny - 1)
     h_map = induced_vr_map(corr, space_x, space_y, source_y, r, max_dim=nx - 1)

@@ -69,10 +69,18 @@ class SimplicialComplex:
         self.scale = float(scale)
         self.max_dim = max_dim
         self.simplices = {d: tuple(simplices.get(d, ())) for d in range(max_dim + 1)}
-        self._sets = {d: frozenset(v) for d, v in self.simplices.items()}
+        self._sets: dict[int, frozenset] = {}  # filled per dimension by _set
+
+    def _set(self, dim: int) -> frozenset:
+        """The simplices of one dimension as a set, frozen on first use."""
+        found = self._sets.get(dim)
+        if found is None:
+            found = self._sets[dim] = frozenset(self.simplices.get(dim, ()))
+        return found
 
     def _validate(self) -> None:
         for d, entries in self.simplices.items():
+            faces = self._set(d - 1) if d else frozenset()
             for s in entries:
                 if len(s) != d + 1:
                     raise ValueError(f"simplex {s} filed under dimension {d}")
@@ -82,7 +90,6 @@ class SimplicialComplex:
                     raise ValueError(f"simplex {s} has a vertex out of range")
                 if d == 0:
                     continue
-                faces = self._sets[d - 1]
                 for k in range(d + 1):
                     face = s[:k] + s[k + 1:]
                     if face not in faces:
@@ -90,7 +97,7 @@ class SimplicialComplex:
 
     def has_simplex(self, simplex) -> bool:
         t = tuple(simplex)
-        return t in self._sets.get(len(t) - 1, frozenset())
+        return t in self._set(len(t) - 1)
 
     def simplex_counts(self) -> list[int]:
         return [len(self.simplices[d]) for d in range(self.max_dim + 1)]

@@ -26,6 +26,16 @@ increasing inc, skipping those whose L or inc reaches the incumbent. The
 depth-first loop keeps its own stack, so the input size never meets the
 recursion limit.
 
+Incumbent. The search starts from an infinite incumbent, or from a caller's
+correspondence, whose distortion on the same matrices becomes the value to
+beat; only a strictly better leaf replaces it, so the search stays exact. A
+seed that already meets the root bound prunes the root, and is returned as
+proven after one node. Floors prune only against an incumbent: unseeded, most
+nodes of a search go to reaching its final one. rigid_incumbent seeds pairs of
+circle subsets: for every isometry g of the circle, joining each point of gX
+to its nearest point of Y and each point of Y to its nearest point of gX gives
+a correspondence of distortion at most 2 d_H(gX, Y).
+
 Node step. On small inputs a node costs numpy call overhead, not arithmetic,
 so each step makes a fixed handful of calls on preallocated nx x ny buffers and
 does its bookkeeping in Python. A node takes the row and column minima of
@@ -50,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import FiniteMetricSpace
+from .manifolds import BLOCK, CIRCLE, FiniteMetricSpace, FiniteSubset
 
 
 @dataclass(frozen=True)
@@ -120,8 +130,50 @@ def _pair_floors(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return floors
 
 
+def rigid_incumbent(sub_x: FiniteSubset, sub_y: FiniteSubset) -> Correspondence:
+    """The least-distortion nearest-point correspondence over rigid motions.
+
+    Tries the 2 * |Y| isometries of the circle, rotations first, then
+    reflections followed by a rotation, that send the first point of X onto a
+    point y_j, in increasing j. Each motion g relates every x to the y nearest
+    to gx, and every y to the x whose gx is nearest to y; distortions are taken
+    on the subsets' metric tables, as distortion() takes them. Ties go to the
+    first nearest point and the first least-distortion motion, so the result
+    is deterministic. Motions are handled in blocks whose temporaries hold
+    about BLOCK entries (one motion per block, if that is larger).
+    """
+    if sub_x.manifold != sub_y.manifold or sub_x.manifold.kind != CIRCLE:
+        raise ValueError("rigid_incumbent needs two subsets of one circle")
+    length = sub_x.manifold.params[0]
+    dx = sub_x.to_metric_space().dist
+    dy = sub_y.to_metric_space().dist
+    nx, ny = len(dx), len(dy)
+    theta_x, theta_y = sub_x.points[:, 0], sub_y.points[:, 0]
+    offsets = theta_x - theta_x[0]
+    images = np.mod(np.concatenate([theta_y[:, None] + offsets,  # (2 ny, nx): g(x)
+                                    theta_y[:, None] - offsets]), length)
+    own_x = np.broadcast_to(np.arange(nx), (len(images), nx))
+    own_y = np.broadcast_to(np.arange(ny), (len(images), ny))
+    rows = max(1, BLOCK // (nx + ny) ** 2)
+    best, best_xs, best_ys = np.inf, None, None
+    for lo in range(0, len(images), rows):
+        gap = np.abs(images[lo:lo + rows, :, None] - theta_y)
+        cross = np.minimum(gap, length - gap)
+        xs = np.concatenate([own_x[lo:lo + rows], cross.argmin(axis=1)], axis=1)
+        ys = np.concatenate([cross.argmin(axis=2), own_y[lo:lo + rows]], axis=1)
+        # per motion, |d_X - d_Y| over every two related pairs
+        gap = dx.take(xs[:, :, None] * nx + xs[:, None, :])
+        gap -= dy.take(ys[:, :, None] * ny + ys[:, None, :])
+        dis = np.abs(gap, out=gap).reshape(len(gap), -1).max(axis=1)
+        k = int(dis.argmin())
+        if dis[k] < best:
+            best, best_xs, best_ys = dis[k], xs[k], ys[k]
+    return Correspondence(tuple(set(zip(best_xs.tolist(), best_ys.tolist()))))
+
+
 def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
-             node_budget: int = 10_000_000) -> GHResult:
+             node_budget: int = 10_000_000, *,
+             incumbent: Correspondence | None = None) -> GHResult:
     """Exact d_GH by branch-and-bound over relations (see the module notes).
 
     Parameters
@@ -129,7 +181,9 @@ def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
     space_x, space_y : the two finite metric spaces.
     node_budget : maximum number of search-node expansions before giving up on
         the optimality proof. The incumbent at that point is still returned;
-        the search never stops before its first dive lands one.
+        without a seed, the search never stops before its first dive lands one.
+    incumbent : an optional correspondence to start from (ValueError unless it
+        is in range and covers both sides). The result is never worse than it.
 
     Returns
     -------
@@ -155,6 +209,9 @@ def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
     pairs: list[tuple[int, int]] = []  # P, in assignment order
     best = float("inf")
     best_pairs: list[tuple[int, int]] = []
+    if incumbent is not None:
+        best = distortion(incumbent, space_x, space_y)
+        best_pairs = list(incumbent.pairs)
 
     def expand(partial: float) -> list | None:
         """The frame branching the current node, or None if its floor reaches best.
@@ -205,7 +262,8 @@ def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
 
     nodes = 1
     proven = True
-    stack = [expand(0.0)]  # the root always branches: best is still infinite
+    root = expand(0.0)  # None when the root bound certifies the incumbent
+    stack = [root] if root is not None else []
     while stack:
         frame = stack[-1]
         partial, cands, pos, undo = frame

@@ -126,25 +126,27 @@ def _distance_table(manifold: AmbientManifold, a: np.ndarray, b: np.ndarray) -> 
 
     Row blocks of the result take the squared per-axis terms one axis at a
     time, in axis order, so each temporary holds about BLOCK doubles (one row
-    of the result, if a row is longer).
+    of the result, if a row is longer). Entries that overflow come out as inf,
+    silently; callers that need a finite table check for it.
     """
     out = np.empty((len(a), len(b)))
     rows = max(1, BLOCK // max(1, len(b)))
-    for lo in range(0, len(a), rows):
-        acc = out[lo:lo + rows]
-        for k in range(manifold.dim):
-            term = acc if k == 0 else np.empty_like(acc)
-            np.subtract.outer(a[lo:lo + rows, k], b[:, k], out=term)
-            if manifold.kind != EUCLIDEAN:
-                np.abs(term, out=term)
-                np.minimum(term, manifold.params[k] - term, out=term)
-            if manifold.kind == CIRCLE:
-                break
-            np.multiply(term, term, out=term)
-            if k:
-                acc += term
-        if manifold.kind != CIRCLE:
-            np.sqrt(acc, out=acc)
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(a), rows):
+            acc = out[lo:lo + rows]
+            for k in range(manifold.dim):
+                term = acc if k == 0 else np.empty_like(acc)
+                np.subtract.outer(a[lo:lo + rows, k], b[:, k], out=term)
+                if manifold.kind != EUCLIDEAN:
+                    np.abs(term, out=term)
+                    np.minimum(term, manifold.params[k] - term, out=term)
+                if manifold.kind == CIRCLE:
+                    break
+                np.multiply(term, term, out=term)
+                if k:
+                    acc += term
+            if manifold.kind != CIRCLE:
+                np.sqrt(acc, out=acc)
     return out
 
 

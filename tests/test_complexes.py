@@ -144,6 +144,18 @@ def test_complex_validation():
     assert k.max_dim == 2
 
 
+def test_membership_sets_are_frozen_on_first_query():
+    # the validating constructor needs faces below the top dimension only, and
+    # a builder's complex needs none until it is queried
+    k = SimplicialComplex(3, 1.0, 2, {0: [(0,), (1,), (2,)], 1: [(0, 1)]})
+    assert sorted(k._sets) == [0, 1]
+    vr = build_vr(equispaced_circle(circle(), 6).to_metric_space(), 2.2, 3)
+    assert vr._sets == {}
+    assert vr.has_simplex((0, 1)) and not vr.has_simplex((0, 3))
+    assert not vr.has_simplex((0, 1, 2, 3, 4))  # past max_dim
+    assert sorted(vr._sets) == [1, 4]
+
+
 def test_cech_circle_equals_vr_at_doubled_scale():
     c = circle()
     sub = equispaced_circle(c, 10)

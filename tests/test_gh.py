@@ -23,9 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghbound import (Correspondence, FiniteMetricSpace, SplitMix64, circle,
-                     distortion, equispaced_circle, gh_exact, hausdorff_subsets,
-                     uniform_points)
+from ghbound import (Correspondence, FiniteMetricSpace, FiniteSubset, SplitMix64,
+                     circle, distortion, equispaced_circle, euclidean, gh_exact,
+                     hausdorff_subsets, rigid_incumbent, uniform_points)
 from ghbound.gh import _pair_floors
 
 from oracles import gh_exhaustive
@@ -202,6 +202,99 @@ def test_budget_exhausted_result_is_realized(nx, ny, seed, budget):
     if not clipped.proven_optimal:
         assert clipped.nodes_explored > budget
         assert clipped.value >= gh_exact(x, y).value
+
+
+@st.composite
+def circle_pairs(draw, min_points=2, max_points=11):
+    """Two seeded uniform samples of the unit circle."""
+    c = circle()
+    nx, ny = (draw(st.integers(min_points, max_points)) for _ in "xy")
+    seed = draw(st.integers(0, 2**32 - 1))
+    return uniform_points(c, nx, seed), uniform_points(c, ny, seed + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circle_pairs(), st.integers(1, 10**7))
+def test_rigid_seed_never_costs_value_or_nodes(pair, budget):
+    sub_x, sub_y = pair
+    x, y = sub_x.to_metric_space(), sub_y.to_metric_space()
+    seed = rigid_incumbent(sub_x, sub_y)
+    seeded = gh_exact(x, y, budget, incumbent=seed)
+    assert seeded.value <= distortion(seed, x, y) / 2
+    plain = gh_exact(x, y, budget)
+    # without a seed the search may overrun its budget to land a first leaf;
+    # with one it stops on time, so compare only searches that kept the budget
+    if plain.nodes_explored <= budget:
+        assert seeded.value <= plain.value
+        if plain.proven_optimal:
+            assert seeded.proven_optimal
+            assert seeded.value == plain.value
+            assert seeded.nodes_explored <= plain.nodes_explored
+
+
+@settings(max_examples=100, deadline=None)
+@given(circle_pairs(1, 4))
+def test_rigid_seeded_search_equals_exhaustive(pair):
+    sub_x, sub_y = pair
+    x, y = sub_x.to_metric_space(), sub_y.to_metric_space()
+    seeded = gh_exact(x, y, incumbent=rigid_incumbent(sub_x, sub_y))
+    assert seeded.proven_optimal
+    assert seeded.value == gh_exhaustive(x.dist, y.dist)
+
+
+@settings(max_examples=100, deadline=None)
+@given(circle_pairs(1, 8))
+def test_rigid_incumbent_distorts_at_most_four_hausdorff(pair):
+    # moving x_0 onto its nearest y costs at most d_H, so some tried motion g
+    # has d_H(gX, Y) <= 2 d_H(X, Y), and nearest points distort by 2 d_H(gX, Y)
+    sub_x, sub_y = pair
+    seed = rigid_incumbent(sub_x, sub_y)
+    seed.validate(sub_x.size, sub_y.size)
+    dis = distortion(seed, sub_x.to_metric_space(), sub_y.to_metric_space())
+    assert dis <= 4 * hausdorff_subsets(sub_x, sub_y) + 1e-9
+
+
+def test_rigid_incumbent_needs_one_circle():
+    c = circle()
+    with pytest.raises(ValueError, match="one circle"):
+        rigid_incumbent(uniform_points(c, 3, 1), uniform_points(circle(3.0), 3, 2))
+    line = FiniteSubset(euclidean(1), [[0.0], [1.0]])
+    with pytest.raises(ValueError, match="one circle"):
+        rigid_incumbent(line, line)
+
+
+def test_incumbent_is_validated():
+    x = equispaced_circle(circle(), 3).to_metric_space()
+    with pytest.raises(ValueError, match="out of range"):
+        gh_exact(x, x, incumbent=Correspondence(((0, 0), (1, 1), (2, 3))))
+    with pytest.raises(ValueError, match="cover"):
+        gh_exact(x, x, incumbent=Correspondence(((0, 0), (1, 1))))
+
+
+def test_incumbent_meeting_the_root_bound_prunes_the_root():
+    x = uniform_points(circle(), 9, seed=4).to_metric_space()
+    identity = Correspondence(tuple((i, i) for i in range(9)))
+    result = gh_exact(x, x, incumbent=identity)
+    assert result == gh_exact(x, x, 1, incumbent=identity)
+    assert (result.value, result.nodes_explored, result.proven_optimal) == (0.0, 1, True)
+    assert result.correspondence == identity
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([circle(), euclidean(1), euclidean(2), euclidean(3)]),
+       st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**32 - 1),
+       st.integers(1, 10**4))
+def test_value_doubles_to_the_distortion_exactly(ambient, nx, ny, seed, budget):
+    # halving and doubling are exact, so callers may read distortion as 2 * value
+    rng = np.random.default_rng(seed)
+    sub_x = FiniteSubset(ambient, rng.normal(size=(nx, ambient.dim)) * 3.0)
+    sub_y = FiniteSubset(ambient, rng.normal(size=(ny, ambient.dim)) * 3.0)
+    x, y = sub_x.to_metric_space(), sub_y.to_metric_space()
+    results = [gh_exact(x, y, budget)]
+    if ambient == circle():
+        results.append(gh_exact(x, y, budget, incumbent=rigid_incumbent(sub_x, sub_y)))
+    for result in results:
+        assert 2.0 * result.value == distortion(result.correspondence, x, y)
 
 
 # ------------------------------------------------ regressions and resources
