@@ -334,17 +334,14 @@ def cmd_fillrad_estimate(args) -> int:
     sample = _sample(m, sampler, "x", 0, count, seed)
     space = sample.to_metric_space()
     grid = np.linspace(start, stop, steps)
-    # a snapshot at the bottom of the grid rejects a sparse sample before the
-    # (much larger) complex at the top of the grid is built
-    base_betti = betti_numbers(build_vr(space, float(grid[0]), n + 1), n)
-    if base_betti[n] != 1:
-        raise ValueError(f"sample too sparse: base complex has beta_{n} = "
-                         f"{base_betti[n]}, expected 1")
     top = build_vr(space, float(grid[-1]), n + 1)
     bars = persistence_bars(top, simplex_diameters(top, space.dist), n)
     betti = np.stack([np.searchsorted(b[:, 0], grid)
                       - np.searchsorted(np.sort(b[:, 1]), grid)
                       for b in bars.values()], axis=1)
+    if betti[0, n] != 1:
+        raise ValueError(f"sample too sparse: base complex has beta_{n} = "
+                         f"{betti[0, n]}, expected 1")
     births, deaths = bars[n].T
     # the fundamental class: the one H_n bar alive at grid[0]
     [death] = deaths[(births < grid[0]) & (grid[0] <= deaths)]

@@ -23,8 +23,8 @@ reaches the incumbent; the root bound max(max_x min_y L, max_y min_x L)
 certifies an incumbent that meets it. Branching is fail-first: on the
 uncovered point with the largest look-ahead minimum, over its partners in
 increasing inc, skipping those whose L or inc reaches the incumbent. The
-depth-first loop keeps its own stack, so the input size never meets the
-recursion limit.
+depth-first loop keeps its own stack of node generators, so the input size
+never meets the recursion limit.
 
 Incumbent. The search starts from an infinite incumbent, or from a caller's
 correspondence, whose distortion on the same matrices becomes the value to
@@ -36,18 +36,25 @@ circle subsets: for every isometry g of the circle, joining each point of gX
 to its nearest point of Y and each point of Y to its nearest point of gX gives
 a correspondence of distortion at most 2 d_H(gX, Y).
 
-Node step. On small inputs a node costs numpy call overhead, not arithmetic,
-so each step makes a fixed handful of calls on preallocated nx x ny buffers and
-does its bookkeeping in Python. A node takes the row and column minima of
-max(L, inc) in two reductions; a cap vector (+inf on uncovered points, -1 on
-covered ones, kept beside the Python cover counts) masks covered points, and
-argmax picks the first largest minimum. The candidates are read off .tolist()
-rows in stable argsort order of inc. Assigning (x, y) writes
-|d_X[x, :] - d_Y[y, :]| into a scratch matrix, logs the cells it raises above
-inc with their old values, and takes the elementwise maximum in place;
-withdrawing the pair writes the logged values back. The log holds only the
-raised cells, so memory stays quadratic in practice, where a snapshot of inc per
-level would be cubic.
+Node step. Each node is one generator, branch(partial): it computes the
+node's look-ahead floor and returns at once if that prunes the node; otherwise
+it walks the partners of the branching point, assigning each pair, yielding
+the child's partial distortion and withdrawing the pair when resumed. The loop
+advances the generator on top of its stack, and pops it, records a leaf or
+pushes the child's generator. On small inputs a node costs numpy call
+overhead, not arithmetic, so each node makes a fixed handful of calls on
+preallocated buffers and does its bookkeeping in Python. One index u runs over
+the disjoint union of X and Y (u < nx is x = u, otherwise y = u - nx). One
+need vector takes the row and then the column minima of max(L, inc); a cap
+vector (+inf on uncovered points, -1 on covered ones, kept beside the Python
+cover counts) masks covered points, and argmax picks the first largest
+minimum, so X wins ties. The branching line is row u or column u - nx, and its
+partners are read off .tolist() in stable argsort order of inc. Assigning
+(x, y) writes |d_X[x, :] - d_Y[y, :]| into a scratch matrix, logs the cells it
+raises above inc with their old values, and takes the elementwise maximum in
+place; withdrawing the pair writes the logged values back. The log holds only
+the raised cells, so memory stays quadratic in practice, where a snapshot of
+inc per level would be cubic.
 
 The result is exact whenever the node budget is not exhausted; on budget
 exhaustion the best correspondence found is returned with proven_optimal =
@@ -109,25 +116,21 @@ class GHResult:
     proven_optimal: bool
 
 
-def _farthest_gaps(row: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """For each row of values, the largest distance from one of its entries to
-    the nearest entry of the sorted vector row."""
-    hi = np.searchsorted(row, values)
-    lo = np.maximum(hi - 1, 0)
-    np.minimum(hi, len(row) - 1, out=hi)
-    near = np.minimum(np.abs(values - row[lo]), np.abs(values - row[hi]))
-    return near.max(axis=1)
+def _directed_floors(da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """F[a, b]: the largest distance from an entry of db[b] to the nearest entry
+    of da[a]."""
+    floors = np.empty((len(da), len(db)))
+    for a, row in enumerate(np.sort(da, axis=1)):
+        hi = np.searchsorted(row, db)
+        lo = np.maximum(hi - 1, 0)
+        np.minimum(hi, len(row) - 1, out=hi)
+        floors[a] = np.minimum(np.abs(db - row[lo]), np.abs(db - row[hi])).max(axis=1)
+    return floors
 
 
 def _pair_floors(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """L[x, y]: the Hausdorff distance between the value sets of dx[x] and dy[y]."""
-    sorted_x, sorted_y = np.sort(dx, axis=1), np.sort(dy, axis=1)
-    floors = np.empty((len(dx), len(dy)))
-    for x, row in enumerate(sorted_x):
-        floors[x] = _farthest_gaps(row, dy)
-    for y, row in enumerate(sorted_y):
-        np.maximum(floors[:, y], _farthest_gaps(row, dx), out=floors[:, y])
-    return floors
+    return np.maximum(_directed_floors(dx, dy), _directed_floors(dy, dx).T)
 
 
 def rigid_incumbent(sub_x: FiniteSubset, sub_y: FiniteSubset) -> Correspondence:
@@ -202,10 +205,10 @@ def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
     cost, gap = np.empty((nx, ny)), np.empty((nx, ny))  # scratch, one node at a time
     raised = np.empty((nx, ny), dtype=bool)
     raised_flat = raised.reshape(-1)
-    covers_x = [0] * nx  # assigned pairs per point
-    covers_y = [0] * ny
-    cap_x = np.full(nx, np.inf)  # -1 on covered points, below every cost
-    cap_y = np.full(ny, np.inf)
+    # points of X then of Y: u < nx is x = u, u >= nx is y = u - nx
+    covers = [0] * (nx + ny)  # assigned pairs per point
+    cap = np.full(nx + ny, np.inf)  # -1 on covered points, below every cost
+    need = np.empty(nx + ny)
     pairs: list[tuple[int, int]] = []  # P, in assignment order
     best = float("inf")
     best_pairs: list[tuple[int, int]] = []
@@ -213,89 +216,63 @@ def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
         best = distortion(incumbent, space_x, space_y)
         best_pairs = list(incumbent.pairs)
 
-    def expand(partial: float) -> list | None:
-        """The frame branching the current node, or None if its floor reaches best.
-
-        A frame is [partial, candidates, next position, undo of the applied
-        candidate]; a candidate is (inc, L, x, y), in increasing inc.
-        """
+    def branch(partial: float):
+        """The node P: yields each child's partial distortion with its pair
+        assigned, and withdraws the pair when resumed. Returns at once when the
+        look-ahead floor reaches best; partners are tried in increasing inc."""
         np.maximum(floors, inc, out=cost)
-        need_x = np.minimum(cost.min(axis=1), cap_x)
-        need_y = np.minimum(cost.min(axis=0), cap_y)
-        x, y = int(need_x.argmax()), int(need_y.argmax())
-        top_x, top_y = float(need_x[x]), float(need_y[y])
-        if max(partial, top_x, top_y) >= best:
-            return None
-        if top_x >= top_y:
-            incs, lows = inc[x].tolist(), floors[x].tolist()
-            return [partial, [(incs[y], lows[y], x, y)
-                              for y in np.argsort(inc[x], kind="stable").tolist()
-                              if incs[y] < best and lows[y] < best], 0, None]
-        incs, lows = inc[:, y].tolist(), floors[:, y].tolist()
-        return [partial, [(incs[x], lows[x], x, y)
-                          for x in np.argsort(inc[:, y], kind="stable").tolist()
-                          if incs[x] < best and lows[x] < best], 0, None]
-
-    def assign(x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
-        np.subtract.outer(dx[x], dy[y], out=gap)
-        np.abs(gap, out=gap)
-        np.greater(gap, inc, out=raised)
-        changed = raised_flat.nonzero()[0]
-        undo = (changed, inc_flat[changed])
-        np.maximum(inc, gap, out=inc)
-        covers_x[x] += 1
-        covers_y[y] += 1
-        cap_x[x] = cap_y[y] = -1.0
-        pairs.append((x, y))
-        return undo
-
-    def withdraw(undo: tuple[np.ndarray, np.ndarray]) -> None:
-        changed, old = undo
-        inc_flat[changed] = old
-        x, y = pairs.pop()
-        covers_x[x] -= 1
-        covers_y[y] -= 1
-        if not covers_x[x]:
-            cap_x[x] = np.inf
-        if not covers_y[y]:
-            cap_y[y] = np.inf
+        cost.min(axis=1, out=need[:nx])
+        cost.min(axis=0, out=need[nx:])
+        np.minimum(need, cap, out=need)
+        u = int(need.argmax())  # the first largest: X wins ties
+        if max(partial, need[u]) >= best:
+            return
+        at = u if u < nx else (slice(None), u - nx)  # row x or column y
+        line = inc[at]
+        incs, lows = line.tolist(), floors[at].tolist()
+        for v in np.argsort(line, kind="stable").tolist():
+            child = max(partial, incs[v])
+            if child >= best:
+                return  # inc ascends, nothing later can improve
+            if lows[v] >= best:
+                continue
+            x, y = (u, v) if u < nx else (v, u - nx)
+            np.subtract.outer(dx[x], dy[y], out=gap)
+            np.abs(gap, out=gap)
+            np.greater(gap, inc, out=raised)
+            changed = raised_flat.nonzero()[0]
+            old = inc_flat[changed]
+            np.maximum(inc, gap, out=inc)
+            covers[x] += 1
+            covers[nx + y] += 1
+            cap[x] = cap[nx + y] = -1.0
+            pairs.append((x, y))
+            yield child
+            inc_flat[changed] = old
+            pairs.pop()
+            for w in (x, nx + y):
+                covers[w] -= 1
+                if not covers[w]:
+                    cap[w] = np.inf
 
     nodes = 1
     proven = True
-    root = expand(0.0)  # None when the root bound certifies the incumbent
-    stack = [root] if root is not None else []
+    stack = [branch(0.0)]
     while stack:
-        frame = stack[-1]
-        partial, cands, pos, undo = frame
-        if undo is not None:
-            withdraw(undo)
-            frame[3] = None
-        while pos < len(cands):
-            cost_xy, floor_xy, x, y = cands[pos]
-            pos += 1
-            if max(partial, cost_xy) >= best:
-                pos = len(cands)  # inc ascends, nothing later can improve
-            elif floor_xy < best:
-                break
-        else:
+        child = next(stack[-1], None)
+        if child is None:
             stack.pop()
-            continue
-        frame[2] = pos
-        frame[3] = assign(x, y)
-        child = max(partial, cost_xy)
-        if all(covers_x) and all(covers_y):
+        elif all(covers):
             best, best_pairs = child, list(pairs)
             if best <= root_floor:
                 break
-            continue
-        nodes += 1
-        if nodes > node_budget and best_pairs:
-            # never abort before the first depth-first dive lands an incumbent
-            proven = False
-            break
-        frame = expand(child)
-        if frame is not None:
-            stack.append(frame)
+        else:
+            nodes += 1
+            if nodes > node_budget and best_pairs:
+                # never abort before the first depth-first dive lands an incumbent
+                proven = False
+                break
+            stack.append(branch(child))
 
     corr = Correspondence(tuple(best_pairs))
     return GHResult(best / 2.0, corr, nodes, proven)

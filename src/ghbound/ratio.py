@@ -11,8 +11,9 @@ ratio d_GH / d_H is at most 1/sqrt(n), arbitrarily small as n grows.
 All coordinates are integers in [0, n], so every norm, dot product and squared
 distance here is an integer below n^3 (for n >= 4; tiny n stay tiny). They are
 computed with float64 matrix products, which are exact on integers below 2^53,
-so build_instance refuses n with n^3 >= 2^53. Square roots are taken through
-math.isqrt and stay exact on perfect squares.
+so build_instance refuses n with n^3 >= 2^53. Such integers convert to float64
+exactly and IEEE 754 rounds math.sqrt correctly, so square roots are exact on
+perfect squares.
 """
 
 from __future__ import annotations
@@ -85,11 +86,6 @@ def _hausdorff_sq(a: np.ndarray, b: np.ndarray) -> int:
     return max(_directed_sq(a, b), _directed_sq(b, a))
 
 
-def _exact_sqrt(sq: int) -> float:
-    root = math.isqrt(sq)
-    return float(root) if root * root == sq else math.sqrt(sq)
-
-
 def verify_instance(instance: RatioInstance) -> RatioReport:
     """Recompute the family's guarantees from scratch in integer arithmetic.
 
@@ -106,8 +102,8 @@ def verify_instance(instance: RatioInstance) -> RatioReport:
     h_rot_sq = _hausdorff_sq(rotated, instance.full_points)
     if h_rot_sq != n:
         raise ValueError(f"post-isometry hausdorff squared is {h_rot_sq}, expected {n}")
-    hausdorff = _exact_sqrt(h_sq)
-    gh_upper = _exact_sqrt(h_rot_sq)
+    hausdorff = math.sqrt(h_sq)
+    gh_upper = math.sqrt(h_rot_sq)
     return RatioReport(n, hausdorff, gh_upper, gh_upper / hausdorff)
 
 

@@ -676,6 +676,10 @@ PINNED_STDOUT = {
         "125bf8a59da020f4bd5ceb2977d73e9bc679cdd26db86f0834ee0d80d99095c2",
     "circle-sweep": "a375b507c83ab6f4913f67657671e3839d24e582000fb79858f5eac58103f7d0",
     "gh-exact": "d8f2f4ec30ee8be3f5e0e9c29f1694e5028fe68cf2760fe5d900ecd9fd30c4ca",
+    "bounds-pair": "9e7e616e68c30ea6019e9306a8ea5e148ecd832e4aa56e4c0304a8b25626a819",
+    "bounds-inputs":
+        "cb2b29e936c9432109319fe5c5df941a6199aef7f46da239fa53d5cb649b2890",
+    "ratio": "cab2fd030c8742d0d8ed98bfb0fa992b3c12765232a6db435c6039dca0fab959",
 }
 
 
@@ -715,6 +719,10 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
                           uniform_points(circle(), 10, draw.child(32).next_u64()))
     hard_y = _subset_file(tmp_path, "hard_y.json",
                           uniform_points(circle(), 11, draw.child(33).next_u64()))
+    inputs = tmp_path / "inputs.json"
+    inputs.write_text(json.dumps({"dh_xm": 0.2, "dh_ym": 0.05, "rho": 1.5,
+                                  "kappa": 0.0, "n": 2, "fill_rad": 0.9,
+                                  "circumference": 6.0}))
     return {
         "lemma-check": ["lemma-check", "--trials", "200", "--seed", "1"],
         "homology-vr-circle": ["homology", "--subset", ring, "--scale", "1.1",
@@ -732,6 +740,10 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
                                    str(fillrad_torus)],
         "circle-sweep": ["circle-sweep", "--config", str(sweep)],
         "gh-exact": ["gh-exact", "--x", hard_x, "--y", hard_y],
+        "bounds-pair": ["bounds", "--x", torus, "--y", dense],
+        "bounds-inputs": ["bounds", "--inputs", str(inputs), "--theorems",
+                          "convexity,circle,fillrad,jung"],
+        "ratio": ["ratio"],
     }
 
 

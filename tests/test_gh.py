@@ -412,6 +412,35 @@ def test_gh_sweep_search_is_pinned(budget):
         assert sum(nodes for _, nodes, _, _ in got) == 3375  # gh-sweep's gh.nodes
 
 
+def _lemma_pair(master, trial):
+    """The pair lemma-check's trial draws (cli._lemma_trial): 2-6 points a side."""
+    rng = master.child(trial)
+    nx, ny = 2 + rng.next_below(5), 2 + rng.next_below(5)
+    rng.next_float()  # the trial's VR scale
+    x = uniform_points(circle(), nx, rng.next_u64()).to_metric_space()
+    y = uniform_points(circle(), ny, rng.next_u64()).to_metric_space()
+    return x, y
+
+
+# SHA-256 of repr of the (value, nodes_explored, proven_optimal, pairs) list over
+# lemma-check's 1,000 seed-1 searches. Tiny spaces make ties common, so the
+# branching point's tie rule and the candidate order show up here first.
+LEMMA_SEARCH_DIGEST = (
+    "31b8322d98d6fd2378cbf13975af94a6a02c9f923547c2fe7e109662bda73d03")
+
+
+def test_lemma_check_searches_are_pinned():
+    master = SplitMix64(1)
+    got = []
+    for trial in range(1000):
+        result = gh_exact(*_lemma_pair(master, trial), 10_000_000)
+        got.append((result.value, result.nodes_explored, result.proven_optimal,
+                    result.correspondence.pairs))
+    assert all(proven for _, _, proven, _ in got)
+    assert sum(nodes for _, nodes, _, _ in got) == 13_468
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == LEMMA_SEARCH_DIGEST
+
+
 def test_search_memory_stays_quadratic():
     c = circle()
     x = uniform_points(c, 200, seed=31).to_metric_space()
