@@ -2,7 +2,10 @@
 
 Complexes here are filtration-free snapshots: one scale, simplices up to an
 explicit max_dim. The VR convention is strict, a simplex enters at scale r when
-its diameter is < r (ties at exactly r are excluded). Cech complexes use the
+its diameter is < r (ties at exactly r are excluded). A VR complex is a flag
+(clique) complex, so it is held as one neighbour bitmask per vertex: membership
+is a clique test on the masks, and the simplices are enumerated only when first
+read, in the same canonical order as every other complex. Cech complexes use the
 ball radius as their scale. On the circle, at radii below a sixth of the
 circumference, the Cech nerve coincides with a VR complex at doubled scale and
 is built exactly; in general ambient spaces the Cech complex is approximated
@@ -20,7 +23,9 @@ the inclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
+from operator import index
 
 import numpy as np
 
@@ -107,6 +112,67 @@ class SimplicialComplex:
                 f"max_dim={self.max_dim}, counts={self.simplex_counts()})")
 
 
+class _FlagComplex(SimplicialComplex):
+    """A flag complex held as neighbour masks: a vertex set is a simplex iff
+    its vertices are pairwise adjacent and it has at most max_dim + 1 of them.
+
+    nbr[i] has bit j set iff vertices i != j are adjacent. simplices is
+    enumerated from the masks on first read; has_simplex never reads it.
+    """
+
+    def __init__(self, vertex_count: int, scale: float, max_dim: int,
+                 nbr: list[int]) -> None:
+        self.vertex_count = vertex_count
+        self.scale = float(scale)
+        self.max_dim = max_dim
+        self._nbr = nbr
+
+    @cached_property
+    def simplices(self) -> dict[int, tuple]:
+        """Level-wise clique expansion, in the inductive style of Zomorodian
+        (2010). Each simplex carries the bitmask of its common neighbours above
+        its last vertex. Popping the lowest bit u of that mask gives the coface
+        s + (u,), whose mask is what is left of the parent's intersected with
+        the neighbours of u; a coface in the top dimension or with an empty
+        mask is not carried on. Parents are visited in order and their cofaces
+        come out by increasing u, so every dimension is emitted
+        lexicographically sorted and free of duplicates: the output is
+        canonical.
+        """
+        nbr = self._nbr
+        simplices = {0: tuple((i,) for i in range(self.vertex_count))}
+        level = [((i,), mask >> (i + 1) << (i + 1)) for i, mask in enumerate(nbr)]
+        for k in range(1, self.max_dim + 1):
+            found = []
+            next_level = []
+            last = k == self.max_dim
+            for s, cand in level:
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    u = low.bit_length() - 1
+                    t = s + (u,)
+                    found.append(t)
+                    if not last and (common := cand & nbr[u]):
+                        next_level.append((t, common))
+            simplices[k] = tuple(found)
+            level = next_level
+        return simplices
+
+    def has_simplex(self, simplex) -> bool:
+        t = tuple(map(index, simplex))
+        if not 0 < len(t) <= self.max_dim + 1:
+            return False
+        nbr = self._nbr
+        prev, seen = -1, 0  # seen: the bits of the vertices before v
+        for v in t:
+            if not prev < v < self.vertex_count or seen & ~nbr[v]:
+                return False
+            prev = v
+            seen |= 1 << v
+        return True
+
+
 def _same_complex(a: SimplicialComplex, b: SimplicialComplex) -> bool:
     """Structural equality: same vertex set and same simplices."""
     if a is b:
@@ -117,43 +183,25 @@ def _same_complex(a: SimplicialComplex, b: SimplicialComplex) -> bool:
 def build_vr(space: FiniteMetricSpace, scale: float, max_dim: int) -> SimplicialComplex:
     """Vietoris-Rips complex at one scale: simplices are sets of diameter < scale.
 
-    Built one dimension at a time from the proximity graph, in the inductive
-    style of Zomorodian (2010). Each simplex carries the bitmask of its common
-    neighbours above its last vertex. Popping the lowest bit u of that mask
-    gives the coface s + (u,), whose mask is what is left of the parent's
-    intersected with the neighbours above u; a coface in the top dimension or
-    with an empty mask is not carried on. Parents are visited in order and their
-    cofaces come out by increasing u, so every dimension is emitted
-    lexicographically sorted and free of duplicates: the output is canonical.
+    VR complexes are flag complexes, so the result holds only the proximity
+    graph, one neighbour bitmask per vertex packed from the rows of
+    dist < scale. has_simplex is a clique test on those masks; simplices is
+    enumerated on first read, dimension by dimension in the canonical
+    lexicographic order, and a complex that is only queried never enumerates.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    m = space.size
-    nbr = [0] * m  # nbr[i]: neighbours j > i at distance < scale
-    rows, cols = np.nonzero(np.triu(space.dist < scale, 1))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        nbr[i] |= 1 << j
+    return _FlagComplex(space.size, scale, max_dim, _neighbour_masks(space.dist, scale))
 
-    simplices = {0: [(i,) for i in range(m)]}
-    level = list(zip(simplices[0], nbr))
-    for k in range(1, max_dim + 1):
-        found = []
-        next_level = []
-        last = k == max_dim
-        for s, cand in level:
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                u = low.bit_length() - 1
-                t = s + (u,)
-                found.append(t)
-                if not last and (common := cand & nbr[u]):
-                    next_level.append((t, common))
-        simplices[k] = found
-        level = next_level
-    return SimplicialComplex._closed(m, scale, max_dim, simplices)
+
+def _neighbour_masks(dist: np.ndarray, scale: float) -> list[int]:
+    """Bit j of entry i is set iff i != j and dist[i, j] < scale."""
+    packed = np.packbits(dist < scale, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") & ~(1 << i)
+            for i in range(len(dist))]
 
 
 def simplex_diameters(complex_: SimplicialComplex,
@@ -180,14 +228,15 @@ def build_cech_circle(space: FiniteMetricSpace, radius: float, max_dim: int,
 
     In that regime balls of radius r have a common point iff the vertex set has
     diameter < 2r, so the nerve equals the VR complex at doubled scale; the
-    returned complex is that VR complex relabeled with the Cech radius.
+    returned complex is that VR complex's neighbour masks relabeled with the
+    Cech radius.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if not (2 * radius < circumference / 3.0 - STRICT_SLACK):
         raise ValueError("lemma scale bound violated: need 2*radius < circumference/3")
     vr = build_vr(space, 2 * radius, max_dim)
-    return SimplicialComplex._closed(vr.vertex_count, radius, max_dim, vr.simplices)
+    return _FlagComplex(vr.vertex_count, radius, max_dim, vr._nbr)
 
 
 def build_cech_witness(space_cross: np.ndarray, radius: float,

@@ -101,7 +101,7 @@ def distortion(corr: Correspondence, space_x: FiniteMetricSpace,
     corr.validate(space_x.size, space_y.size)
     pairs = np.array(corr.pairs, dtype=np.intp)
     xs, ys = pairs[:, 0], pairs[:, 1]
-    gap = space_x.dist[np.ix_(xs, xs)] - space_y.dist[np.ix_(ys, ys)]
+    gap = space_x.dist[xs[:, None], xs] - space_y.dist[ys[:, None], ys]
     return float(np.abs(gap).max())
 
 

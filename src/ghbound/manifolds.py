@@ -201,10 +201,10 @@ class FiniteMetricSpace:
         return len(self.dist)
 
     def submatrix(self, indices) -> FiniteMetricSpace:
-        idx = list(indices)
-        if not idx:
+        idx = np.asarray(list(indices), dtype=np.intp)
+        if not idx.size:
             raise ValueError("metric space must contain at least one point")
-        return FiniteMetricSpace._closed(self.dist[np.ix_(idx, idx)])
+        return FiniteMetricSpace._closed(self.dist[idx[:, None], idx])
 
 
 @dataclass(frozen=True)

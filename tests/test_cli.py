@@ -628,6 +628,29 @@ def test_lemma_check_small(capsys):
     assert all(v == 4 for v in payload["passes"].values())
 
 
+def test_lemma_trial_only_queries_its_map_targets(monkeypatch):
+    # a trial builds six VR complexes: source_y, h_map.target, g_map.target,
+    # source_z, f_map.target, big_z; the third, fifth and sixth are only
+    # ever targets, so they are never enumerated
+    from ghbound import complexes
+
+    build_vr = complexes.build_vr
+    built = []
+
+    def recording_build_vr(*args):
+        built.append(build_vr(*args))
+        return built[-1]
+
+    monkeypatch.setattr(complexes, "build_vr", recording_build_vr)
+    monkeypatch.setattr(cli, "build_vr", recording_build_vr)
+    master = SplitMix64(1)
+    for trial in range(20):
+        built.clear()
+        assert all(cli._lemma_trial(trial, master, 10_000_000).values())
+        assert ["simplices" in vars(k) for k in built] == [
+            True, True, False, True, False, False]
+
+
 @pytest.mark.parametrize("argv", [
     ["lemma-check", "--trials", "0"],
     ["lemma-check", "--trials", "-3"],

@@ -7,6 +7,10 @@ Oracle notes
   (each dimension equals the sorted scan) on hypothesis-drawn integer metrics
   of 1-13 points with the scale tied to a pairwise distance, and on a fixed
   70-point instance whose neighbour masks cross 64 bits.
+* VR membership: has_simplex, a clique test on the neighbour masks, agrees
+  with the enumerated simplices on hypothesis-drawn tuples (empty, unsorted,
+  repeated, out of range, too long, numpy integers), with masks of up to 80
+  bits, and never enumerates.
 * build_cech_circle, build_cech_witness: re-wrapping their output with the
   public, checking SimplicialComplex constructor gives it back unchanged, so
   the lists they hand over are sorted, duplicate-free and closed.
@@ -145,15 +149,62 @@ def test_complex_validation():
 
 
 def test_membership_sets_are_frozen_on_first_query():
-    # the validating constructor needs faces below the top dimension only, and
-    # a builder's complex needs none until it is queried
+    # the validating constructor needs faces below the top dimension only
     k = SimplicialComplex(3, 1.0, 2, {0: [(0,), (1,), (2,)], 1: [(0, 1)]})
     assert sorted(k._sets) == [0, 1]
+
+
+def test_vr_membership_never_enumerates():
     vr = build_vr(equispaced_circle(circle(), 6).to_metric_space(), 2.2, 3)
-    assert vr._sets == {}
     assert vr.has_simplex((0, 1)) and not vr.has_simplex((0, 3))
     assert not vr.has_simplex((0, 1, 2, 3, 4))  # past max_dim
-    assert sorted(vr._sets) == [1, 4]
+    assert "simplices" not in vars(vr)
+    # the full simplex on 200 vertices has 2^200 - 1 faces: only a clique
+    # test can answer for it
+    whole = build_vr(FiniteMetricSpace(np.zeros((200, 200))), 1.0, 199)
+    assert whole.has_simplex(tuple(range(200)))
+    assert not whole.has_simplex((0, 0))
+    assert not whole.has_simplex(tuple(range(201)))
+    assert "simplices" not in vars(whole)
+
+
+def _line_vr(data):
+    """A VR complex of m random points in [0, 1), enumerable at any max_dim.
+
+    m is small or past 64 (masks wider than one machine word). The scale
+    keeps about half a point to four points per window, so graphs range from
+    sparse to dense while cliques on many points stay small.
+    """
+    m = data.draw(st.one_of(st.integers(1, 12), st.integers(65, 80)), label="m")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    points = np.random.default_rng(seed).random(m)
+    dist = np.abs(np.subtract.outer(points, points))
+    scale = data.draw(st.floats(0.5, 4.0), label="per_window") / m
+    max_dim = data.draw(st.integers(0, m + 1), label="max_dim")
+    return FiniteMetricSpace(dist), scale, max_dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_flag_membership_is_the_enumerated_sets(data):
+    space, scale, max_dim = _line_vr(data)
+    m = space.size
+    members = build_vr(space, scale, max_dim).simplices
+    sets = {d: set(found) for d, found in members.items()}
+    lazy = build_vr(space, scale, max_dim)
+    known = st.sampled_from([s for d in members.values() for s in d])
+    # vertices in and out of range, some of them past 64
+    vertex = st.integers(-2, m + 2) | st.integers(max(0, m - 12), m - 1)
+    arbitrary = st.lists(vertex, max_size=max_dim + 3).map(tuple)
+    # a simplex plus one vertex: a coface, a face again, or too long
+    grown = st.tuples(known, vertex).map(lambda p: tuple(sorted({*p[0], p[1]})))
+    for _ in range(20):
+        t = data.draw(st.one_of(arbitrary, known, grown), label="t")
+        if data.draw(st.booleans(), label="numpy"):
+            t = tuple(np.int64(v) for v in t)
+        expected = 1 <= len(t) <= max_dim + 1 and t in sets[len(t) - 1]
+        assert lazy.has_simplex(t) == expected
+    assert "simplices" not in vars(lazy)
 
 
 def test_cech_circle_equals_vr_at_doubled_scale():
