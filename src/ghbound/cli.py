@@ -132,7 +132,6 @@ def cmd_bounds(args) -> int:
         inputs["dh_xm"] = float(read_key(raw, "dh_xm", "a number", "inputs"))
         if "dh_ym" in raw:
             inputs["dh_ym"] = float(read_key(raw, "dh_ym", "a number", "inputs"))
-        default = ["convexity", "jung"]
     else:
         if not args.x:
             raise ValueError("bounds needs --x (a subset JSON) or --inputs")
@@ -148,20 +147,19 @@ def cmd_bounds(args) -> int:
                 raise ValueError("X and Y must live on the same manifold")
             dh_ym, error = _dh_to_manifold(sub_y, args.witness_grid)
             inputs["dh_ym"] = dh_ym + error
-        default = [name for name in BOUNDS if not _missing(name, inputs)]
     constants = {"rho": math.inf, "kappa": 0.0, "n": 1, **inputs}
-    requested = args.theorems.split(",") if args.theorems else default
+    requested = (args.theorems.split(",") if args.theorems
+                 else [name for name in BOUNDS if not _missing(name, inputs)])
     reports = [_evaluate(name.strip(), constants) for name in requested]
     _emit_json({"inputs": inputs, "reports": reports}, args.out)
     return 0
 
 
-def _manifold_and_sampler(d: dict, rows: int, sides: str,
-                          seed: int | None) -> tuple[AmbientManifold, dict, int]:
+def _manifold_and_sampler(d: dict, rows: int,
+                          sides: str) -> tuple[AmbientManifold, dict, int]:
     """The config keys circle-sweep and fillrad-estimate share, and the seed.
 
     A file sampler must list a subset path per row under each key in sides.
-    A seed given on the command line overrides the sampler's.
     """
     manifold = read_key(d, "manifold", "an object", "config", None)
     manifold = circle() if manifold is None else serialize.manifold_from_dict(manifold)
@@ -180,7 +178,7 @@ def _manifold_and_sampler(d: dict, rows: int, sides: str,
             if len(paths) < rows:
                 raise ValueError(f"file sampler lists {len(paths)} {key!r} paths, "
                                  f"but the config has {rows} rows")
-    return manifold, sampler, int(config_seed) if seed is None else seed
+    return manifold, sampler, int(config_seed)
 
 
 def _sample(manifold: AmbientManifold, sampler: dict, key: str, row: int,
@@ -218,13 +216,12 @@ def cmd_circle_sweep(args) -> int:
                     and all(type(n) is int for n in p) for p in pairs)):
         raise ValueError("config needs a non-empty 'pairs' list of [n_x, n_y] "
                          "integer sizes")
-    manifold, sampler, seed = _manifold_and_sampler(config, len(pairs), "xy", args.seed)
+    manifold, sampler, seed = _manifold_and_sampler(config, len(pairs), "xy")
     if manifold.kind != CIRCLE:
         raise ValueError("circle-sweep needs a circle manifold")
     circumference = manifold.params[0]
-    budget = args.budget or int(read_key(config, "node_budget", "an integer", "config",
-                                         10_000_000))
-    if budget < 1:  # the same rule as --budget
+    budget = int(read_key(config, "node_budget", "an integer", "config", 10_000_000))
+    if budget < 1:
         raise ValueError(f"config 'node_budget' must be an integer >= 1, not {budget}")
     master = SplitMix64(seed)
     rows = []
@@ -249,8 +246,7 @@ def cmd_circle_sweep(args) -> int:
     writer.writerow(["index", "n_x", "n_y", "dh_x_circle", "dh_y_circle",
                      "pair_bound", "gh_exact", "dh_xy", "nodes", "proven_optimal"])
     writer.writerows([list(r) for r in rows])
-    _write_text(buf.getvalue(), args.out or read_key(config, "out", "a string",
-                                                      "config", None))
+    _write_text(buf.getvalue(), args.out)
     return 0
 
 
@@ -320,7 +316,7 @@ def cmd_gh_exact(args) -> int:
 
 def cmd_fillrad_estimate(args) -> int:
     config = serialize.read_json(args.config)
-    m, sampler, seed = _manifold_and_sampler(config, 1, "x", args.seed)
+    m, sampler, seed = _manifold_and_sampler(config, 1, "x")
     g = read_key(config, "scale_grid", "an object", "config")
     start, stop = (float(read_key(g, k, "a number", "config 'scale_grid'"))
                    for k in ("start", "stop"))
@@ -328,8 +324,6 @@ def cmd_fillrad_estimate(args) -> int:
     if not (start > 0 and stop > start and steps >= 2):
         raise ValueError("scale grid must be strictly increasing")
     n = m.dim
-    if read_key(config, "max_dim", "an integer", "config", n + 1) < n + 1:
-        raise ValueError(f"max_dim must be at least {n + 1} to compute beta_{n}")
     count = int(read_key(config, "count", "an integer", "config"))
     sample = _sample(m, sampler, "x", 0, count, seed)
     space = sample.to_metric_space()
@@ -351,12 +345,11 @@ def cmd_fillrad_estimate(args) -> int:
                 "survives": ((grid <= death) & (betti[:, n] == 1)).tolist(),
                 "death_scale": None if censored else float(death),
                 "censored": censored,
-                "estimate": None if censored else float(death) / 2.0},
-               args.out or read_key(config, "out", "a string", "config", None))
+                "estimate": None if censored else float(death) / 2.0}, args.out)
     return 0
 
 
-def _lemma_trial(trial: int, master: SplitMix64, budget: int) -> dict:
+def _lemma_trial(trial: int, master: SplitMix64) -> dict:
     rng = master.child(trial)
     ambient = circle()
     nx = 2 + rng.next_below(5)
@@ -367,7 +360,7 @@ def _lemma_trial(trial: int, master: SplitMix64, budget: int) -> dict:
     space_x = sub_x.to_metric_space()
     space_y = sub_y.to_metric_space()
 
-    result = gh_exact(space_x, space_y, budget)
+    result = gh_exact(space_x, space_y)
     corr = result.correspondence
     r = 2.0 * result.value + 1e-6  # the distortion of corr, exactly
 
@@ -402,10 +395,9 @@ def _lemma_trial(trial: int, master: SplitMix64, budget: int) -> dict:
 
 def cmd_lemma_check(args) -> int:
     master = SplitMix64(args.seed if args.seed is not None else 0)
-    budget = args.budget or 10_000_000
     totals: dict[str, int] = {}
     for t in range(args.trials):
-        for name, ok in _lemma_trial(t, master, budget).items():
+        for name, ok in _lemma_trial(t, master).items():
             totals[name] = totals.get(name, 0) + int(ok)
     all_passed = all(v == args.trials for v in totals.values())
     _emit_json({"trials": args.trials, "passes": totals,
@@ -439,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("circle-sweep", help="pair bound vs exact GH vs Hausdorff")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=_positive_int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_circle_sweep)
 
@@ -473,14 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fillrad-estimate", help="filling radius via death scale")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fillrad_estimate)
 
     p = sub.add_parser("lemma-check", help="executable lemma validations")
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=_positive_int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_lemma_check)
     return parser

@@ -6,7 +6,7 @@ Subsets: {"manifold": {"kind": "circle"|"flat_torus"|"euclidean", "dim": n,
 Metric spaces: {"dist": [[...], ...], "labels": [...]} (labels checked, not kept).
 Complexes: {"scale": r, "vertex_count": m, "simplices": {"0": [[0], ...], ...}}
           with every dimension up to max_dim present (possibly empty), so the
-          construction cap survives the round trip.
+          file records the construction cap.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ _KINDS = {
     "a number": _finite,
     "a number or null": lambda v: v is None or _finite(v),
     "an integer": lambda v: _finite(v) and (isinstance(v, int) or v.is_integer()),
-    "a string": lambda v: isinstance(v, str),
     "an object": lambda v: isinstance(v, dict),
     "a kind name or an object": lambda v: isinstance(v, (str, dict)),
     "a list of numbers": _numbers,
@@ -124,10 +123,6 @@ def subset_from_dict(d: dict) -> FiniteSubset:
     return FiniteSubset(manifold, np.asarray(points, dtype=np.float64))
 
 
-def metric_space_to_dict(s: FiniteMetricSpace) -> dict:
-    return {"dist": s.dist.tolist()}
-
-
 def metric_space_from_dict(d: dict) -> FiniteMetricSpace:
     dist = read_key(d, "dist", "a matrix of numbers", "metric space JSON")
     labels = read_key(d, "labels", "a list of names", "metric space JSON", [])
@@ -143,12 +138,6 @@ def load_space(d: dict) -> FiniteMetricSpace:
     if "manifold" in d:
         return subset_from_dict(d).to_metric_space()
     return metric_space_from_dict(d)
-
-
-def complex_to_dict(k: SimplicialComplex) -> dict:
-    return {"scale": k.scale, "vertex_count": k.vertex_count,
-            "simplices": {str(d): [list(s) for s in k.simplices[d]]
-                          for d in range(k.max_dim + 1)}}
 
 
 def complex_from_dict(d: dict) -> SimplicialComplex:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -68,6 +69,18 @@ def test_bounds_raw_inputs(tmp_path, capsys):
         "convexity-pair", "fillrad-pair", "jung-pair"]
     conv = payload["reports"][0]
     assert conv["terms"]["hausdorff_term"] == pytest.approx(0.2 / 2 - 0.05)
+
+
+def test_bounds_inputs_default_to_every_applicable_bound(tmp_path, capsys):
+    # the rule --x uses: every bound whose required constants are present
+    inputs = tmp_path / "inputs.json"
+    raw = {"dh_xm": 0.2, "rho": 1.5, "circumference": 6.0, "fill_rad": 0.9}
+    for fill_rad, names in ((0.9, ["convexity", "circle", "fillrad", "jung-pair"]),
+                            (None, ["convexity", "circle", "jung-pair"])):
+        inputs.write_text(json.dumps({**raw, "fill_rad": fill_rad}))
+        assert _run(["bounds", "--inputs", str(inputs)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["bound"] for r in payload["reports"]] == names
 
 
 def test_bounds_torus_witness_hausdorff(tmp_path, capsys):
@@ -385,15 +398,19 @@ _FILLRAD = {"count": 4, "scale_grid": {"start": 1.6, "stop": 3.2, "steps": 3}}
                                  "points": [[0.0, 0.0]]}, "'dim'"),
     ("fillrad-estimate --config", {**_FILLRAD, "count": [60]}, "'count'"),
     ("fillrad-estimate --config", {**_FILLRAD, "count": "60"}, "'count'"),
-    ("fillrad-estimate --config", {**_FILLRAD, "max_dim": [2]}, "'max_dim'"),
-    ("fillrad-estimate --config", {**_FILLRAD, "out": 7}, "'out'"),
+    ("fillrad-estimate --config", {**_FILLRAD, "sampler": {"kind": "sphere"}},
+     "sampler kind must be"),
+    # the sampler is the only source of a seed
+    ("fillrad-estimate --config", {**_FILLRAD, "sampler": {"kind": "uniform"}},
+     "uniform sampler needs 'seed'"),
     ("circle-sweep --config", {"pairs": [[4, 3]],
                                "sampler": {"kind": "uniform", "seed": [1]}}, "'seed'"),
     ("circle-sweep --config", {"pairs": [[4, 3]], "sampler": {"phase_x": [0],
                                                               "kind": "equispaced"}},
      "'phase_x'"),
     ("circle-sweep --config", {"pairs": [[4, 3]], "node_budget": [5]}, "'node_budget'"),
-    ("circle-sweep --config", {"pairs": [[4, 3]], "out": 7}, "'out'"),
+    ("circle-sweep --config", {"pairs": [[4, 3]], "sampler": "uniform"},
+     "uniform sampler needs 'seed'"),
     ("bounds --inputs", {"dh_xm": [1]}, "'dh_xm'"),
     ("bounds --inputs", {"dh_xm": 0.1, "rho": "x"}, "'rho'"),
     ("bounds --inputs", {"rho": 1.0}, "inputs needs 'dh_xm'"),
@@ -505,6 +522,19 @@ def test_fillrad_estimate_coarse(tmp_path, capsys):
     assert payload["estimate"] == pytest.approx(payload["death_scale"] / 2)
     assert payload["betti"][0] == [1, 1]
     assert payload["betti"][-1] == [1, 0]
+
+
+def test_fillrad_estimate_reads_no_max_dim(tmp_path, capsys):
+    # the complex always goes to dimension n + 1; a max_dim key is not read
+    config = {"manifold": {"kind": "circle"}, "count": 18,
+              "scale_grid": {"start": 0.4, "stop": 2.4, "steps": 11}}
+    cfg = tmp_path / "fr.json"
+    outputs = []
+    for extra in ({}, {"max_dim": 1}):
+        cfg.write_text(json.dumps({**config, **extra}))
+        assert _run(["fillrad-estimate", "--config", str(cfg)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_fillrad_estimate_sparse_sample_rejected(tmp_path, capsys):
@@ -646,7 +676,7 @@ def test_lemma_trial_only_queries_its_map_targets(monkeypatch):
     master = SplitMix64(1)
     for trial in range(20):
         built.clear()
-        assert all(cli._lemma_trial(trial, master, 10_000_000).values())
+        assert all(cli._lemma_trial(trial, master).values())
         assert ["simplices" in vars(k) for k in built] == [
             True, True, False, True, False, False]
 
@@ -654,8 +684,8 @@ def test_lemma_trial_only_queries_its_map_targets(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["lemma-check", "--trials", "0"],
     ["lemma-check", "--trials", "-3"],
-    ["lemma-check", "--trials", "4", "--budget", "0"],
-    ["lemma-check", "--trials", "4", "--budget", "-1"],
+    ["gh-exact", "--x", "{x}", "--y", "{x}", "--budget", "0"],
+    ["ratio", "--n", "2", "--budget", "-1"],
     ["bounds", "--x", "{x}", "--witness-grid", "0"],
 ])
 def test_counts_below_one_are_rejected(tmp_path, capsys, argv):
@@ -666,6 +696,25 @@ def test_counts_below_one_are_rejected(tmp_path, capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert "must be an integer >= 1" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["circle-sweep", "--config", "{sweep}", "--seed", "3"],
+    ["circle-sweep", "--config", "{sweep}", "--budget", "5"],
+    ["fillrad-estimate", "--config", "{fillrad}", "--seed", "3"],
+    ["lemma-check", "--trials", "1", "--budget", "5"],
+])
+def test_dropped_options_exit_one(tmp_path, capsys, argv):
+    # a config run's seed and node budget come from the config alone; a
+    # lemma-check trial checks whatever correspondence its search returns, so
+    # a budget there changed nothing
+    fillrad = tmp_path / "fr.json"
+    fillrad.write_text(json.dumps(_FILLRAD))
+    paths = {"sweep": _sweep_config(tmp_path), "fillrad": str(fillrad)}
+    assert _run([a.format(**paths) for a in argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments" in out.err
 
 
 def test_check_failed_maps_to_exit_two(monkeypatch, capsys):
@@ -786,6 +835,29 @@ def test_stdout_is_byte_identical_to_the_pinned_runs(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------ general
+
+
+# every option of every subcommand; a new one is added here on purpose
+CLI_OPTIONS = {
+    "bounds": ["--inputs", "--out", "--theorems", "--witness-grid", "--x", "--y"],
+    "circle-sweep": ["--config", "--out"],
+    "ratio": ["--budget", "--crosscheck-max", "--n", "--out"],
+    "homology": ["--cech", "--complex", "--max-dim", "--out", "--scale", "--subset",
+                 "--up-to", "--witness-grid"],
+    "gh-exact": ["--budget", "--out", "--x", "--y"],
+    "fillrad-estimate": ["--config", "--out"],
+    "lemma-check": ["--out", "--seed", "--trials"],
+}
+
+
+def test_each_subcommand_has_its_pinned_options():
+    [commands] = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    options = {name: sorted(s for action in p._actions for s in action.option_strings
+                            if s not in ("-h", "--help"))
+               for name, p in commands.choices.items()}
+    assert options == CLI_OPTIONS
+    assert sum(map(len, options.values())) == 29
 
 
 def test_bad_subcommand_exits_one():
