@@ -12,12 +12,16 @@ is built exactly; in general ambient spaces the Cech complex is approximated
 from a witness set (a simplex is present iff some witness sees all its vertices
 within the radius).
 
-Vertex maps between complexes are plain index arrays. check_simplicial and
-check_contiguous are executable forms of the two standard lemmas used to turn
-metric data (a correspondence with small distortion, or a dense subset) into
-maps on homology: a correspondence with distortion below r induces a simplicial
-map into the VR complex at scale r + eps, and the round trip is contiguous to
-the inclusion.
+Vertex maps between complexes are tuples of int vertex indices.
+check_simplicial and check_contiguous are executable forms of the two standard
+lemmas used to turn metric data (a correspondence with small distortion, or a
+dense subset) into maps on homology: a correspondence with distortion below r
+induces a simplicial map into the VR complex at scale r + eps, and the round
+trip is contiguous to the inclusion. Between two flag complexes whose target
+cap cannot bind (every image, or every union of two images, fits in a target
+simplex), both checks test only the source edges against the target's
+neighbour masks and enumerate nothing; for explicit complexes, or when the cap
+binds, they enumerate the source simplices and query each image.
 """
 
 from __future__ import annotations
@@ -269,13 +273,18 @@ def build_cech_witness(space_cross: np.ndarray, radius: float,
 
 @dataclass(frozen=True)
 class VertexMap:
-    """A vertex assignment between two complexes (not necessarily simplicial)."""
+    """A vertex assignment between two complexes (not necessarily simplicial);
+    image is stored as a tuple of Python ints, and non-integers are refused."""
 
     source: SimplicialComplex = field(compare=False)
     target: SimplicialComplex = field(compare=False)
     image: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "image", tuple(map(index, self.image)))
+        except TypeError:
+            raise ValueError("image entries must be integers") from None
         if len(self.image) != self.source.vertex_count:
             raise ValueError("image must assign every source vertex")
         for v in self.image:
@@ -293,8 +302,8 @@ def inclusion_map(small: SimplicialComplex, big: SimplicialComplex,
     if vertex_image is None:
         if small.vertex_count > big.vertex_count:
             raise ValueError("small complex has more vertices than big complex")
-        vertex_image = tuple(range(small.vertex_count))
-    return VertexMap(small, big, tuple(int(v) for v in vertex_image))
+        vertex_image = range(small.vertex_count)
+    return VertexMap(small, big, vertex_image)
 
 
 def compose_maps(outer: VertexMap, inner: VertexMap) -> VertexMap:
@@ -304,8 +313,46 @@ def compose_maps(outer: VertexMap, inner: VertexMap) -> VertexMap:
     return VertexMap(inner.source, outer.target, image)
 
 
+def _flag_pair(f: VertexMap, k: int) -> bool:
+    """Whether f joins two flag complexes and the target's cap cannot bind:
+    the images of k source simplices together span at most
+    min(k (source max_dim + 1), target vertices) <= target max_dim + 1
+    vertices, so their edges alone decide membership."""
+    s, t = f.source, f.target
+    return (isinstance(s, _FlagComplex) and isinstance(t, _FlagComplex)
+            and min(k * (s.max_dim + 1), t.vertex_count) <= t.max_dim + 1)
+
+
+def _edges_land_on_cliques(f: VertexMap, g: VertexMap) -> bool:
+    """Whether, for every source vertex a and every neighbour b > a of it,
+    f(a), g(a), f(b) and g(b) lie in the closed target neighbourhoods of both
+    f(a) and g(a). A source of max_dim 0 has no edges."""
+    fi, gi, nbr = f.image, g.image, f.target._nbr
+    edges = f.source.max_dim > 0
+    for a, above in enumerate(f.source._nbr):
+        u, v = fi[a], gi[a]
+        spread = 1 << u | 1 << v
+        above = above >> (a + 1) << (a + 1) if edges else 0
+        while above:
+            low = above & -above
+            above ^= low
+            b = low.bit_length() - 1
+            spread |= 1 << fi[b] | 1 << gi[b]
+        if spread & ~((nbr[u] | 1 << u) & (nbr[v] | 1 << v)):
+            return False
+    return True
+
+
 def check_simplicial(f: VertexMap) -> bool:
-    """True iff every simplex image (after collapsing repeats) is a target simplex."""
+    """True iff every simplex image (after collapsing repeats) is a target simplex.
+
+    Between two flag complexes where the target's cap cannot bind, the images
+    are cliques iff every source edge {a, b} has f(b) equal or adjacent to
+    f(a), and only that is tested; otherwise every source simplex is
+    enumerated and its image queried.
+    """
+    if _flag_pair(f, 1):
+        return _edges_land_on_cliques(f, f)
     for d in range(f.source.max_dim + 1):
         for s in f.source.simplices[d]:
             if not f.target.has_simplex(f.apply(s)):
@@ -317,11 +364,16 @@ def check_contiguous(f: VertexMap, g: VertexMap) -> bool:
     """True iff f(sigma) union g(sigma) spans a target simplex for every sigma.
 
     Contiguous simplicial maps are homotopic, hence induce the same map on
-    homology. The target must have been built with max_dim large enough to hold
-    the unions (up to twice the source dimension plus one).
+    homology. Between two flag complexes where the target's cap cannot bind
+    on a union, the unions are cliques iff for every source vertex a, f(a),
+    g(a) and f(b), g(b) for its neighbours b are equal or adjacent to both
+    f(a) and g(a), and only that is tested; otherwise every source simplex is
+    enumerated and its union queried.
     """
     if not (_same_complex(f.source, g.source) and _same_complex(f.target, g.target)):
         raise ValueError("mismatched complexes")
+    if _flag_pair(f, 2):
+        return _edges_land_on_cliques(f, g)
     for d in range(f.source.max_dim + 1):
         for s in f.source.simplices[d]:
             union = tuple(sorted(set(f.apply(s)) | set(g.apply(s))))
@@ -378,8 +430,7 @@ def subset_projection_map(space: FiniteMetricSpace, subset_indices,
     gap = float(cols.min(axis=1).max())
     if not (2 * gap < r - STRICT_SLACK):
         raise ValueError("r must exceed twice the directed Hausdorff distance")
-    image = tuple(int(k) for k in cols.argmin(axis=1))
     sub = space.submatrix(idx)
     target = build_vr(sub, r + source.scale,
                       source.max_dim if max_dim is None else max_dim)
-    return VertexMap(source, target, image)
+    return VertexMap(source, target, cols.argmin(axis=1))

@@ -13,7 +13,11 @@ Floors (Memoli, "Some properties of Gromov-Hausdorff distances", DCG 2012):
 * L[x, y] is the Hausdorff distance between the value sets of row x of d_X and
   row y of d_Y. A correspondence containing (x, y) relates every x' to some y'
   and every y' to some x', so its distortion is at least L[x, y]. Computed once
-  from sorted rows with searchsorted: O(n^3 log n) time, O(n^2) memory.
+  in one (nx, ny, nx, ny) broadcast of the row differences when that holds at
+  most BLOCK doubles, otherwise from sorted rows with searchsorted
+  (O(n^3 log n) time, O(n^2) memory). Float subtraction rounds
+  monotonically, so the nearest entry found by searchsorted is the global
+  minimum of |difference| and the two agree bit for bit.
 * inc[x, y] is the cost of (x, y) against the pairs in P. Every uncovered x
   still needs a partner, so max over uncovered x of min_y max(L, inc), and the
   same with X and Y swapped, bound every completion of P from below.
@@ -129,8 +133,14 @@ def _directed_floors(da: np.ndarray, db: np.ndarray) -> np.ndarray:
 
 
 def _pair_floors(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """L[x, y]: the Hausdorff distance between the value sets of dx[x] and dy[y]."""
-    return np.maximum(_directed_floors(dx, dy), _directed_floors(dy, dx).T)
+    """L[x, y]: the Hausdorff distance between the value sets of dx[x] and dy[y],
+    from one broadcast of |dx[x, i] - dy[y, j]| when that holds at most BLOCK
+    doubles, else from sorted rows (the same bits; see the module notes)."""
+    if (len(dx) * len(dy)) ** 2 > BLOCK:
+        return np.maximum(_directed_floors(dx, dy), _directed_floors(dy, dx).T)
+    gap = dx[:, None, :, None] - dy[None, :, None, :]
+    np.abs(gap, out=gap)
+    return np.maximum(gap.min(axis=3).max(axis=2), gap.min(axis=2).max(axis=2))
 
 
 def rigid_incumbent(sub_x: FiniteSubset, sub_y: FiniteSubset) -> Correspondence:

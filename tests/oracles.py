@@ -4,9 +4,11 @@ Everything here recomputes results through a different route than the library:
 dense numpy Gaussian elimination instead of bitset reduction, explicit
 representative cycles and induced maps instead of reading ranks and survival
 off one persistence pass, full enumeration instead of branch-and-bound,
-definitional subset scans instead of clique expansion, support-set enumeration
-of enclosing balls instead of Jung's closed form, and one broadcast
-(a x b x dim) difference array instead of row-blocked per-axis accumulation.
+definitional subset scans instead of clique expansion, simplex-by-simplex
+lookups in enumerated complexes instead of edge tests on neighbour masks,
+support-set enumeration of enclosing balls instead of Jung's closed form, and
+one broadcast (a x b x dim) difference array instead of row-blocked per-axis
+accumulation.
 Keep these naive; clarity beats speed.
 """
 
@@ -268,6 +270,28 @@ def fundamental_class_survives(small: SimplicialComplex, big: SimplicialComplex,
                          "contain the small one")
     hm = induced_map(inc, dim)
     return hm.source_betti == hm.target_betti and hm.is_injective()
+
+
+def _among_simplices(complex_: SimplicialComplex):
+    """Membership in the enumerated simplices of complex_, by dimension."""
+    sets = {d: set(found) for d, found in complex_.simplices.items()}
+    return lambda t: t in sets.get(len(t) - 1, ())
+
+
+def simplicial_by_enumeration(f: VertexMap) -> bool:
+    """check_simplicial by definition: every source simplex, its image looked
+    up among the target's enumerated simplices."""
+    member = _among_simplices(f.target)
+    return all(member(f.apply(s))
+               for found in f.source.simplices.values() for s in found)
+
+
+def contiguous_by_enumeration(f: VertexMap, g: VertexMap) -> bool:
+    """check_contiguous by definition: every source simplex, the union of its
+    two images looked up among the target's enumerated simplices."""
+    member = _among_simplices(f.target)
+    return all(member(tuple(sorted({*f.apply(s), *g.apply(s)})))
+               for found in f.source.simplices.values() for s in found)
 
 
 def gh_exhaustive(dx: np.ndarray, dy: np.ndarray) -> float:

@@ -36,7 +36,9 @@ from ghbound import (FiniteMetricSpace, FiniteSubset, SimplicialComplex,
                      induced_vr_map, subset_projection_map,
                      uniform_points, VertexMap)
 
-from oracles import vr_brute
+from ghbound.complexes import _flag_pair
+from oracles import (contiguous_by_enumeration, random_complex,
+                     simplicial_by_enumeration, vr_brute)
 
 
 @pytest.fixture
@@ -359,6 +361,60 @@ def test_check_contiguous_rejects_mismatched():
         check_contiguous(f, g)
 
 
+def _sorted_line(data, label):
+    """A VR complex on sorted random points of [0, 1), small or past 64, with
+    about half a point to four points per window; max_dim is often 0 or m - 1."""
+    m = data.draw(st.one_of(st.integers(1, 12), st.integers(65, 80)), label=f"{label} m")
+    seed = data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed")
+    points = np.sort(np.random.default_rng(seed).random(m))
+    scale = data.draw(st.floats(0.5, 4.0), label=f"{label} per window") / m
+    max_dim = data.draw(st.one_of(st.just(0), st.just(m - 1), st.integers(0, m + 1)),
+                        label=f"{label} max_dim")
+    return build_vr(FiniteMetricSpace(np.abs(np.subtract.outer(points, points))),
+                    scale, max_dim)
+
+
+def _map_pair(data):
+    """Two vertex maps between one source and one target, each complex a
+    sorted-line VR complex or an explicit oracles.random_complex. Vertices go
+    to the target vertex of about the same rank, some moved one step."""
+    complexes = []
+    for label in ("source", "target"):
+        if data.draw(st.sampled_from((False, False, True)), label=f"{label} explicit"):
+            seed = data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed")
+            complexes.append(random_complex(np.random.default_rng(seed)))
+        else:
+            complexes.append(_sorted_line(data, label))
+    source, target = complexes
+    m, n = source.vertex_count, target.vertex_count
+    maps = []
+    for label in ("f", "g"):
+        steps = data.draw(st.lists(st.sampled_from((0, 0, 0, -1, 1)),
+                                   min_size=m, max_size=m), label=f"{label} steps")
+        image = [min(max(a * n // m + step, 0), n - 1) for a, step in enumerate(steps)]
+        maps.append(VertexMap(source, target, tuple(image)))
+    return maps
+
+
+def test_map_checks_agree_with_enumeration():
+    outcomes = set()  # (check, decided by the edge test, result)
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def agree(data):
+        f, g = _map_pair(data)
+        simplicial = check_simplicial(f)
+        assert simplicial == simplicial_by_enumeration(f)
+        outcomes.add(("simplicial", _flag_pair(f, 1), simplicial))
+        contiguous = check_contiguous(f, g)
+        assert contiguous == contiguous_by_enumeration(f, g)
+        outcomes.add(("contiguous", _flag_pair(f, 2), contiguous))
+
+    agree()
+    assert outcomes == {(check, masks, result) for check in ("simplicial", "contiguous")
+                        for masks in (True, False) for result in (True, False)}
+
+
 def test_vertex_map_validation():
     space = equispaced_circle(circle(), 4).to_metric_space()
     k = build_vr(space, 1.0, 1)
@@ -366,6 +422,12 @@ def test_vertex_map_validation():
         VertexMap(k, k, (0, 1, 2, 9))
     with pytest.raises(ValueError, match="every source vertex"):
         VertexMap(k, k, (0, 1))
+    for entry in (2.5, 2.0):
+        with pytest.raises(ValueError, match="must be integers"):
+            VertexMap(k, k, (0, 1, entry, 3))
+    f = VertexMap(k, k, tuple(np.arange(4, dtype=np.int64)))
+    assert f.image == (0, 1, 2, 3)
+    assert all(type(v) is int for v in f.image)
 
 
 def test_compose_requires_chainable():

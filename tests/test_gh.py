@@ -17,6 +17,7 @@ import hashlib
 import sys
 import tracemalloc
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from ghbound import (Correspondence, FiniteMetricSpace, FiniteSubset, SplitMix64,
                      circle, distortion, equispaced_circle, euclidean, gh_exact,
                      hausdorff_subsets, rigid_incumbent, uniform_points)
+from ghbound import gh
 from ghbound.gh import _pair_floors
 
 from oracles import gh_exhaustive
@@ -187,6 +189,23 @@ def test_pair_floor_below_distortion_of_correspondences_through_pair(x, y, rnd):
         dis = distortion(Correspondence(tuple(chosen)), x, y)
         for a, b in chosen:
             assert floors[a, b] <= dis
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 16), (16, 17)])
+def test_pair_floors_broadcast_equals_sorted_search(rng, nx, ny):
+    # nx * ny = 256 sits at the broadcast's BLOCK limit, 272 just past it
+    steps = rng.integers(0, 24, size=nx + ny)
+    gap = np.abs(np.subtract.outer(steps, steps))
+    ties = np.minimum(gap, 24 - gap).astype(np.float64)  # many equal distances
+    c = circle()
+    pairs = [(ties[:nx, :nx], ties[nx:, nx:]),
+             (uniform_points(c, nx, 3).to_metric_space().dist,
+              uniform_points(c, ny, 4).to_metric_space().dist)]
+    for dx, dy in pairs:
+        found = _pair_floors(dx, dy)
+        for block in (0, (nx * ny) ** 2):  # force the sorted path, then the broadcast
+            with mock.patch.object(gh, "BLOCK", block):
+                assert np.array_equal(_pair_floors(dx, dy), found)
 
 
 @settings(max_examples=60, deadline=None)
