@@ -20,8 +20,8 @@ from .gh import Correspondence, GHResult, distortion, gh_exact, rigid_incumbent
 from .homology import betti_numbers, fundamental_class_survives, persistence_bars
 from .manifolds import (AmbientManifold, FiniteMetricSpace, FiniteSubset,
                         circle, covering_radius_circle, covering_radius_witness,
-                        cross_distances, directed_hausdorff, euclidean,
-                        flat_torus, hausdorff_subsets)
+                        cross_distances, euclidean, flat_torus,
+                        hausdorff_subsets)
 from .ratio import (RatioInstance, RatioReport, apply_cyclic_isometry,
                     as_subsets, build_instance, verify_instance)
 from .sampling import (SplitMix64, equispaced_circle, grid_covering_radius,

@@ -27,12 +27,14 @@ from . import serialize
 from .bounds import (circle_bound, circle_bound_pair, convexity_bound,
                      convexity_bound_pair, fillrad_bound, fillrad_bound_pair,
                      jung_bound_pair)
+# bench/spans.py patches the functions it times by name in this module:
+# distortion, fundamental_class_survives and cross_distances are imported for
+# that alone, and covering_radius_witness and build_cech_witness must keep
+# being called through these names
 from .complexes import (build_cech_circle, build_cech_witness, build_vr,
                         check_contiguous, check_simplicial, compose_maps,
                         inclusion_map, induced_vr_map, simplex_diameters,
                         subset_projection_map)
-# distortion and fundamental_class_survives are not called here; bench/spans.py
-# patches them by name
 from .gh import distortion, gh_exact, rigid_incumbent
 from .homology import betti_numbers, fundamental_class_survives, persistence_bars
 from .manifolds import (CIRCLE, EUCLIDEAN, FLAT_TORUS, AmbientManifold,
@@ -79,7 +81,7 @@ def _dh_to_manifold(subset: FiniteSubset,
         return covering_radius_circle(subset), 0.0
     if m.kind == FLAT_TORUS:
         per_axis = witness_per_axis or _default_witness_per_axis(m.dim)
-        return (covering_radius_witness(subset, grid_points(m, per_axis)),
+        return (covering_radius_witness(subset, per_axis),
                 grid_covering_radius(m, per_axis))
     raise ValueError("d_H(X, M) is only finite for compact manifolds; "
                      "supply --inputs for abstract evaluations")
@@ -291,9 +293,7 @@ def _complex_from_args(args):
         raise ValueError("ambient Cech complexes need a compact manifold "
                          "(witness grids are built on circle or torus)")
     per_axis = args.witness_grid or _default_witness_per_axis(m.dim)
-    witnesses = grid_points(m, per_axis)
-    cross = cross_distances(m, witnesses.points, subset.points)
-    return build_cech_witness(cross, args.scale, max_dim)
+    return build_cech_witness(subset, args.scale, max_dim, per_axis)
 
 
 def cmd_homology(args) -> int:

@@ -8,9 +8,11 @@ is a clique test on the masks, and the simplices are enumerated only when first
 read, in the same canonical order as every other complex. Cech complexes use the
 ball radius as their scale. On the circle, at radii below a sixth of the
 circumference, the Cech nerve coincides with a VR complex at doubled scale and
-is built exactly; in general ambient spaces the Cech complex is approximated
-from a witness set (a simplex is present iff some witness sees all its vertices
-within the radius).
+is built exactly; on circles and tori in general the Cech complex is
+approximated from a witness grid (a simplex is present iff some witness sees
+all its vertices within the radius). That complex is built from star masks:
+each point carries the bitmask of the distinct witness stars it lies in, and a
+vertex set is a simplex iff the AND of its masks is non-zero.
 
 Vertex maps between complexes are tuples of int vertex indices.
 check_simplicial and check_contiguous are executable forms of the two standard
@@ -33,7 +35,7 @@ from operator import index
 
 import numpy as np
 
-from .manifolds import STRICT_SLACK, FiniteMetricSpace
+from .manifolds import STRICT_SLACK, FiniteMetricSpace, FiniteSubset, witness_hits
 
 
 class SimplicialComplex:
@@ -243,32 +245,63 @@ def build_cech_circle(space: FiniteMetricSpace, radius: float, max_dim: int,
     return _FlagComplex(vr.vertex_count, radius, max_dim, vr._nbr)
 
 
-def build_cech_witness(space_cross: np.ndarray, radius: float,
-                       max_dim: int) -> SimplicialComplex:
-    """Witnessed Cech complex from a witness-to-point distance matrix.
+def build_cech_witness(subset: FiniteSubset, radius: float, max_dim: int,
+                       per_axis: int) -> SimplicialComplex:
+    """Witnessed Cech complex of a circle or torus subset on a witness grid.
 
-    space_cross[w, i] is the distance from witness w to point i. A simplex is
-    included iff a single witness is within radius of all its vertices; in
-    particular a vertex itself appears only if witnessed. This under-approximates
-    the true ambient Cech complex (witnesses only sample the ambient space) and
-    the approximation is one-sided.
+    The witnesses are grid_points(subset.manifold, per_axis). A simplex is
+    included iff a single witness is within distance < radius of all its
+    vertices; in particular a vertex itself appears only if witnessed. This
+    under-approximates the true ambient Cech complex (witnesses only sample the
+    ambient space) and the approximation is one-sided.
+
+    The witness x point table is never formed: witness_hits finds the
+    (witness, point) pairs within radius from per-axis windows, exactly the
+    dense table's entries below radius. The hits group into distinct
+    non-empty stars; each point gets the bitmask of the stars it lies in and
+    a neighbour mask, the union of those stars. Simplices then grow level by
+    level as in build_vr's enumeration, a coface s + (u,) being kept while the
+    AND of the star masks stays non-zero, so every dimension comes out
+    lexicographically sorted and free of duplicates.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    cross = np.asarray(space_cross, dtype=np.float64)
-    if cross.ndim != 2:
-        raise ValueError("space_cross must be a 2-d matrix")
-    m = cross.shape[1]
-    rows, cols = np.nonzero(cross < radius)
-    cuts = np.searchsorted(rows, np.arange(len(cross) + 1)).tolist()
-    cols = cols.tolist()
-    stars = {tuple(cols[lo:hi]) for lo, hi in zip(cuts, cuts[1:])}
-    simplices: dict[int, set[tuple[int, ...]]] = {k: set() for k in range(max_dim + 1)}
-    for star in stars:
-        for k in range(min(len(star), max_dim + 1)):
-            simplices[k].update(combinations(star, k + 1))
-    return SimplicialComplex._closed(m, radius, max_dim,
-                                     {k: sorted(v) for k, v in simplices.items()})
+    if max_dim < 0:
+        raise ValueError("max_dim must be >= 0")
+    witness, point = witness_hits(subset, radius, per_axis)
+    order = np.lexsort((point, witness))
+    points = point[order].tolist()
+    cuts = [0, *(np.flatnonzero(np.diff(witness[order])) + 1).tolist(), len(points)]
+    stars = {tuple(points[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if hi > lo}
+    member = [0] * subset.size  # bit s: the point lies in star s
+    nbr = [0] * subset.size  # the points sharing a star with it, itself included
+    for s, star in enumerate(stars):
+        span = 0
+        for j in star:
+            span |= 1 << j
+        for j in star:
+            member[j] |= 1 << s
+            nbr[j] |= span
+    level = [((j,), mask, nbr[j] >> (j + 1) << (j + 1))
+             for j, mask in enumerate(member) if mask]
+    simplices = {0: [s for s, _, _ in level]}
+    for k in range(1, max_dim + 1):
+        found = []
+        next_level = []
+        last = k == max_dim
+        for s, mask, cand in level:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                u = low.bit_length() - 1
+                if shared := mask & member[u]:
+                    t = s + (u,)
+                    found.append(t)
+                    if not last and (common := cand & nbr[u]):
+                        next_level.append((t, shared, common))
+        simplices[k] = found
+        level = next_level
+    return SimplicialComplex._closed(subset.size, radius, max_dim, simplices)
 
 
 @dataclass(frozen=True)

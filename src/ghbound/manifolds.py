@@ -14,6 +14,13 @@ distance inside their common ambient manifold.
 The FiniteMetricSpace constructor, the door for outside input, checks every
 axiom. Builders of matrices that are metrics by construction (geodesic tables,
 principal submatrices) hand them over unchecked through its _closed.
+
+Witness grids (the regular lattices that stand in for a whole circle or torus)
+are never formed point by point: _witness_terms holds one per-axis table of
+grid coordinate against point, covering_radius_witness sweeps the grid's
+product structure in blocks, and witness_hits finds the witness-point pairs
+within a radius from per-axis windows; complexes builds the witnessed Cech
+complex from star masks over those hits.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import numpy as np
 TRIANGLE_TOL = 1e-9  # relative to the largest distance, if that exceeds 1
 STRICT_SLACK = 1e-12  # open conditions "x < y" are enforced as x < y - STRICT_SLACK
 BLOCK = 2 ** 16  # doubles per temporary of the dense distance kernels (0.5 MiB)
+MAX_GRID_POINTS = 2 ** 24  # larger regular grids are refused before any work
 
 CIRCLE = "circle"
 FLAT_TORUS = "flat_torus"
@@ -240,22 +248,11 @@ class FiniteSubset:
         return FiniteMetricSpace._closed(d)
 
 
-def _require_same_manifold(x: FiniteSubset, y: FiniteSubset) -> AmbientManifold:
-    if x.manifold != y.manifold:
-        raise ValueError("subsets live on different ambient manifolds")
-    return x.manifold
-
-
-def directed_hausdorff(x: FiniteSubset, y: FiniteSubset) -> float:
-    """sup over x of dist(x, Y), inside the common ambient manifold."""
-    m = _require_same_manifold(x, y)
-    return float(_distance_table(m, x.points, y.points).min(axis=1).max())
-
-
 def hausdorff_subsets(x: FiniteSubset, y: FiniteSubset) -> float:
     """Hausdorff distance between two finite subsets of one ambient manifold."""
-    m = _require_same_manifold(x, y)
-    cross = _distance_table(m, x.points, y.points)
+    if x.manifold != y.manifold:
+        raise ValueError("subsets live on different ambient manifolds")
+    cross = _distance_table(x.manifold, x.points, y.points)
     return float(max(cross.min(axis=1).max(), cross.min(axis=0).max()))
 
 
@@ -274,13 +271,111 @@ def covering_radius_circle(x: FiniteSubset) -> float:
     return largest / 2.0
 
 
-def covering_radius_witness(x: FiniteSubset, witnesses: FiniteSubset) -> float:
-    """max over witnesses of dist(witness, X), a proxy for d_H(X, M).
+def grid_axes(manifold: AmbientManifold, per_axis: int) -> list[np.ndarray]:
+    """Coordinates of the regular grid with per_axis points along each axis.
+
+    Axis k holds i * (L_k / per_axis) for i < per_axis, which already lie in
+    [0, L_k). The grid is the product of the axes; its points are numbered in
+    row-major order, the last axis fastest. Grids of more than
+    MAX_GRID_POINTS points are refused.
+    """
+    if per_axis < 1:
+        raise ValueError("per_axis must be >= 1")
+    if manifold.kind not in (CIRCLE, FLAT_TORUS):
+        raise ValueError("grids are built on circle and flat torus manifolds")
+    count = per_axis ** manifold.dim
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"a grid of {per_axis} points per axis in {manifold.dim} "
+                         f"dimensions has {count} points, more than the "
+                         f"{MAX_GRID_POINTS} allowed")
+    return [np.arange(per_axis) * (side / per_axis) for side in manifold.params]
+
+
+def _witness_terms(manifold: AmbientManifold, per_axis: int,
+                  points: np.ndarray) -> list[np.ndarray]:
+    """Per-axis tables of the witness grid grid_axes(manifold, per_axis)
+    against normalized points, one (per_axis, len(points)) table per axis.
+
+    Entry [i, j] of table k is the term _distance_table adds for axis k
+    between grid coordinate i and point j: the wrapped gap
+    min(|g_i - p_jk|, L_k - |g_i - p_jk|), squared on the torus. Summing a
+    witness's terms in axis order, then taking sqrt on the torus, gives its
+    distance to the point bit for bit as cross_distances does. The tables
+    take dim * per_axis * len(points) doubles; the grid is never formed.
+    """
+    terms = []
+    with np.errstate(over="ignore"):
+        for k, coords in enumerate(grid_axes(manifold, per_axis)):
+            term = np.subtract.outer(coords, points[:, k])
+            np.abs(term, out=term)
+            np.minimum(term, manifold.params[k] - term, out=term)
+            if manifold.kind != CIRCLE:
+                np.multiply(term, term, out=term)
+            terms.append(term)
+    return terms
+
+
+def witness_hits(x: FiniteSubset, radius: float,
+                 per_axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (witness, point) index pairs at distance < radius, witnesses of
+    grid_points(x.manifold, per_axis) numbered in its row-major order.
+
+    Hits are sought axis by axis among the products of the per-axis windows
+    {i : sqrt(term_k[i, j]) < radius} of _witness_terms, and a partial
+    product is dropped as soon as the sqrt of its partial sum reaches radius.
+    Float addition of non-negative terms is monotone, so neither step loses a
+    hit; and sqrt(fl(t * t)) == t in binary64, so the torus window is
+    {i : gap_k < radius}. The surviving sums are the dense distances bit for
+    bit, so the hits are exactly the entries of the dense witness x point
+    table below radius.
+    """
+    root = (lambda t: t) if x.manifold.kind == CIRCLE else np.sqrt
+    point = np.arange(x.size)
+    witness = np.zeros(x.size, dtype=np.intp)
+    acc = np.zeros(x.size)
+    for term in _witness_terms(x.manifold, per_axis, x.points):
+        near = root(term) < radius
+        # each point's window, as one run of grid indices in point order
+        owner, index = np.nonzero(near.T)
+        count = np.count_nonzero(near, axis=0)
+        start = np.cumsum(count) - count  # where each point's window begins
+        reps = count[point]
+        first = np.cumsum(reps) - reps  # where each candidate's extensions begin
+        pos = np.repeat(start[point] - first, reps) + np.arange(reps.sum())
+        i, point = index[pos], owner[pos]
+        witness = np.repeat(witness, reps) * per_axis + i
+        acc = np.repeat(acc, reps) + term[i, point]
+        keep = root(acc) < radius
+        point, witness, acc = point[keep], witness[keep], acc[keep]
+    return witness, point
+
+
+def covering_radius_witness(x: FiniteSubset, per_axis: int) -> float:
+    """max over the witnesses of grid_points(x.manifold, per_axis) of
+    dist(witness, X), a proxy for d_H(X, M).
 
     One-sided: the true d_H(X, M) is under-approximated, by at most the covering
     radius of the witness set itself in M (any manifold point is within that
     radius of some witness, and the witness is within the returned value of X).
     Not checked at runtime; pick witness grids dense relative to the precision
     you need.
+
+    Witnesses are swept by prefix over all axes but the last: each block adds
+    about BLOCK // (per_axis * |X|) prefix sums of _witness_terms to the whole
+    last-axis table at once, keeps the min over X of every sum and the max of
+    those. On the torus one sqrt is taken at the end; sqrt is correctly rounded
+    and monotone, so the value equals the max-min of the dense witness table.
     """
-    return directed_hausdorff(witnesses, x)
+    *head, last = _witness_terms(x.manifold, per_axis, x.points)
+    prefixes = per_axis ** len(head)
+    rows = max(1, BLOCK // last.size)
+    worst = 0.0
+    for lo in range(0, prefixes, rows):
+        ids = np.arange(lo, min(lo + rows, prefixes))
+        acc = np.zeros((len(ids), x.size))
+        if head:
+            for term, i in zip(head, np.unravel_index(ids, (per_axis,) * len(head))):
+                acc += term[i]
+        sums = acc[:, None, :] + last
+        worst = max(worst, float(sums.min(axis=2).max()))
+    return worst if x.manifold.kind == CIRCLE else math.sqrt(worst)

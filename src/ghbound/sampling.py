@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .manifolds import CIRCLE, FLAT_TORUS, AmbientManifold, FiniteSubset
+from .manifolds import (CIRCLE, FLAT_TORUS, AmbientManifold, FiniteSubset,
+                        grid_axes)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -82,17 +83,10 @@ def uniform_points(manifold: AmbientManifold, count: int, seed: int) -> FiniteSu
 
 
 def grid_points(manifold: AmbientManifold, per_axis: int) -> FiniteSubset:
-    """Regular lattice with per_axis points along each axis (witness grids)."""
-    if per_axis < 1:
-        raise ValueError("per_axis must be >= 1")
-    if manifold.kind == CIRCLE:
-        return equispaced_circle(manifold, per_axis)
-    if manifold.kind != FLAT_TORUS:
-        raise ValueError("grid_points supports circle and flat torus manifolds")
-    axes = [np.arange(per_axis) * (side / per_axis) for side in manifold.params]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return FiniteSubset(manifold, pts)
+    """Regular lattice with per_axis points along each axis (witness grids),
+    the product of grid_axes in row-major order."""
+    mesh = np.meshgrid(*grid_axes(manifold, per_axis), indexing="ij")
+    return FiniteSubset(manifold, np.stack([m.ravel() for m in mesh], axis=-1))
 
 
 def grid_covering_radius(manifold: AmbientManifold, per_axis: int) -> float:

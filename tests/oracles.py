@@ -6,9 +6,11 @@ representative cycles and induced maps instead of reading ranks and survival
 off one persistence pass, full enumeration instead of branch-and-bound,
 definitional subset scans instead of clique expansion, simplex-by-simplex
 lookups in enumerated complexes instead of edge tests on neighbour masks,
-support-set enumeration of enclosing balls instead of Jung's closed form, and
+support-set enumeration of enclosing balls instead of Jung's closed form,
 one broadcast (a x b x dim) difference array instead of row-blocked per-axis
-accumulation.
+accumulation, and the dense witness x point table of a materialized grid,
+with every subset of every witness's star, instead of per-axis windows and
+star masks.
 Keep these naive; clarity beats speed.
 """
 
@@ -22,7 +24,8 @@ import numpy as np
 from ghbound.complexes import (SimplicialComplex, VertexMap, check_simplicial,
                                inclusion_map)
 from ghbound.manifolds import (CIRCLE, EUCLIDEAN, AmbientManifold,
-                               normalize_points)
+                               FiniteSubset, cross_distances, normalize_points)
+from ghbound.sampling import grid_points
 
 
 def gf2_rank_dense(mat: np.ndarray) -> int:
@@ -345,6 +348,33 @@ def broadcast_cross_distances(manifold: AmbientManifold, a: np.ndarray,
     if manifold.kind == CIRCLE:
         return per_axis[:, :, 0]
     return np.sqrt(np.sum(per_axis * per_axis, axis=-1))
+
+
+def witness_table(subset: FiniteSubset, per_axis: int) -> np.ndarray:
+    """Distances from every point of grid_points(subset.manifold, per_axis),
+    one row per witness, to every point of the subset."""
+    witnesses = grid_points(subset.manifold, per_axis)
+    return cross_distances(subset.manifold, witnesses.points, subset.points)
+
+
+def witness_covering_radius(subset: FiniteSubset, per_axis: int) -> float:
+    """max over the witness grid of the distance to the subset, densely."""
+    return float(witness_table(subset, per_axis).min(axis=1).max())
+
+
+def witness_cech(subset: FiniteSubset, radius: float, max_dim: int,
+                 per_axis: int) -> dict[int, list]:
+    """The witnessed Cech simplices per dimension, sorted: every subset of at
+    most max_dim + 1 points of every witness's star {i : dist < radius}."""
+    rows, cols = np.nonzero(witness_table(subset, per_axis) < radius)
+    stars: dict[int, list] = {}
+    for w, i in zip(rows.tolist(), cols.tolist()):
+        stars.setdefault(w, []).append(i)
+    simplices: dict[int, set] = {k: set() for k in range(max_dim + 1)}
+    for star in set(map(tuple, stars.values())):
+        for k in range(min(len(star), max_dim + 1)):
+            simplices[k].update(combinations(star, k + 1))
+    return {k: sorted(v) for k, v in simplices.items()}
 
 
 def circle_arc_dist(theta: float, points: np.ndarray, circumference: float) -> float:

@@ -698,6 +698,29 @@ def test_counts_below_one_are_rejected(tmp_path, capsys, argv):
     assert "must be an integer >= 1" in out.err
 
 
+@pytest.mark.parametrize("argv, points", [
+    (["bounds", "--x", "{cube}"], 2 ** 30),
+    (["bounds", "--x", "{square}", "--witness-grid", "100000"], 10 ** 10),
+    (["homology", "--cech", "--subset", "{cube}", "--scale", "0.3"], 2 ** 30),
+    (["homology", "--cech", "--subset", "{square}", "--scale", "0.3",
+      "--witness-grid", "100000"], 10 ** 10),
+])
+def test_oversized_witness_grids_exit_one(tmp_path, argv, points):
+    # the default grid of a 30-dimensional torus (2 per axis) and 100000 per
+    # axis on a 2-torus died with a traceback allocating the dense witness
+    # table (8 GiB and 74.5 GiB); grids above 2**24 points are now refused
+    cube = _subset_file(tmp_path, "cube.json",
+                        uniform_points(flat_torus([1.0] * 30), 3, seed=0))
+    square = _subset_file(tmp_path, "square.json",
+                          uniform_points(flat_torus([1.0, 1.0]), 3, seed=0))
+    proc = _run_module([a.format(cube=cube, square=square) for a in argv])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert f"has {points} points" in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["circle-sweep", "--config", "{sweep}", "--seed", "3"],
     ["circle-sweep", "--config", "{sweep}", "--budget", "5"],
@@ -742,6 +765,8 @@ PINNED_STDOUT = {
         "7effa6904d373106e6da828dec0b7ec480d3a795e127c785f80f297559c308fd",
     "homology-cech-torus-300":
         "2120a7bbe3e9f783bbf204255bb2baca3035a865c9a3f3b0e23eb35691fc1197",
+    "homology-cech-torus3":
+        "94932a95dd2bb056d9c1efc238696e5d5dd0586ff384b23e63ab02a54adf4fc0",
     "fillrad-estimate":
         "7748cb88b474d4d9c4bca1b030294416facf77664f28f07d1da7160937a0cad0",
     "fillrad-estimate-torus":
@@ -749,6 +774,8 @@ PINNED_STDOUT = {
     "circle-sweep": "a375b507c83ab6f4913f67657671e3839d24e582000fb79858f5eac58103f7d0",
     "gh-exact": "d8f2f4ec30ee8be3f5e0e9c29f1694e5028fe68cf2760fe5d900ecd9fd30c4ca",
     "bounds-pair": "9e7e616e68c30ea6019e9306a8ea5e148ecd832e4aa56e4c0304a8b25626a819",
+    "bounds-pair-grid":
+        "5007e20dbc2762a3ad258b28d38af76fd556ba5690b33645b450b20714c21027",
     "bounds-inputs":
         "cb2b29e936c9432109319fe5c5df941a6199aef7f46da239fa53d5cb649b2890",
     "ratio": "cab2fd030c8742d0d8ed98bfb0fa992b3c12765232a6db435c6039dca0fab959",
@@ -770,6 +797,11 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
     torus = _subset_file(tmp_path, "torus.json",
                          uniform_points(flat_torus([1.0, 1.0]), 120, seed=3))
     dense = _subset_file(tmp_path, "dense.json", _stratified_torus(300, (20, 15), 5))
+    box = _subset_file(tmp_path, "box.json",
+                       uniform_points(flat_torus([0.7, 1.3, 2.0]), 60, seed=11))
+    wide = flat_torus([1.0, 1.5])
+    wide_x = _subset_file(tmp_path, "wide_x.json", uniform_points(wide, 50, seed=13))
+    wide_y = _subset_file(tmp_path, "wide_y.json", uniform_points(wide, 30, seed=17))
     fillrad = tmp_path / "fillrad.json"
     fillrad.write_text(json.dumps({  # the criterion-5 config
         "manifold": {"kind": "circle"}, "sampler": {"kind": "equispaced"},
@@ -807,12 +839,16 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
                                 "--max-dim", "3", "--cech"],
         "homology-cech-torus-300": ["homology", "--subset", dense, "--scale", "0.08",
                                     "--max-dim", "3", "--cech"],
+        "homology-cech-torus3": ["homology", "--cech", "--subset", box, "--scale", "0.35",
+                                 "--witness-grid", "6", "--max-dim", "3"],
         "fillrad-estimate": ["fillrad-estimate", "--config", str(fillrad)],
         "fillrad-estimate-torus": ["fillrad-estimate", "--config",
                                    str(fillrad_torus)],
         "circle-sweep": ["circle-sweep", "--config", str(sweep)],
         "gh-exact": ["gh-exact", "--x", hard_x, "--y", hard_y],
         "bounds-pair": ["bounds", "--x", torus, "--y", dense],
+        "bounds-pair-grid": ["bounds", "--x", wide_x, "--y", wide_y,
+                             "--witness-grid", "20"],
         "bounds-inputs": ["bounds", "--inputs", str(inputs), "--theorems",
                           "convexity,circle,fillrad,jung"],
         "ratio": ["ratio"],

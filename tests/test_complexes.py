@@ -31,9 +31,8 @@ from hypothesis import strategies as st
 
 from ghbound import (FiniteMetricSpace, FiniteSubset, SimplicialComplex,
                      build_cech_circle, build_cech_witness, build_vr, check_contiguous,
-                     check_simplicial, circle, compose_maps, cross_distances,
-                     equispaced_circle, gh_exact, grid_points, inclusion_map,
-                     induced_vr_map, subset_projection_map,
+                     check_simplicial, circle, compose_maps, equispaced_circle,
+                     flat_torus, gh_exact, inclusion_map, induced_vr_map, subset_projection_map,
                      uniform_points, VertexMap)
 
 from ghbound.complexes import _flag_pair
@@ -93,24 +92,25 @@ def _rewrapped(k):
 
 def test_cech_builders_hand_over_canonical_lists(rng):
     c = circle()
-    witnesses = grid_points(c, 97)
     for _ in range(20):
         sub = uniform_points(c, int(rng.integers(1, 30)), seed=int(rng.integers(1 << 32)))
         space = sub.to_metric_space()
         max_dim = int(rng.integers(0, 4))
         radius = float(rng.uniform(0.05, math.tau / 6 - 0.05))
         for k in (build_cech_circle(space, radius, max_dim, math.tau),
-                  build_cech_witness(cross_distances(c, witnesses.points, sub.points),
-                                     radius, max_dim)):
+                  build_cech_witness(sub, radius, max_dim, 97)):
             assert _rewrapped(k).simplices == k.simplices
 
 
 def test_builders_keep_their_argument_checks():
-    with pytest.raises(ValueError, match="vertex_count"):
-        build_cech_witness(np.zeros((4, 0)), 0.1, 1)
+    ring = equispaced_circle(circle(), 5)
+    with pytest.raises(ValueError, match="radius"):
+        build_cech_witness(ring, 0.0, 1, 4)
     with pytest.raises(ValueError, match="max_dim"):
-        build_cech_witness(np.zeros((4, 3)), 0.1, -1)
-    space = equispaced_circle(circle(), 5).to_metric_space()
+        build_cech_witness(ring, 0.1, -1, 4)
+    with pytest.raises(ValueError, match="per_axis"):
+        build_cech_witness(ring, 0.1, 1, 0)
+    space = ring.to_metric_space()
     with pytest.raises(ValueError, match="max_dim"):
         build_vr(space, 1.0, -1)
 
@@ -250,19 +250,29 @@ def test_cech_circle_matches_ambient_probe(rng):
 def test_cech_witness_nests_in_vr(rng):
     t = circle()
     sub = uniform_points(t, 8, seed=77)
-    witnesses = grid_points(t, 256)
-    cross = cross_distances(t, witnesses.points, sub.points)
     radius = 0.7
-    cech = build_cech_witness(cross, radius, 2)
+    cech = build_cech_witness(sub, radius, 2, 256)
     vr = build_vr(sub.to_metric_space(), 2 * radius, 2)
     for d in range(3):
         assert set(cech.simplices[d]) <= set(vr.simplices[d])
 
 
+def test_cech_witness_is_not_a_flag_complex():
+    # an equilateral triangle of side 0.3 at radius 0.16: a witness near each
+    # edge's midpoint sees both ends, but no point of the torus is within 0.16
+    # of all three vertices (the circumradius is 0.173), so the triangle is out
+    t = flat_torus([1.0, 1.0])
+    sub = FiniteSubset(t, [[0.2, 0.2], [0.5, 0.2], [0.35, 0.2 + 0.15 * math.sqrt(3)]])
+    k = build_cech_witness(sub, 0.16, 2, 256)
+    assert k.simplices[1] == ((0, 1), (0, 2), (1, 2))
+    assert k.simplices[2] == ()
+
+
 def test_cech_witness_vertex_requires_witness():
-    # one far-away point is never witnessed, so it has no vertex
-    cross = np.array([[0.1, 0.1, 5.0]])
-    k = build_cech_witness(cross, 0.5, 1)
+    # a one-point grid at 0: the point across the circle is never witnessed,
+    # so it has no vertex
+    sub = FiniteSubset(circle(1.0), [0.1, 0.9, 0.5])
+    k = build_cech_witness(sub, 0.2, 1, 1)
     assert k.simplices[0] == ((0,), (1,))
     assert k.simplices[1] == ((0, 1),)
 

@@ -8,6 +8,15 @@ Oracle notes
   sup_theta dist(theta, X) and against hausdorff_subsets with a fine sample.
 * covering_radius_witness: one-sided, never above the exact value on the
   circle; exact for mid-cell witness grids on the torus.
+* witness grids: covering_radius_witness, witness_hits and
+  build_cech_witness equal, with ==, the dense oracles
+  (oracles.witness_covering_radius, the entries of oracles.witness_table
+  below the radius, and oracles.witness_cech: a materialized grid, its
+  witness x point table, every subset of every star, sorted) on
+  hypothesis-drawn circles and tori of dims 1-4 with unequal sides, 1-20
+  witnesses per axis, repeated points with coordinates at 0 and just below
+  each side, and radii often equal to a table entry or to a point's
+  distance from its nearest witness, so ties meet the strict "<".
 * cross_distances: bit-identical to oracles.broadcast_cross_distances (one
   broadcast difference array, summed over its last axis) on random inputs,
   with row blocks small enough that the inputs span several.
@@ -24,14 +33,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghbound import (FiniteMetricSpace, FiniteSubset, circle,
+from ghbound import (FiniteMetricSpace, FiniteSubset, build_cech_witness, circle,
                      covering_radius_circle, covering_radius_witness,
-                     cross_distances, directed_hausdorff, euclidean,
-                     flat_torus, grid_covering_radius,
-                     grid_points, hausdorff_subsets, manifolds)
+                     cross_distances, euclidean, flat_torus,
+                     grid_covering_radius, grid_points, hausdorff_subsets,
+                     manifolds)
 from ghbound.serialize import metric_space_from_dict
 
-from oracles import broadcast_cross_distances, circle_arc_dist
+from oracles import (broadcast_cross_distances, circle_arc_dist, witness_cech,
+                     witness_covering_radius, witness_table)
 
 
 @pytest.fixture
@@ -118,25 +128,25 @@ def test_subset_distances_skip_normalization(rng, monkeypatch, manifold):
     monkeypatch.setattr(manifolds, "normalize_points", counting)
     metric = x.to_metric_space().dist
     dh = hausdorff_subsets(x, y)
-    dh_xy = directed_hausdorff(x, y)
     assert calls == []
     cross = cross_distances(manifold, x.points, y.points)
     again = FiniteSubset(manifold, x.points).to_metric_space().dist
     assert np.array_equal(metric, again)
     assert dh == max(cross.min(axis=1).max(), cross.min(axis=0).max())
-    assert dh_xy == cross.min(axis=1).max()
     assert len(calls) == 3  # the public functions still normalize their input
 
 
 @st.composite
-def kernel_inputs(draw, scale=1.0):
-    """A manifold plus two point arrays drawn from one pool, so points repeat.
+def kernel_inputs(draw, scale=1.0, kinds=("circle", "flat_torus", "euclidean"),
+                  most=20):
+    """A manifold of one of kinds plus two arrays of 1 to most points drawn
+    from one pool, so points repeat.
 
     Circle and torus coordinates include 0 and the largest double below each
     side length; tori have unequal sides. Sides are at most 20 * scale and
     Euclidean coordinates at most 50 * scale in absolute value.
     """
-    kind = draw(st.sampled_from(["circle", "flat_torus", "euclidean"]))
+    kind = draw(st.sampled_from(kinds))
     dim = 1 if kind == "circle" else draw(st.integers(1, 4))
     if kind == "euclidean":
         manifold = euclidean(dim)
@@ -149,7 +159,7 @@ def kernel_inputs(draw, scale=1.0):
                           st.sampled_from([0.0, math.nextafter(side, 0.0)]))
                 for side in sides]
     pool = draw(st.lists(st.tuples(*axes), min_size=1, max_size=12))
-    pick = st.lists(st.sampled_from(pool), min_size=1, max_size=20)
+    pick = st.lists(st.sampled_from(pool), min_size=1, max_size=most)
     return manifold, np.array(draw(pick)), np.array(draw(pick))
 
 
@@ -193,6 +203,50 @@ def test_builders_hand_over_what_the_public_check_accepts(inputs, data):
     sub = space.submatrix(idx)
     assert np.array_equal(sub.dist, space.dist[np.ix_(idx, idx)])
     FiniteMetricSpace(sub.dist)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs(kinds=("circle", "flat_torus"), most=40), st.integers(1, 20),
+       st.integers(0, 4), st.data())
+def test_witness_grid_equals_the_dense_oracles(inputs, per_axis, max_dim, data):
+    manifold, points, _ = inputs
+    subset = FiniteSubset(manifold, points)
+    assert (covering_radius_witness(subset, per_axis)
+            == witness_covering_radius(subset, per_axis))
+    table = witness_table(subset, per_axis)
+    # a table entry, or a point's distance to its nearest witness, where the
+    # strict "<" leaves that point without a vertex; else any radius
+    column = table[:, data.draw(st.integers(0, subset.size - 1))]
+    tie = data.draw(st.sampled_from([column.min(), column[
+        data.draw(st.integers(0, len(table) - 1))]]))
+    radius = (tie if tie > 0 and data.draw(st.booleans())
+              else data.draw(st.floats(1e-3, max(manifold.params))))
+    witness, point = manifolds.witness_hits(subset, radius, per_axis)
+    assert set(zip(witness.tolist(), point.tolist())) == set(
+        zip(*np.nonzero(table < radius)))
+    # keep the oracle's enumeration small: lower max_dim while the distinct
+    # stars would give more than 20000 subsets
+    sizes = np.count_nonzero(np.unique(table < radius, axis=0), axis=1)
+    while max_dim and sum(math.comb(int(n), k + 1) for n in sizes
+                          for k in range(max_dim + 1)) > 20_000:
+        max_dim -= 1
+    got = build_cech_witness(subset, radius, max_dim, per_axis).simplices
+    want = witness_cech(subset, radius, max_dim, per_axis)
+    assert [list(got[k]) for k in range(max_dim + 1)] == [
+        want[k] for k in range(max_dim + 1)]
+
+
+def test_witness_radius_memory_stays_near_the_axis_tables(rng):
+    # a 2-torus grid of 1024 per axis has 1,048,576 witnesses, whose dense
+    # table against 40 points alone would take 320 MiB
+    sub = FiniteSubset(flat_torus([1.0, 1.0]), rng.uniform(0.0, 1.0, size=(40, 2)))
+    tracemalloc.start()
+    try:
+        covering_radius_witness(sub, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_cross_distances_memory_stays_near_output(rng):
@@ -359,7 +413,8 @@ def test_hausdorff_metric_properties(rng):
     bc = hausdorff_subsets(subs[1], subs[2])
     ac = hausdorff_subsets(subs[0], subs[2])
     assert ac <= ab + bc + 1e-12
-    assert directed_hausdorff(subs[0], subs[1]) <= ab
+    cross = cross_distances(t, subs[0].points, subs[1].points)
+    assert cross.min(axis=1).max() <= ab
 
 
 def test_hausdorff_requires_shared_manifold():
@@ -373,9 +428,8 @@ def test_witness_radius_is_one_sided(rng):
     c = circle()
     for _ in range(10):
         sub = FiniteSubset(c, rng.random(int(rng.integers(1, 7))) * math.tau)
-        witnesses = grid_points(c, 512)
         exact = covering_radius_circle(sub)
-        approx = covering_radius_witness(sub, witnesses)
+        approx = covering_radius_witness(sub, 512)
         assert approx <= exact + 1e-12
         assert approx >= exact - grid_covering_radius(c, 512) - 1e-12
 
@@ -383,8 +437,7 @@ def test_witness_radius_is_one_sided(rng):
 def test_witness_radius_exact_on_midcell_torus_grid():
     t = flat_torus([math.tau, math.tau])
     sub = grid_points(t, 8)
-    witnesses = grid_points(t, 32)  # multiple of 8, hits cell centers exactly
-    est = covering_radius_witness(sub, witnesses)
+    est = covering_radius_witness(sub, 32)  # multiple of 8, hits cell centers exactly
     assert est == pytest.approx(grid_covering_radius(t, 8), abs=1e-12)
 
 

@@ -34,9 +34,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ghbound import (FiniteSubset, betti_numbers, build_cech_witness, build_vr,
-                     circle, cli, cross_distances, equispaced_circle, flat_torus,
-                     grid_points, persistence_bars, simplex_diameters,
-                     uniform_points)
+                     circle, cli, equispaced_circle, flat_torus, grid_points,
+                     persistence_bars, simplex_diameters, uniform_points)
 from ghbound.serialize import subset_to_dict, write_json
 
 from oracles import (HomologyBasis, fundamental_class_survives, naive_betti,
@@ -140,10 +139,7 @@ def test_betti_matches_dense_elimination_on_torus_vr(size, seed, scale):
 @given(size=st.integers(4, 11), seed=st.integers(0, 2**32 - 1),
        radius=st.floats(0.1, 0.5))
 def test_betti_matches_dense_elimination_on_torus_witness_cech(size, seed, radius):
-    torus = flat_torus([1.0, 1.0])
-    sample = _torus_sample(size, seed)
-    cross = cross_distances(torus, grid_points(torus, 8).points, sample.points)
-    _assert_betti_agree(build_cech_witness(cross, radius, 3))
+    _assert_betti_agree(build_cech_witness(_torus_sample(size, seed), radius, 3, 8))
 
 
 @settings(max_examples=30, deadline=None)
@@ -165,8 +161,7 @@ def test_betti_of_a_300_point_witnessed_cech_complex_peaks_below_10_mib():
     u = uniform_points(torus, 300, 5).points
     points = np.stack([(cell % 20 + u[:, 0]) / 20, (cell // 20 + u[:, 1]) / 15],
                       axis=1)
-    cross = cross_distances(torus, grid_points(torus, 64).points, points)
-    cx = build_cech_witness(cross, 0.08, 3)
+    cx = build_cech_witness(FiniteSubset(torus, points), 0.08, 3, 64)
     assert cx.simplex_counts() == [300, 3224, 11012, 18614]
     tracemalloc.start()
     try:
