@@ -362,12 +362,14 @@ def _lemma_trial(trial: int, master: SplitMix64) -> dict:
 
     result = gh_exact(space_x, space_y)
     corr = result.correspondence
-    r = 2.0 * result.value + 1e-6  # the distortion of corr, exactly
+    dis = 2.0 * result.value  # the distortion of corr, exactly
+    r = dis + 1e-6
 
     source_y = build_vr(space_y, eps, ny - 1)
-    h_map = induced_vr_map(corr, space_x, space_y, source_y, r, max_dim=nx - 1)
+    h_map = induced_vr_map(corr, space_x, space_y, source_y, r, max_dim=nx - 1,
+                           dis=dis)
     g_map = induced_vr_map(corr.transpose(), space_y, space_x, h_map.target, r,
-                           max_dim=ny - 1)
+                           max_dim=ny - 1, dis=dis)
     roundtrip = compose_maps(g_map, h_map)
     inclusion = inclusion_map(source_y, g_map.target)
     checks = {

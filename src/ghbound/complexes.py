@@ -417,27 +417,28 @@ def check_contiguous(f: VertexMap, g: VertexMap) -> bool:
 
 def induced_vr_map(corr, space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
                    source: SimplicialComplex, r: float,
-                   max_dim: int | None = None) -> VertexMap:
+                   max_dim: int | None = None, *, dis: float) -> VertexMap:
     """Simplicial map VR(Y; eps) -> VR(X; r + eps) induced by a correspondence.
 
-    corr relates points of X to points of Y with distortion dis(corr) < r. Each
-    Y-vertex is sent to the X-partner of its lexicographically first related
-    pair; for a simplex of diameter < eps the image has diameter < r + eps, so
-    the assignment is simplicial into the VR complex of X at scale r + eps
-    (built here, with max_dim defaulting to the source's).
+    corr relates points of X to points of Y, and dis is its distortion, which
+    the caller vouches for (gh_exact's 2 * value is exactly it); dis < r is
+    required. Each Y-vertex is sent to the X-partner of its lexicographically
+    first related pair; for a simplex of diameter < eps the image has diameter
+    < r + eps, so the assignment is simplicial into the VR complex of X at
+    scale r + eps (built here, with max_dim defaulting to the source's).
     """
-    from .gh import distortion  # local import, gh depends on manifolds only
-
     if source.vertex_count != space_y.size:
         raise ValueError("source complex does not match the Y metric space")
-    dis = distortion(corr, space_x, space_y)
     if not (dis < r - STRICT_SLACK):
         raise ValueError("distortion exceeds scale")
     partner = {}
     for i, j in corr.pairs:  # pairs are sorted, first hit is the lexicographic min
         if j not in partner:
             partner[j] = i
-    image = tuple(partner[j] for j in range(space_y.size))
+    try:
+        image = tuple(partner[j] for j in range(space_y.size))
+    except KeyError:
+        raise ValueError("correspondence must cover every point of Y") from None
     target = build_vr(space_x, r + source.scale,
                       source.max_dim if max_dim is None else max_dim)
     return VertexMap(source, target, image)

@@ -22,13 +22,36 @@ Floors (Memoli, "Some properties of Gromov-Hausdorff distances", DCG 2012):
   still needs a partner, so max over uncovered x of min_y max(L, inc), and the
   same with X and Y swapped, bound every completion of P from below.
 
+The search keeps the two as one folded matrix, cost = max(L, inc): it starts
+as L, and assigning a pair raises it where inc rises. A child's partial
+distortion is taken as max(partial, cost[x, y]) rather than max(partial,
+inc[x, y]), which is still a floor for every correspondence through the
+child. It stays exact at the leaves: a leaf P relates every x' to some y' and
+every y' to some x', so for each pair (x, y) of P, L[x, y] is at most the
+largest |d_X[x, x'] - d_Y[y, y']| over pairs (x', y') of P, one of the terms
+of dis(P). Bit for bit, too, since both sides take the same float
+subtractions (up to exact negation on the sorted path). So a leaf's value is
+exactly its distortion.
+
 A node is pruned when that look-ahead bound, or the distortion of P itself,
 reaches the incumbent; the root bound max(max_x min_y L, max_y min_x L)
 certifies an incumbent that meets it. Branching is fail-first: on the
 uncovered point with the largest look-ahead minimum, over its partners in
-increasing inc, skipping those whose L or inc reaches the incumbent. The
-depth-first loop keeps its own stack of node generators, so the input size
-never meets the recursion limit.
+increasing cost. The walk breaks at the first partner whose max(partial,
+cost) reaches the incumbent: costs ascend, and the incumbent only falls, so
+no later partner can beat it. The depth-first loop keeps its own stack of
+node generators, so the input size never meets the recursion limit.
+
+Nogoods (Dechter, "Enhancement schemes for constraint processing", AIJ 1990).
+Once the child P + (x, y) has been searched to the end, every correspondence
+that contains it and beats the incumbent has been seen; the incumbent only
+falls, so whatever that subtree pruned stays pruned. The later siblings of
+the child, and all their descendants, may therefore drop (x, y): the node sets
+cost[x, y] = +inf until its walk ends, then writes the old value back. A
+banned partner sorts last and is never tried, since +inf reaches every
+incumbent, the infinite one included. The look-ahead minima then bound only
+the completions that avoid the banned pairs, which are all the completions
+still to be seen.
 
 Incumbent. The search starts from an infinite incumbent, or from a caller's
 correspondence, whose distortion on the same matrices becomes the value to
@@ -49,16 +72,17 @@ pushes the child's generator. On small inputs a node costs numpy call
 overhead, not arithmetic, so each node makes a fixed handful of calls on
 preallocated buffers and does its bookkeeping in Python. One index u runs over
 the disjoint union of X and Y (u < nx is x = u, otherwise y = u - nx). One
-need vector takes the row and then the column minima of max(L, inc); a cap
-vector (+inf on uncovered points, -1 on covered ones, kept beside the Python
-cover counts) masks covered points, and argmax picks the first largest
-minimum, so X wins ties. The branching line is row u or column u - nx, and its
-partners are read off .tolist() in stable argsort order of inc. Assigning
-(x, y) writes |d_X[x, :] - d_Y[y, :]| into a scratch matrix, logs the cells it
-raises above inc with their old values, and takes the elementwise maximum in
-place; withdrawing the pair writes the logged values back. The log holds only
+need vector takes the row and then the column minima of cost; a cap vector
+(+inf on uncovered points, -1 on covered ones, kept beside the Python cover
+counts) masks covered points, and argmax picks the first largest minimum, so
+X wins ties. The branching line is row u or column u - nx of cost, read once
+with .tolist(); its partners are walked in the stable sorted order of those
+values. Assigning (x, y) writes |d_X[x, :] - d_Y[y, :]| into a scratch
+matrix, logs the cells it raises above cost with their old values, and takes
+the elementwise maximum in place; withdrawing the pair writes the logged
+values back, and a banned cell (at +inf) is never raised. The log holds only
 the raised cells, so memory stays quadratic in practice, where a snapshot of
-inc per level would be cubic.
+cost per level would be cubic.
 
 The result is exact whenever the node budget is not exhausted; on budget
 exhaustion the best correspondence found is returned with proven_optimal =
@@ -207,12 +231,11 @@ def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
     dx = np.ascontiguousarray(space_x.dist)
     dy = np.ascontiguousarray(space_y.dist)
     nx, ny = space_x.size, space_y.size
-    floors = _pair_floors(dx, dy)
-    root_floor = max(floors.min(axis=1).max(), floors.min(axis=0).max())
+    cost = _pair_floors(dx, dy)  # max(L, inc), raised and restored in place
+    cost_flat = cost.reshape(-1)
+    root_floor = max(cost.min(axis=1).max(), cost.min(axis=0).max())
 
-    inc = np.zeros((nx, ny))
-    inc_flat = inc.reshape(-1)
-    cost, gap = np.empty((nx, ny)), np.empty((nx, ny))  # scratch, one node at a time
+    gap = np.empty((nx, ny))  # scratch, one node at a time
     raised = np.empty((nx, ny), dtype=bool)
     raised_flat = raised.reshape(-1)
     # points of X then of Y: u < nx is x = u, u >= nx is y = u - nx
@@ -228,42 +251,43 @@ def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
 
     def branch(partial: float):
         """The node P: yields each child's partial distortion with its pair
-        assigned, and withdraws the pair when resumed. Returns at once when the
-        look-ahead floor reaches best; partners are tried in increasing inc."""
-        np.maximum(floors, inc, out=cost)
+        assigned; when resumed, withdraws the pair and bans it for the later
+        siblings. Returns at once when the look-ahead floor reaches best;
+        partners are tried in increasing cost until one reaches best."""
         cost.min(axis=1, out=need[:nx])
         cost.min(axis=0, out=need[nx:])
         np.minimum(need, cap, out=need)
         u = int(need.argmax())  # the first largest: X wins ties
         if max(partial, need[u]) >= best:
             return
-        at = u if u < nx else (slice(None), u - nx)  # row x or column y
-        line = inc[at]
-        incs, lows = line.tolist(), floors[at].tolist()
-        for v in np.argsort(line, kind="stable").tolist():
-            child = max(partial, incs[v])
+        line = (cost[u] if u < nx else cost[:, u - nx]).tolist()
+        banned, kept = [], []  # nogoods of this node, with their costs
+        for v in sorted(range(len(line)), key=line.__getitem__):
+            child = max(partial, line[v])
             if child >= best:
-                return  # inc ascends, nothing later can improve
-            if lows[v] >= best:
-                continue
+                break  # costs ascend, nothing later can improve
             x, y = (u, v) if u < nx else (v, u - nx)
             np.subtract.outer(dx[x], dy[y], out=gap)
             np.abs(gap, out=gap)
-            np.greater(gap, inc, out=raised)
+            np.greater(gap, cost, out=raised)
             changed = raised_flat.nonzero()[0]
-            old = inc_flat[changed]
-            np.maximum(inc, gap, out=inc)
+            old = cost_flat[changed]
+            np.maximum(cost, gap, out=cost)
             covers[x] += 1
             covers[nx + y] += 1
             cap[x] = cap[nx + y] = -1.0
             pairs.append((x, y))
             yield child
-            inc_flat[changed] = old
+            cost_flat[changed] = old
             pairs.pop()
             for w in (x, nx + y):
                 covers[w] -= 1
                 if not covers[w]:
                     cap[w] = np.inf
+            banned.append(x * ny + y)
+            kept.append(line[v])
+            cost_flat[banned[-1]] = np.inf
+        cost_flat[banned] = kept
 
     nodes = 1
     proven = True

@@ -34,6 +34,7 @@ TRIANGLE_TOL = 1e-9  # relative to the largest distance, if that exceeds 1
 STRICT_SLACK = 1e-12  # open conditions "x < y" are enforced as x < y - STRICT_SLACK
 BLOCK = 2 ** 16  # doubles per temporary of the dense distance kernels (0.5 MiB)
 MAX_GRID_POINTS = 2 ** 24  # larger regular grids are refused before any work
+MAX_WITNESS_TABLE = 2 ** 22  # entries of one per-axis witness table (32 MiB)
 
 CIRCLE = "circle"
 FLAT_TORUS = "flat_torus"
@@ -302,13 +303,25 @@ def _witness_terms(manifold: AmbientManifold, per_axis: int,
     witness's terms in axis order, then taking sqrt on the torus, gives its
     distance to the point bit for bit as cross_distances does. The tables
     take dim * per_axis * len(points) doubles; the grid is never formed.
+    The wrap takes its temporaries in row blocks of about BLOCK entries.
+    Tables of more than MAX_WITNESS_TABLE entries are refused before any work
+    (on a 1-dimensional torus the one table is the whole witness x point
+    table, which the grid cap alone lets reach 2^24 rows).
     """
+    entries = per_axis * len(points)
+    if entries > MAX_WITNESS_TABLE:
+        raise ValueError(f"a witness grid of {per_axis} points per axis against "
+                         f"{len(points)} points needs tables of {entries} "
+                         f"entries, more than the {MAX_WITNESS_TABLE} allowed")
     terms = []
+    rows = max(1, BLOCK // len(points))
     with np.errstate(over="ignore"):
         for k, coords in enumerate(grid_axes(manifold, per_axis)):
             term = np.subtract.outer(coords, points[:, k])
             np.abs(term, out=term)
-            np.minimum(term, manifold.params[k] - term, out=term)
+            for lo in range(0, per_axis, rows):
+                block = term[lo:lo + rows]
+                np.minimum(block, manifold.params[k] - block, out=block)
             if manifold.kind != CIRCLE:
                 np.multiply(term, term, out=term)
             terms.append(term)
@@ -363,19 +376,22 @@ def covering_radius_witness(x: FiniteSubset, per_axis: int) -> float:
     Witnesses are swept by prefix over all axes but the last: each block adds
     about BLOCK // (per_axis * |X|) prefix sums of _witness_terms to the whole
     last-axis table at once, keeps the min over X of every sum and the max of
-    those. On the torus one sqrt is taken at the end; sqrt is correctly rounded
+    those. With one axis there is no prefix, and the one table is read as it
+    is. On the torus one sqrt is taken at the end; sqrt is correctly rounded
     and monotone, so the value equals the max-min of the dense witness table.
     """
     *head, last = _witness_terms(x.manifold, per_axis, x.points)
-    prefixes = per_axis ** len(head)
-    rows = max(1, BLOCK // last.size)
-    worst = 0.0
-    for lo in range(0, prefixes, rows):
-        ids = np.arange(lo, min(lo + rows, prefixes))
-        acc = np.zeros((len(ids), x.size))
-        if head:
+    if not head:  # one axis: its table is the witness x point table
+        worst = float(last.min(axis=1).max())
+    else:
+        prefixes = per_axis ** len(head)
+        rows = max(1, BLOCK // last.size)
+        worst = 0.0
+        for lo in range(0, prefixes, rows):
+            ids = np.arange(lo, min(lo + rows, prefixes))
+            acc = np.zeros((len(ids), x.size))
             for term, i in zip(head, np.unravel_index(ids, (per_axis,) * len(head))):
                 acc += term[i]
-        sums = acc[:, None, :] + last
-        worst = max(worst, float(sums.min(axis=2).max()))
+            sums = acc[:, None, :] + last
+            worst = max(worst, float(sums.min(axis=2).max()))
     return worst if x.manifold.kind == CIRCLE else math.sqrt(worst)

@@ -346,14 +346,19 @@ def test_homology_refuses_a_non_finite_scale(tmp_path, capsys, scale):
     assert "finite --scale" in out.err
 
 
-def _run_module(argv):
-    """python -m ghbound in a child, so an uncaught exception shows as a traceback."""
-    # the child imports the same ghbound as this test, installed or not
+def _run_child(args):
+    """python with args in a child that imports the same ghbound as this test,
+    installed or not."""
     src = os.path.dirname(os.path.dirname(ghbound.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "ghbound", *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
+
+
+def _run_module(argv):
+    """python -m ghbound in a child, so an uncaught exception shows as a traceback."""
+    return _run_child(["-m", "ghbound", *argv])
 
 
 _FILLRAD = {"count": 4, "scale_grid": {"start": 1.6, "stop": 3.2, "steps": 3}}
@@ -721,6 +726,37 @@ def test_oversized_witness_grids_exit_one(tmp_path, argv, points):
     assert f"has {points} points" in proc.stderr
 
 
+# cli.main in a child, under tracemalloc and a 2 GiB address-space limit, so
+# a refusal that came too late fails the test instead of filling the machine
+_TRACED_MAIN = """
+import resource, sys, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+from ghbound import cli
+tracemalloc.start()
+code = cli.main(sys.argv[1:])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--x", "{line}", "--witness-grid", "16777216"],
+    ["homology", "--cech", "--subset", "{line}", "--scale", "0.1",
+     "--witness-grid", "16777216"],
+])
+def test_oversized_witness_tables_exit_one_allocating_nothing(tmp_path, argv):
+    # on a 1-torus the grid cap let per_axis reach 2**24, and 300 points
+    # needed two 40 GB tables; per-axis tables are now refused before any work
+    line = _subset_file(tmp_path, "line.json",
+                        uniform_points(flat_torus([1.0]), 300, seed=0))
+    proc = _run_child(["-c", _TRACED_MAIN, *[a.format(line=line) for a in argv]])
+    assert proc.returncode == 0, proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    assert code == 1
+    assert peak < 2 ** 20
+    assert proc.stderr.startswith("error: ")
+    assert "needs tables of 5033164800 entries" in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["circle-sweep", "--config", "{sweep}", "--seed", "3"],
     ["circle-sweep", "--config", "{sweep}", "--budget", "5"],
@@ -771,8 +807,8 @@ PINNED_STDOUT = {
         "7748cb88b474d4d9c4bca1b030294416facf77664f28f07d1da7160937a0cad0",
     "fillrad-estimate-torus":
         "125bf8a59da020f4bd5ceb2977d73e9bc679cdd26db86f0834ee0d80d99095c2",
-    "circle-sweep": "a375b507c83ab6f4913f67657671e3839d24e582000fb79858f5eac58103f7d0",
-    "gh-exact": "d8f2f4ec30ee8be3f5e0e9c29f1694e5028fe68cf2760fe5d900ecd9fd30c4ca",
+    "circle-sweep": "41ec85ba22e80f7daf196dd52a0cd3dd272a3c8b048c48d8a359933c51d66982",
+    "gh-exact": "adb0d65e853346dab69e5440858d2f0cc07d2403b4a0791f6ab9cbedff8d8830",
     "bounds-pair": "9e7e616e68c30ea6019e9306a8ea5e148ecd832e4aa56e4c0304a8b25626a819",
     "bounds-pair-grid":
         "5007e20dbc2762a3ad258b28d38af76fd556ba5690b33645b450b20714c21027",

@@ -289,11 +289,12 @@ def test_induced_vr_map_is_simplicial(rng):
         space_x, space_y = _pair(rng)
         corr = gh_exact(space_x, space_y).correspondence
         from ghbound import distortion
-        r = distortion(corr, space_x, space_y) + 1e-6
+        dis = distortion(corr, space_x, space_y)
+        r = dis + 1e-6
         eps = float(rng.uniform(0.1, 1.5))
         source = build_vr(space_y, eps, space_y.size - 1)
         f = induced_vr_map(corr, space_x, space_y, source, r,
-                           max_dim=space_x.size - 1)
+                           max_dim=space_x.size - 1, dis=dis)
         assert f.target.scale == pytest.approx(r + eps)
         assert check_simplicial(f)
 
@@ -305,7 +306,7 @@ def test_induced_vr_map_distortion_gate(rng):
     dis = distortion(corr, space_x, space_y)
     source = build_vr(space_y, 0.5, 2)
     with pytest.raises(ValueError, match="distortion exceeds scale"):
-        induced_vr_map(corr, space_x, space_y, source, dis)
+        induced_vr_map(corr, space_x, space_y, source, dis, dis=dis)
 
 
 def test_induced_vr_map_picks_first_partner():
@@ -314,8 +315,18 @@ def test_induced_vr_map_picks_first_partner():
     space_y = FiniteSubset(circle(), [[0.0]]).to_metric_space()
     corr = Correspondence(((0, 0), (1, 0)))
     source = build_vr(space_y, 0.5, 0)
-    f = induced_vr_map(corr, space_x, space_y, source, 0.2)
+    f = induced_vr_map(corr, space_x, space_y, source, 0.2, dis=0.1)
     assert f.image == (0,)  # y0 goes to x0, the lexicographically first pair
+
+
+def test_induced_vr_map_needs_every_y_related():
+    from ghbound import Correspondence
+    space_x = FiniteSubset(circle(), [[0.0], [0.1]]).to_metric_space()
+    space_y = FiniteSubset(circle(), [[0.0], [0.1]]).to_metric_space()
+    source = build_vr(space_y, 0.5, 1)
+    with pytest.raises(ValueError, match="cover"):
+        induced_vr_map(Correspondence(((0, 0), (1, 0))), space_x, space_y, source,
+                       0.2, dis=0.1)
 
 
 def test_subset_projection_map(rng):
@@ -347,13 +358,14 @@ def test_contiguity_roundtrip(rng):
         space_x, space_y = _pair(rng, 5, 5)
         corr = gh_exact(space_x, space_y).correspondence
         from ghbound import distortion
-        r = distortion(corr, space_x, space_y) + 1e-6
+        dis = distortion(corr, space_x, space_y)
+        r = dis + 1e-6
         eps = 0.6
         source = build_vr(space_y, eps, space_y.size - 1)
         f = induced_vr_map(corr, space_x, space_y, source, r,
-                           max_dim=space_x.size - 1)
+                           max_dim=space_x.size - 1, dis=dis)
         g = induced_vr_map(corr.transpose(), space_y, space_x, f.target, r,
-                           max_dim=space_y.size - 1)
+                           max_dim=space_y.size - 1, dis=dis)
         roundtrip = compose_maps(g, f)
         include = inclusion_map(source, g.target)
         assert check_simplicial(roundtrip)

@@ -152,10 +152,12 @@ def _roundtrip_maps(phase=0.25, eps=0.9):
     space_x = equispaced_circle(c, 8).to_metric_space()
     space_y = equispaced_circle(c, 8, phase=phase).to_metric_space()
     corr = gh_exact(space_x, space_y).correspondence
-    r = distortion(corr, space_x, space_y) + 1e-6
+    dis = distortion(corr, space_x, space_y)
+    r = dis + 1e-6
     source = build_vr(space_y, eps, 3)
-    f = induced_vr_map(corr, space_x, space_y, source, r, max_dim=3)
-    g = induced_vr_map(corr.transpose(), space_y, space_x, f.target, r, max_dim=3)
+    f = induced_vr_map(corr, space_x, space_y, source, r, max_dim=3, dis=dis)
+    g = induced_vr_map(corr.transpose(), space_y, space_x, f.target, r, max_dim=3,
+                       dis=dis)
     return f, g, source
 
 

@@ -249,6 +249,24 @@ def test_witness_radius_memory_stays_near_the_axis_tables(rng):
     assert peak < 8 * 2**20
 
 
+def test_one_axis_witness_radius_reads_its_table_in_place(rng):
+    # on a 1-torus the one per-axis table is the witness x point table; it was
+    # copied whole, and the grid cap alone let it reach 2**24 rows
+    sub = FiniteSubset(flat_torus([1.0]), rng.uniform(0.0, 1.0, size=(40, 1)))
+    table = 16384 * 40 * 8
+    tracemalloc.start()
+    try:
+        covering_radius_witness(sub, 16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table
+    for refused in (covering_radius_witness,
+                    lambda x, n: manifolds.witness_hits(x, 0.1, n)):
+        with pytest.raises(ValueError, match="needs tables of 4194320 entries"):
+            refused(sub, 2 ** 22 // 40 + 1)
+
+
 def test_cross_distances_memory_stays_near_output(rng):
     # a (4096 x 300 x 2) broadcast peaks far above the 9.4 MiB result
     torus = flat_torus([1.0, 1.0])
