@@ -35,7 +35,7 @@ from .complexes import (build_cech_circle, build_cech_witness, build_vr,
                         check_contiguous, check_simplicial, compose_maps,
                         inclusion_map, induced_vr_map, simplex_diameters,
                         subset_projection_map)
-from .gh import distortion, gh_exact, rigid_incumbent
+from .gh import NODE_BUDGET, distortion, gh_exact, rigid_incumbent
 from .homology import betti_numbers, fundamental_class_survives, persistence_bars
 from .manifolds import (CIRCLE, EUCLIDEAN, FLAT_TORUS, AmbientManifold,
                         FiniteSubset, circle, covering_radius_circle,
@@ -222,7 +222,7 @@ def cmd_circle_sweep(args) -> int:
     if manifold.kind != CIRCLE:
         raise ValueError("circle-sweep needs a circle manifold")
     circumference = manifold.params[0]
-    budget = int(read_key(config, "node_budget", "an integer", "config", 10_000_000))
+    budget = int(read_key(config, "node_budget", "an integer", "config", NODE_BUDGET))
     if budget < 1:
         raise ValueError(f"config 'node_budget' must be an integer >= 1, not {budget}")
     master = SplitMix64(seed)
@@ -265,7 +265,7 @@ def cmd_ratio(args) -> int:
         if n <= args.crosscheck_max:
             sub, full = as_subsets(instance)
             result = gh_exact(sub.to_metric_space(), full.to_metric_space(),
-                              args.budget or 10_000_000)
+                              args.budget)
             entry["gh_exact"] = result.value
             entry["gh_exact_proven"] = result.proven_optimal
             if result.proven_optimal and result.value > report.gh_upper + SANDWICH_TOL:
@@ -309,7 +309,7 @@ def cmd_homology(args) -> int:
 def cmd_gh_exact(args) -> int:
     space_x = serialize.load_space(serialize.read_json(args.x))
     space_y = serialize.load_space(serialize.read_json(args.y))
-    result = gh_exact(space_x, space_y, args.budget or 10_000_000)
+    result = gh_exact(space_x, space_y, args.budget)
     _emit_json(serialize.gh_result_to_dict(result), args.out)
     return 0
 
@@ -396,7 +396,7 @@ def _lemma_trial(trial: int, master: SplitMix64) -> dict:
 
 
 def cmd_lemma_check(args) -> int:
-    master = SplitMix64(args.seed if args.seed is not None else 0)
+    master = SplitMix64(args.seed)
     totals: dict[str, int] = {}
     for t in range(args.trials):
         for name, ok in _lemma_trial(t, master).items():
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="2,3,4,9,100", help="comma list of sizes")
     p.add_argument("--crosscheck-max", type=int, default=5,
                    help="run gh_exact for n up to this size")
-    p.add_argument("--budget", type=_positive_int)
+    p.add_argument("--budget", type=_positive_int, default=NODE_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ratio)
 
@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gh-exact", help="exact GH between two spaces")
     p.add_argument("--x", required=True, help="metric-space or subset JSON")
     p.add_argument("--y", required=True)
-    p.add_argument("--budget", type=_positive_int)
+    p.add_argument("--budget", type=_positive_int, default=NODE_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=cmd_gh_exact)
 
@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma-check", help="executable lemma validations")
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_lemma_check)
     return parser

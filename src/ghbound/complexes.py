@@ -2,28 +2,28 @@
 
 Complexes here are filtration-free snapshots: one scale, simplices up to an
 explicit max_dim. The VR convention is strict, a simplex enters at scale r when
-its diameter is < r (ties at exactly r are excluded). A VR complex is a flag
-(clique) complex, so it is held as one neighbour bitmask per vertex: membership
-is a clique test on the masks, and the simplices are enumerated only when first
-read, in the same canonical order as every other complex. Cech complexes use the
+its diameter is < r (ties at exactly r are excluded). Cech complexes use the
 ball radius as their scale. On the circle, at radii below a sixth of the
 circumference, the Cech nerve coincides with a VR complex at doubled scale and
 is built exactly; on circles and tori in general the Cech complex is
 approximated from a witness grid (a simplex is present iff some witness sees
-all its vertices within the radius). That complex is built from star masks:
-each point carries the bitmask of the distinct witness stars it lies in, and a
-vertex set is a simplex iff the AND of its masks is non-zero.
+all its vertices within the radius).
+
+Built complexes are lazy masks (_MaskComplex): has_simplex tests bitmasks,
+and simplices are enumerated on first read, in canonical order. Explicit
+complexes, such as those read from a file, are validated sets of simplices.
 
 Vertex maps between complexes are tuples of int vertex indices.
 check_simplicial and check_contiguous are executable forms of the two standard
 lemmas used to turn metric data (a correspondence with small distortion, or a
 dense subset) into maps on homology: a correspondence with distortion below r
 induces a simplicial map into the VR complex at scale r + eps, and the round
-trip is contiguous to the inclusion. Between two flag complexes whose target
+trip is contiguous to the inclusion. A map is simplicial iff it is contiguous
+to itself, so one check serves both. Between two flag complexes whose target
 cap cannot bind (every image, or every union of two images, fits in a target
-simplex), both checks test only the source edges against the target's
-neighbour masks and enumerate nothing; for explicit complexes, or when the cap
-binds, they enumerate the source simplices and query each image.
+simplex), it tests only the source edges against the target's neighbour masks
+and enumerates nothing; for explicit or witnessed complexes, or when the cap
+binds, it enumerates the source simplices and queries each image.
 """
 
 from __future__ import annotations
@@ -46,32 +46,13 @@ class SimplicialComplex:
     empty); max_dim records the construction cap, which may exceed the top
     non-empty dimension. Instances are immutable by convention.
 
-    The constructor checks every simplex and every one of its codimension-one
-    faces, in time linear in simplices x dim, so a complex that exists is
-    closed under taking faces.
+    This constructor, for explicit complexes, checks every simplex and every
+    one of its codimension-one faces, in time linear in simplices x dim, so a
+    complex that exists is closed under taking faces.
     """
 
     def __init__(self, vertex_count: int, scale: float, max_dim: int,
                  simplices) -> None:
-        canon = {d: sorted(set(tuple(s) for s in simplices.get(d, ())))
-                 for d in range(max_dim + 1)}
-        self._store(vertex_count, scale, max_dim, canon)
-        self._validate()
-
-    @classmethod
-    def _closed(cls, vertex_count: int, scale: float, max_dim: int,
-                simplices) -> "SimplicialComplex":
-        """Wrap a builder's output unchecked.
-
-        Builders hand over, per dimension, a lexicographically sorted list of
-        strictly increasing tuples, free of duplicates and closed under faces.
-        """
-        complex_ = cls.__new__(cls)
-        complex_._store(vertex_count, scale, max_dim, simplices)
-        return complex_
-
-    def _store(self, vertex_count: int, scale: float, max_dim: int,
-               simplices) -> None:
         if vertex_count < 1:
             raise ValueError("vertex_count must be >= 1")
         if max_dim < 0:
@@ -79,8 +60,10 @@ class SimplicialComplex:
         self.vertex_count = vertex_count
         self.scale = float(scale)
         self.max_dim = max_dim
-        self.simplices = {d: tuple(simplices.get(d, ())) for d in range(max_dim + 1)}
+        self.simplices = {d: tuple(sorted(set(map(tuple, simplices.get(d, ())))))
+                          for d in range(max_dim + 1)}
         self._sets: dict[int, frozenset] = {}  # filled per dimension by _set
+        self._validate()
 
     def _set(self, dim: int) -> frozenset:
         """The simplices of one dimension as a set, frozen on first use."""
@@ -118,49 +101,59 @@ class SimplicialComplex:
                 f"max_dim={self.max_dim}, counts={self.simplex_counts()})")
 
 
-class _FlagComplex(SimplicialComplex):
-    """A flag complex held as neighbour masks: a vertex set is a simplex iff
-    its vertices are pairwise adjacent and it has at most max_dim + 1 of them.
+class _MaskComplex(SimplicialComplex):
+    """A built complex held as masks: a vertex set of at most max_dim + 1
+    vertices is a simplex iff its vertices are pairwise adjacent and, when
+    star masks are given, the AND of their star masks is non-zero.
 
-    nbr[i] has bit j set iff vertices i != j are adjacent. simplices is
+    nbr[i] has bit j set iff vertices i != j are adjacent (bit i is never
+    read). member is None for a flag complex, where every clique is a
+    simplex; for a witnessed Cech complex member[i] has bit s set iff vertex i
+    lies in star s, and a vertex with no star is not a vertex. simplices is
     enumerated from the masks on first read; has_simplex never reads it.
     """
 
     def __init__(self, vertex_count: int, scale: float, max_dim: int,
-                 nbr: list[int]) -> None:
+                 nbr: list[int], member: list[int] | None = None) -> None:
         self.vertex_count = vertex_count
         self.scale = float(scale)
         self.max_dim = max_dim
         self._nbr = nbr
+        self._member = member
 
     @cached_property
     def simplices(self) -> dict[int, tuple]:
         """Level-wise clique expansion, in the inductive style of Zomorodian
-        (2010). Each simplex carries the bitmask of its common neighbours above
-        its last vertex. Popping the lowest bit u of that mask gives the coface
-        s + (u,), whose mask is what is left of the parent's intersected with
-        the neighbours of u; a coface in the top dimension or with an empty
-        mask is not carried on. Parents are visited in order and their cofaces
-        come out by increasing u, so every dimension is emitted
-        lexicographically sorted and free of duplicates: the output is
-        canonical.
+        (2010). Each simplex carries the AND of its vertices' star masks (all
+        ones in a flag complex) and the bitmask of its common neighbours above
+        its last vertex. Popping the lowest bit u of that mask gives the
+        candidate s + (u,), kept while the AND with u's star mask stays
+        non-zero; its neighbour mask is what is left of the parent's
+        intersected with the neighbours of u, and a coface in the top
+        dimension or with an empty mask is not carried on. Parents are visited
+        in order and their cofaces come out by increasing u, so every
+        dimension is emitted lexicographically sorted and free of duplicates:
+        the output is canonical.
         """
         nbr = self._nbr
-        simplices = {0: tuple((i,) for i in range(self.vertex_count))}
-        level = [((i,), mask >> (i + 1) << (i + 1)) for i, mask in enumerate(nbr)]
+        member = [-1] * self.vertex_count if self._member is None else self._member
+        level = [((i,), mask, nbr[i] >> (i + 1) << (i + 1))
+                 for i, mask in enumerate(member) if mask]
+        simplices = {0: tuple(s for s, _, _ in level)}
         for k in range(1, self.max_dim + 1):
             found = []
             next_level = []
             last = k == self.max_dim
-            for s, cand in level:
+            for s, mask, cand in level:
                 while cand:
                     low = cand & -cand
                     cand ^= low
                     u = low.bit_length() - 1
-                    t = s + (u,)
-                    found.append(t)
-                    if not last and (common := cand & nbr[u]):
-                        next_level.append((t, common))
+                    if shared := mask & member[u]:
+                        t = s + (u,)
+                        found.append(t)
+                        if not last and (common := cand & nbr[u]):
+                            next_level.append((t, shared, common))
             simplices[k] = tuple(found)
             level = next_level
         return simplices
@@ -176,7 +169,12 @@ class _FlagComplex(SimplicialComplex):
                 return False
             prev = v
             seen |= 1 << v
-        return True
+        if self._member is None:
+            return True
+        shared = -1
+        for v in t:
+            shared &= self._member[v]
+        return shared != 0
 
 
 def _same_complex(a: SimplicialComplex, b: SimplicialComplex) -> bool:
@@ -199,7 +197,7 @@ def build_vr(space: FiniteMetricSpace, scale: float, max_dim: int) -> Simplicial
         raise ValueError("scale must be positive")
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    return _FlagComplex(space.size, scale, max_dim, _neighbour_masks(space.dist, scale))
+    return _MaskComplex(space.size, scale, max_dim, _neighbour_masks(space.dist, scale))
 
 
 def _neighbour_masks(dist: np.ndarray, scale: float) -> list[int]:
@@ -242,7 +240,7 @@ def build_cech_circle(space: FiniteMetricSpace, radius: float, max_dim: int,
     if not (2 * radius < circumference / 3.0 - STRICT_SLACK):
         raise ValueError("lemma scale bound violated: need 2*radius < circumference/3")
     vr = build_vr(space, 2 * radius, max_dim)
-    return _FlagComplex(vr.vertex_count, radius, max_dim, vr._nbr)
+    return _MaskComplex(vr.vertex_count, radius, max_dim, vr._nbr)
 
 
 def build_cech_witness(subset: FiniteSubset, radius: float, max_dim: int,
@@ -259,10 +257,10 @@ def build_cech_witness(subset: FiniteSubset, radius: float, max_dim: int,
     (witness, point) pairs within radius from per-axis windows, exactly the
     dense table's entries below radius. The hits group into distinct
     non-empty stars; each point gets the bitmask of the stars it lies in and
-    a neighbour mask, the union of those stars. Simplices then grow level by
-    level as in build_vr's enumeration, a coface s + (u,) being kept while the
-    AND of the star masks stays non-zero, so every dimension comes out
-    lexicographically sorted and free of duplicates.
+    a neighbour mask, the union of those stars. A vertex set is a simplex iff
+    the AND of its star masks is non-zero: has_simplex tests that, and the
+    simplices are enumerated on first read by the same level-wise expansion
+    as build_vr's, in the same canonical order.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -282,26 +280,7 @@ def build_cech_witness(subset: FiniteSubset, radius: float, max_dim: int,
         for j in star:
             member[j] |= 1 << s
             nbr[j] |= span
-    level = [((j,), mask, nbr[j] >> (j + 1) << (j + 1))
-             for j, mask in enumerate(member) if mask]
-    simplices = {0: [s for s, _, _ in level]}
-    for k in range(1, max_dim + 1):
-        found = []
-        next_level = []
-        last = k == max_dim
-        for s, mask, cand in level:
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                u = low.bit_length() - 1
-                if shared := mask & member[u]:
-                    t = s + (u,)
-                    found.append(t)
-                    if not last and (common := cand & nbr[u]):
-                        next_level.append((t, shared, common))
-        simplices[k] = found
-        level = next_level
-    return SimplicialComplex._closed(subset.size, radius, max_dim, simplices)
+    return _MaskComplex(subset.size, radius, max_dim, nbr, member)
 
 
 @dataclass(frozen=True)
@@ -350,9 +329,12 @@ def _flag_pair(f: VertexMap, k: int) -> bool:
     """Whether f joins two flag complexes and the target's cap cannot bind:
     the images of k source simplices together span at most
     min(k (source max_dim + 1), target vertices) <= target max_dim + 1
-    vertices, so their edges alone decide membership."""
+    vertices, so their edges alone decide membership. A complex with star
+    masks is not a flag complex: a clique of it need not be a simplex, and a
+    vertex in no star is not a vertex."""
     s, t = f.source, f.target
-    return (isinstance(s, _FlagComplex) and isinstance(t, _FlagComplex)
+    return (isinstance(s, _MaskComplex) and s._member is None
+            and isinstance(t, _MaskComplex) and t._member is None
             and min(k * (s.max_dim + 1), t.vertex_count) <= t.max_dim + 1)
 
 
@@ -377,20 +359,9 @@ def _edges_land_on_cliques(f: VertexMap, g: VertexMap) -> bool:
 
 
 def check_simplicial(f: VertexMap) -> bool:
-    """True iff every simplex image (after collapsing repeats) is a target simplex.
-
-    Between two flag complexes where the target's cap cannot bind, the images
-    are cliques iff every source edge {a, b} has f(b) equal or adjacent to
-    f(a), and only that is tested; otherwise every source simplex is
-    enumerated and its image queried.
-    """
-    if _flag_pair(f, 1):
-        return _edges_land_on_cliques(f, f)
-    for d in range(f.source.max_dim + 1):
-        for s in f.source.simplices[d]:
-            if not f.target.has_simplex(f.apply(s)):
-                return False
-    return True
+    """True iff every simplex image (after collapsing repeats) is a target
+    simplex, that is iff f is contiguous to itself."""
+    return check_contiguous(f, f)
 
 
 def check_contiguous(f: VertexMap, g: VertexMap) -> bool:
@@ -398,19 +369,19 @@ def check_contiguous(f: VertexMap, g: VertexMap) -> bool:
 
     Contiguous simplicial maps are homotopic, hence induce the same map on
     homology. Between two flag complexes where the target's cap cannot bind
-    on a union, the unions are cliques iff for every source vertex a, f(a),
-    g(a) and f(b), g(b) for its neighbours b are equal or adjacent to both
-    f(a) and g(a), and only that is tested; otherwise every source simplex is
-    enumerated and its union queried.
+    on a union (on one image when f is g), the unions are cliques iff for
+    every source vertex a, f(a), g(a) and f(b), g(b) for its neighbours b are
+    equal or adjacent to both f(a) and g(a), and only that is tested;
+    otherwise every source simplex is enumerated and its union queried.
     """
     if not (_same_complex(f.source, g.source) and _same_complex(f.target, g.target)):
         raise ValueError("mismatched complexes")
-    if _flag_pair(f, 2):
+    if _flag_pair(f, 1 if f is g else 2):
         return _edges_land_on_cliques(f, g)
+    fi, gi = f.image, g.image
     for d in range(f.source.max_dim + 1):
         for s in f.source.simplices[d]:
-            union = tuple(sorted(set(f.apply(s)) | set(g.apply(s))))
-            if not f.target.has_simplex(union):
+            if not f.target.has_simplex(sorted({fi[v] for v in s} | {gi[v] for v in s})):
                 return False
     return True
 

@@ -97,6 +97,8 @@ import numpy as np
 
 from .manifolds import BLOCK, CIRCLE, FiniteMetricSpace, FiniteSubset
 
+NODE_BUDGET = 10_000_000  # node budget of gh_exact and the CLI by default
+
 
 @dataclass(frozen=True)
 class Correspondence:
@@ -209,7 +211,7 @@ def rigid_incumbent(sub_x: FiniteSubset, sub_y: FiniteSubset) -> Correspondence:
 
 
 def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
-             node_budget: int = 10_000_000, *,
+             node_budget: int = NODE_BUDGET, *,
              incumbent: Correspondence | None = None) -> GHResult:
     """Exact d_GH by branch-and-bound over relations (see the module notes).
 

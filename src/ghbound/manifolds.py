@@ -340,14 +340,19 @@ def witness_hits(x: FiniteSubset, radius: float,
     hit; and sqrt(fl(t * t)) == t in binary64, so the torus window is
     {i : gap_k < radius}. The surviving sums are the dense distances bit for
     bit, so the hits are exactly the entries of the dense witness x point
-    table below radius.
+    table below radius. The window masks are formed in row blocks of about
+    BLOCK entries, so past the tables themselves memory grows with the
+    number of hits.
     """
     root = (lambda t: t) if x.manifold.kind == CIRCLE else np.sqrt
     point = np.arange(x.size)
     witness = np.zeros(x.size, dtype=np.intp)
     acc = np.zeros(x.size)
+    rows = max(1, BLOCK // x.size)
     for term in _witness_terms(x.manifold, per_axis, x.points):
-        near = root(term) < radius
+        near = np.empty(term.shape, dtype=bool)
+        for lo in range(0, per_axis, rows):
+            np.less(root(term[lo:lo + rows]), radius, out=near[lo:lo + rows])
         # each point's window, as one run of grid indices in point order
         owner, index = np.nonzero(near.T)
         count = np.count_nonzero(near, axis=0)

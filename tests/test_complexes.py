@@ -11,6 +11,14 @@ Oracle notes
   with the enumerated simplices on hypothesis-drawn tuples (empty, unsorted,
   repeated, out of range, too long, numpy integers), with masks of up to 80
   bits, and never enumerates.
+* witnessed Cech membership: has_simplex, the clique test and then the AND
+  of the star masks, agrees with oracles.witness_cech on hypothesis-drawn
+  circle and 2-torus subsets of up to 80 points (tuples as for VR, plus
+  unwitnessed vertices), refuses every triangle whose edges no single
+  witness covers on seeded torus subsets, and never enumerates.
+* map checks: check_simplicial and check_contiguous agree with their
+  by-enumeration oracles on pairs of sorted-line VR, explicit and witnessed
+  Cech complexes, on both the edge path and the enumerated one.
 * build_cech_circle, build_cech_witness: re-wrapping their output with the
   public, checking SimplicialComplex constructor gives it back unchanged, so
   the lists they hand over are sorted, duplicate-free and closed.
@@ -37,7 +45,7 @@ from ghbound import (FiniteMetricSpace, FiniteSubset, SimplicialComplex,
 
 from ghbound.complexes import _flag_pair
 from oracles import (contiguous_by_enumeration, random_complex,
-                     simplicial_by_enumeration, vr_brute)
+                     simplicial_by_enumeration, vr_brute, witness_cech, witness_table)
 
 
 @pytest.fixture
@@ -207,6 +215,85 @@ def test_flag_membership_is_the_enumerated_sets(data):
         expected = 1 <= len(t) <= max_dim + 1 and t in sets[len(t) - 1]
         assert lazy.has_simplex(t) == expected
     assert "simplices" not in vars(lazy)
+
+
+def _witnessed(data):
+    """A circle or unit 2-torus subset of m random points (small or past 64)
+    with a coarse witness grid and a radius that may leave points
+    unwitnessed, a max_dim up to m + 1, and the dense oracle's simplices.
+    max_dim is lowered while the oracle would list more than 20000 subsets."""
+    manifold = data.draw(st.sampled_from([circle(1.0), flat_torus([1.0, 1.0])]),
+                         label="manifold")
+    m = data.draw(st.one_of(st.integers(1, 12), st.integers(65, 80)), label="m")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    subset = FiniteSubset(manifold, np.random.default_rng(seed).random((m, manifold.dim)))
+    per_axis = data.draw(st.integers(1, 12), label="per_axis")
+    radius = data.draw(st.floats(0.02, 0.6), label="radius")
+    max_dim = data.draw(st.integers(0, m + 1), label="max_dim")
+    sizes = np.count_nonzero(np.unique(witness_table(subset, per_axis) < radius,
+                                       axis=0), axis=1)
+    while max_dim and sum(math.comb(int(n), k + 1) for n in sizes
+                          for k in range(max_dim + 1)) > 20_000:
+        max_dim -= 1
+    return subset, radius, max_dim, per_axis, witness_cech(subset, radius, max_dim, per_axis)
+
+
+def test_witnessed_membership_is_the_oracle_sets():
+    seen = set()  # (answer, every vertex witnessed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def agree(data):
+        subset, radius, max_dim, per_axis, want = _witnessed(data)
+        m = subset.size
+        sets = {d: set(found) for d, found in want.items()}
+        lazy = build_cech_witness(subset, radius, max_dim, per_axis)
+        unwitnessed = [v for v in range(m) if (v,) not in sets[0]]
+        vertex = (st.integers(-2, m + 2) | st.integers(max(0, m - 12), m - 1)
+                  | st.sampled_from(unwitnessed or [m]))
+        arbitrary = st.lists(vertex, max_size=max_dim + 3).map(tuple)
+        # a simplex plus one vertex: a coface, a face again, or too long
+        known = [s for d in want.values() for s in d]
+        tuples = [arbitrary]
+        if known:
+            tuples += [st.sampled_from(known), st.tuples(st.sampled_from(known), vertex)
+                       .map(lambda p: tuple(sorted({*p[0], p[1]})))]
+        # triangles of the edge graph that are not simplices: a clique test
+        # alone would take them
+        hollow = [] if max_dim < 2 else [
+            t for t in combinations(range(m), 3)
+            if t not in sets[2] and all(e in sets[1] for e in combinations(t, 2))]
+        if hollow:
+            tuples.insert(0, st.sampled_from(hollow))
+        for _ in range(20):
+            t = data.draw(st.one_of(tuples), label="t")
+            if data.draw(st.booleans(), label="numpy"):
+                t = tuple(np.int64(v) for v in t)
+            expected = 1 <= len(t) <= max_dim + 1 and t in sets[len(t) - 1]
+            assert lazy.has_simplex(t) == expected
+            if 1 <= len(t) <= max_dim + 1:
+                seen.add((expected, all((v,) in sets[0] for v in t)))
+        assert "simplices" not in vars(lazy)
+
+    agree()
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_witnessed_membership_refuses_hollow_triangles(rng):
+    # triangles whose edges are simplices but whose three vertices no single
+    # witness sees: a clique test alone would take them
+    hollow = 0
+    for _ in range(40):
+        subset = FiniteSubset(flat_torus([1.0, 1.0]), rng.random((8, 2)))
+        k = build_cech_witness(subset, 0.2, 2, 8)
+        want = witness_cech(subset, 0.2, 2, 8)
+        for t in combinations(range(8), 3):
+            if t not in want[2] and all(e in want[1] for e in combinations(t, 2)):
+                hollow += 1
+                assert not k.has_simplex(t)
+        assert all(k.has_simplex(t) for t in want[2])
+        assert "simplices" not in vars(k)
+    assert hollow
 
 
 def test_cech_circle_equals_vr_at_doubled_scale():
@@ -396,15 +483,35 @@ def _sorted_line(data, label):
                     scale, max_dim)
 
 
+def _torus_witnessed(data, label):
+    """A witnessed Cech complex of 1-10 random points of the unit 2-torus on a
+    coarse grid, so that some points may have no vertex; max_dim is often 0
+    or m - 1."""
+    m = data.draw(st.integers(1, 10), label=f"{label} m")
+    seed = data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed")
+    subset = FiniteSubset(flat_torus([1.0, 1.0]),
+                          np.random.default_rng(seed).random((m, 2)))
+    per_axis = data.draw(st.integers(1, 8), label=f"{label} per_axis")
+    radius = data.draw(st.floats(0.05, 0.6), label=f"{label} radius")
+    max_dim = data.draw(st.one_of(st.just(0), st.just(m - 1), st.integers(0, m + 1)),
+                        label=f"{label} max_dim")
+    return build_cech_witness(subset, radius, max_dim, per_axis)
+
+
 def _map_pair(data):
     """Two vertex maps between one source and one target, each complex a
-    sorted-line VR complex or an explicit oracles.random_complex. Vertices go
-    to the target vertex of about the same rank, some moved one step."""
+    sorted-line VR complex, an explicit oracles.random_complex or a witnessed
+    Cech complex on the 2-torus. Vertices go to the target vertex of about
+    the same rank, some moved one step."""
     complexes = []
     for label in ("source", "target"):
-        if data.draw(st.sampled_from((False, False, True)), label=f"{label} explicit"):
+        kind = data.draw(st.sampled_from(("line", "line", "explicit", "witnessed")),
+                         label=f"{label} kind")
+        if kind == "explicit":
             seed = data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed")
             complexes.append(random_complex(np.random.default_rng(seed)))
+        elif kind == "witnessed":
+            complexes.append(_torus_witnessed(data, label))
         else:
             complexes.append(_sorted_line(data, label))
     source, target = complexes

@@ -14,9 +14,10 @@ Oracle notes
   below the radius, and oracles.witness_cech: a materialized grid, its
   witness x point table, every subset of every star, sorted) on
   hypothesis-drawn circles and tori of dims 1-4 with unequal sides, 1-20
-  witnesses per axis, repeated points with coordinates at 0 and just below
-  each side, and radii often equal to a table entry or to a point's
-  distance from its nearest witness, so ties meet the strict "<".
+  witnesses per axis, witness_hits' row blocks of 1-64 entries, repeated
+  points with coordinates at 0 and just below each side, and radii often
+  equal to a table entry or to a point's distance from its nearest witness,
+  so ties meet the strict "<".
 * cross_distances: bit-identical to oracles.broadcast_cross_distances (one
   broadcast difference array, summed over its last axis) on random inputs,
   with row blocks small enough that the inputs span several.
@@ -207,8 +208,8 @@ def test_builders_hand_over_what_the_public_check_accepts(inputs, data):
 
 @settings(max_examples=150, deadline=None)
 @given(kernel_inputs(kinds=("circle", "flat_torus"), most=40), st.integers(1, 20),
-       st.integers(0, 4), st.data())
-def test_witness_grid_equals_the_dense_oracles(inputs, per_axis, max_dim, data):
+       st.integers(0, 4), st.integers(1, 64), st.data())
+def test_witness_grid_equals_the_dense_oracles(inputs, per_axis, max_dim, block, data):
     manifold, points, _ = inputs
     subset = FiniteSubset(manifold, points)
     assert (covering_radius_witness(subset, per_axis)
@@ -221,7 +222,8 @@ def test_witness_grid_equals_the_dense_oracles(inputs, per_axis, max_dim, data):
         data.draw(st.integers(0, len(table) - 1))]]))
     radius = (tie if tie > 0 and data.draw(st.booleans())
               else data.draw(st.floats(1e-3, max(manifold.params))))
-    witness, point = manifolds.witness_hits(subset, radius, per_axis)
+    with mock.patch.object(manifolds, "BLOCK", block):  # window masks in row blocks
+        witness, point = manifolds.witness_hits(subset, radius, per_axis)
     assert set(zip(witness.tolist(), point.tolist())) == set(
         zip(*np.nonzero(table < radius)))
     # keep the oracle's enumeration small: lower max_dim while the distinct
@@ -265,6 +267,24 @@ def test_one_axis_witness_radius_reads_its_table_in_place(rng):
                     lambda x, n: manifolds.witness_hits(x, 0.1, n)):
         with pytest.raises(ValueError, match="needs tables of 4194320 entries"):
             refused(sub, 2 ** 22 // 40 + 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: manifolds.witness_hits(x, 0.01, 65536),
+    lambda x: build_cech_witness(x, 0.01, 2, 65536),
+], ids=["witness_hits", "build_cech_witness"])
+def test_one_axis_witness_hits_peak_near_their_table(rng, build):
+    # the one table is 20 MiB; a whole-table sqrt for the window mask took the
+    # peak to 42.5 MiB. At radius 0.01 the 52k hits add little; at 0.05 the
+    # 262k hits alone bring it back near 43 MiB
+    sub = FiniteSubset(flat_torus([1.0]), rng.uniform(0.0, 1.0, size=(40, 1)))
+    tracemalloc.start()
+    try:
+        build(sub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
 
 
 def test_cross_distances_memory_stays_near_output(rng):
