@@ -298,6 +298,11 @@ def _complex_from_args(args):
 
 def cmd_homology(args) -> int:
     cx = _complex_from_args(args)
+    if args.up_to is None and cx.max_dim < 1:  # beta_0 already needs the edges
+        need = ("a complex file that records dimension 1" if args.complex
+                else "--max-dim >= 1")
+        raise ValueError(f"Betti numbers need {need}; the complex caps at dimension "
+                         f"{cx.max_dim}")
     up_to = args.up_to if args.up_to is not None else cx.max_dim - 1
     betti = betti_numbers(cx, up_to)
     _emit_json({"scale": cx.scale, "max_dim": cx.max_dim,
@@ -357,8 +362,15 @@ def _lemma_trial(trial: int, master: SplitMix64) -> dict:
     eps = 0.05 + rng.next_float() * 1.45
     sub_x = uniform_points(ambient, nx, rng.next_u64())
     sub_y = uniform_points(ambient, ny, rng.next_u64())
-    space_x = sub_x.to_metric_space()
-    space_y = sub_y.to_metric_space()
+    # One table for Z, Y's points then X's. Its diagonal blocks are Y's and X's
+    # own tables bit for bit: the circle kernel sets each entry from its two
+    # points alone, and normalizing the subsets' coordinates again leaves them
+    # unchanged (a number in [0, L) is its own remainder mod L).
+    merged = np.vstack([sub_y.points, sub_x.points])
+    space_z = FiniteSubset(ambient, merged).to_metric_space()
+    idx = list(range(ny))
+    space_y = space_z.submatrix(idx)
+    space_x = space_z.submatrix(range(ny, ny + nx))
 
     result = gh_exact(space_x, space_y)
     corr = result.correspondence
@@ -378,9 +390,6 @@ def _lemma_trial(trial: int, master: SplitMix64) -> dict:
         "roundtrip_contiguous": check_contiguous(roundtrip, inclusion),
     }
 
-    merged = np.vstack([sub_y.points, sub_x.points])
-    space_z = FiniteSubset(ambient, merged).to_metric_space()
-    idx = list(range(ny))
     gap = float(space_z.dist[:, idx].min(axis=1).max())
     r2 = 2.0 * gap + 0.01
     source_z = build_vr(space_z, eps, space_z.size - 1)

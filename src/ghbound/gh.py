@@ -13,11 +13,12 @@ Floors (Memoli, "Some properties of Gromov-Hausdorff distances", DCG 2012):
 * L[x, y] is the Hausdorff distance between the value sets of row x of d_X and
   row y of d_Y. A correspondence containing (x, y) relates every x' to some y'
   and every y' to some x', so its distortion is at least L[x, y]. Computed once
-  in one (nx, ny, nx, ny) broadcast of the row differences when that holds at
+  from the tensor T[x, y, i, j] = |d_X[x, i] - d_Y[y, j]| when that holds at
   most BLOCK doubles, otherwise from sorted rows with searchsorted
   (O(n^3 log n) time, O(n^2) memory). Float subtraction rounds
   monotonically, so the nearest entry found by searchsorted is the global
-  minimum of |difference| and the two agree bit for bit.
+  minimum of |difference| and the two agree bit for bit. T is kept for the
+  whole search: it is every matrix a node step needs (see below).
 * inc[x, y] is the cost of (x, y) against the pairs in P. Every uncovered x
   still needs a partner, so max over uncovered x of min_y max(L, inc), and the
   same with X and Y swapped, bound every completion of P from below.
@@ -72,17 +73,21 @@ pushes the child's generator. On small inputs a node costs numpy call
 overhead, not arithmetic, so each node makes a fixed handful of calls on
 preallocated buffers and does its bookkeeping in Python. One index u runs over
 the disjoint union of X and Y (u < nx is x = u, otherwise y = u - nx). One
-need vector takes the row and then the column minima of cost; a cap vector
+need vector takes the row and then the column minima of cost (with
+np.minimum.reduce, which skips ndarray.min's Python wrapper); a cap vector
 (+inf on uncovered points, -1 on covered ones, kept beside the Python cover
 counts) masks covered points, and argmax picks the first largest minimum, so
 X wins ties. The branching line is row u or column u - nx of cost, read once
 with .tolist(); its partners are walked in the stable sorted order of those
-values. Assigning (x, y) writes |d_X[x, :] - d_Y[y, :]| into a scratch
-matrix, logs the cells it raises above cost with their old values, and takes
-the elementwise maximum in place; withdrawing the pair writes the logged
-values back, and a banned cell (at +inf) is never raised. The log holds only
-the raised cells, so memory stays quadratic in practice, where a snapshot of
-cost per level would be cubic.
+values. Assigning (x, y) reads the matrix |d_X[x, :] - d_Y[y, :]| as the
+view T[x, y] when T was kept, and otherwise writes it into an (nx, ny)
+scratch matrix with one outer subtraction; each entry is the same IEEE
+subtraction d_X[x, i] - d_Y[y, j] either way, so the two paths agree bit for
+bit. It then logs the cells it raises above cost with their old values, and
+takes the elementwise maximum in place; withdrawing the pair writes the
+logged values back, and a banned cell (at +inf) is never raised. The log
+holds only the raised cells, so memory stays quadratic in practice, where a
+snapshot of cost per level would be cubic.
 
 The result is exact whenever the node budget is not exhausted; on budget
 exhaustion the best correspondence found is returned with proven_optimal =
@@ -92,6 +97,7 @@ False (its half-distortion is still an upper bound).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -102,13 +108,17 @@ NODE_BUDGET = 10_000_000  # node budget of gh_exact and the CLI by default
 
 @dataclass(frozen=True)
 class Correspondence:
-    """A relation between index sets, as a sorted tuple of (x, y) pairs."""
+    """A relation between index sets, as a sorted tuple of (x, y) pairs of
+    Python ints; non-integer indices are refused."""
 
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(sorted((int(a), int(b))
-                                                       for a, b in self.pairs)))
+        try:
+            pairs = sorted((index(a), index(b)) for a, b in self.pairs)
+        except TypeError:
+            raise ValueError("correspondence indices must be integers") from None
+        object.__setattr__(self, "pairs", tuple(pairs))
 
     def transpose(self) -> "Correspondence":
         return Correspondence(tuple((b, a) for a, b in self.pairs))
@@ -158,15 +168,17 @@ def _directed_floors(da: np.ndarray, db: np.ndarray) -> np.ndarray:
     return floors
 
 
-def _pair_floors(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """L[x, y]: the Hausdorff distance between the value sets of dx[x] and dy[y],
-    from one broadcast of |dx[x, i] - dy[y, j]| when that holds at most BLOCK
-    doubles, else from sorted rows (the same bits; see the module notes)."""
+def _pair_floors(dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(L, T): L[x, y] is the Hausdorff distance between the value sets of dx[x]
+    and dy[y]. When T[x, y, i, j] = |dx[x, i] - dy[y, j]| holds at most BLOCK
+    doubles, L is taken from that one broadcast and T is returned for the
+    search's node steps; otherwise L comes from sorted rows (the same bits;
+    see the module notes) and T is None."""
     if (len(dx) * len(dy)) ** 2 > BLOCK:
-        return np.maximum(_directed_floors(dx, dy), _directed_floors(dy, dx).T)
+        return np.maximum(_directed_floors(dx, dy), _directed_floors(dy, dx).T), None
     gap = dx[:, None, :, None] - dy[None, :, None, :]
     np.abs(gap, out=gap)
-    return np.maximum(gap.min(axis=3).max(axis=2), gap.min(axis=2).max(axis=2))
+    return np.maximum(gap.min(axis=3).max(axis=2), gap.min(axis=2).max(axis=2)), gap
 
 
 def rigid_incumbent(sub_x: FiniteSubset, sub_y: FiniteSubset) -> Correspondence:
@@ -233,17 +245,20 @@ def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
     dx = np.ascontiguousarray(space_x.dist)
     dy = np.ascontiguousarray(space_y.dist)
     nx, ny = space_x.size, space_y.size
-    cost = _pair_floors(dx, dy)  # max(L, inc), raised and restored in place
+    cost, gaps = _pair_floors(dx, dy)  # cost = max(L, inc), raised and restored
     cost_flat = cost.reshape(-1)
     root_floor = max(cost.min(axis=1).max(), cost.min(axis=0).max())
 
-    gap = np.empty((nx, ny))  # scratch, one node at a time
+    if gaps is None:
+        scratch = np.empty((nx, ny))  # |dx[x] - dy[y]|, one node at a time
     raised = np.empty((nx, ny), dtype=bool)
     raised_flat = raised.reshape(-1)
     # points of X then of Y: u < nx is x = u, u >= nx is y = u - nx
     covers = [0] * (nx + ny)  # assigned pairs per point
     cap = np.full(nx + ny, np.inf)  # -1 on covered points, below every cost
     need = np.empty(nx + ny)
+    need_x, need_y = need[:nx], need[nx:]
+    least = np.minimum.reduce
     pairs: list[tuple[int, int]] = []  # P, in assignment order
     best = float("inf")
     best_pairs: list[tuple[int, int]] = []
@@ -256,8 +271,8 @@ def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
         assigned; when resumed, withdraws the pair and bans it for the later
         siblings. Returns at once when the look-ahead floor reaches best;
         partners are tried in increasing cost until one reaches best."""
-        cost.min(axis=1, out=need[:nx])
-        cost.min(axis=0, out=need[nx:])
+        least(cost, 1, None, need_x)
+        least(cost, 0, None, need_y)
         np.minimum(need, cap, out=need)
         u = int(need.argmax())  # the first largest: X wins ties
         if max(partial, need[u]) >= best:
@@ -269,8 +284,10 @@ def gh_exact(space_x: FiniteMetricSpace, space_y: FiniteMetricSpace,
             if child >= best:
                 break  # costs ascend, nothing later can improve
             x, y = (u, v) if u < nx else (v, u - nx)
-            np.subtract.outer(dx[x], dy[y], out=gap)
-            np.abs(gap, out=gap)
+            if gaps is None:
+                gap = np.abs(np.subtract.outer(dx[x], dy[y], out=scratch), out=scratch)
+            else:
+                gap = gaps[x, y]
             np.greater(gap, cost, out=raised)
             changed = raised_flat.nonzero()[0]
             old = cost_flat[changed]

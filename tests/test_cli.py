@@ -336,6 +336,20 @@ def test_homology_needs_scale(tmp_path, capsys):
     assert "--scale" in capsys.readouterr().err
 
 
+def test_homology_needs_max_dim_one(tmp_path, capsys):
+    # --max-dim 0 used to fail with "up_to must be >= 0", an option never passed
+    x = _subset_file(tmp_path, "x.json", equispaced_circle(circle(), 6))
+    assert _run(["homology", "--subset", x, "--scale", "1", "--max-dim", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: Betti numbers need --max-dim >= 1; the complex caps "
+                       "at dimension 0\n")
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"scale": 1.0, "simplices": {"0": [[0], [1]]}}))
+    assert _run(["homology", "--complex", str(path)]) == 1
+    assert "a complex file that records dimension 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf"])
 def test_homology_refuses_a_non_finite_scale(tmp_path, capsys, scale):
     # these printed "scale": NaN or Infinity, which is not JSON

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from ghbound import (Correspondence, FiniteMetricSpace, FiniteSubset, SplitMix64,
                      circle, distortion, equispaced_circle, euclidean, gh_exact,
                      hausdorff_subsets, rigid_incumbent, uniform_points)
-from ghbound import gh
+from ghbound import cli, gh
 from ghbound.gh import _pair_floors
 
 from oracles import gh_exhaustive
@@ -125,6 +125,17 @@ def test_correspondence_validation():
     ident = Correspondence(((0, 0), (1, 1), (2, 2)))
     ident.validate(3, 3)
     assert ident.transpose().pairs == ident.pairs
+    # float indices used to be truncated: ((0.9, 0.2), (1.5, 1.99)) became the
+    # identity on two points, and gh_exact took it as an incumbent
+    for pairs in (((0.9, 0.2), (1.5, 1.99)), ((0, 0), (1.0, 1)), ((0, "1"),)):
+        with pytest.raises(ValueError, match="must be integers"):
+            Correspondence(pairs)
+    x = equispaced_circle(circle(), 2).to_metric_space()
+    with pytest.raises(ValueError, match="must be integers"):
+        gh_exact(x, x, incumbent=Correspondence(((0.9, 0.2), (1.5, 1.99))))
+    wide = Correspondence(((np.int64(1), np.intp(0)), (np.int32(0), np.uint8(1))))
+    assert wide.pairs == ((0, 1), (1, 0))
+    assert all(type(i) is int for pair in wide.pairs for i in pair)
 
 
 def test_distortion_known_value():
@@ -179,7 +190,7 @@ def test_gh_exact_equals_exhaustive_property(x, y):
 @settings(max_examples=100, deadline=None)
 @given(metric_spaces(5), metric_spaces(5), st.randoms(use_true_random=False))
 def test_pair_floor_below_distortion_of_correspondences_through_pair(x, y, rnd):
-    floors = _pair_floors(x.dist, y.dist)
+    floors, _ = _pair_floors(x.dist, y.dist)
     pairs = list(product(range(x.size), range(y.size)))
     for _ in range(10):
         # a random relation, completed to cover both sides
@@ -202,10 +213,15 @@ def test_pair_floors_broadcast_equals_sorted_search(rng, nx, ny):
              (uniform_points(c, nx, 3).to_metric_space().dist,
               uniform_points(c, ny, 4).to_metric_space().dist)]
     for dx, dy in pairs:
-        found = _pair_floors(dx, dy)
+        found, _ = _pair_floors(dx, dy)
         for block in (0, (nx * ny) ** 2):  # force the sorted path, then the broadcast
             with mock.patch.object(gh, "BLOCK", block):
-                assert np.array_equal(_pair_floors(dx, dy), found)
+                floors, gaps = _pair_floors(dx, dy)
+            assert np.array_equal(floors, found)
+            assert (gaps is None) == (block == 0)
+        # the kept tensor holds the node step's matrices bit for bit
+        for x, y in [(0, 0), (nx - 1, ny - 1), (3, 11)]:
+            assert np.array_equal(gaps[x, y], np.abs(np.subtract.outer(dx[x], dy[y])))
 
 
 @settings(max_examples=60, deadline=None)
@@ -447,6 +463,24 @@ def test_gh_sweep_search_is_pinned(budget):
         assert sum(nodes for _, nodes, _, _ in got) == 3036  # unseeded, unlike gh-sweep
 
 
+@pytest.mark.parametrize("budget", sorted(GH_SWEEP_SEARCH))
+def test_child_steps_agree_across_the_block_limit(budget):
+    # BLOCK = 0 forces the sorted floors and the outer-product child step; the
+    # default keeps the floor tensor and reads each child's matrix from it
+    master = SplitMix64(1)
+    spaces = ([_lemma_pair(master, trial) for trial in range(200)]
+              + [_gh_sweep_row(row) for row in range(len(GH_SWEEP_SIZES))])
+    for x, y in spaces:
+        assert (x.size * y.size) ** 2 <= gh.BLOCK
+        kept = gh_exact(x, y, budget)
+        with mock.patch.object(gh, "BLOCK", 0):
+            sorted_ = gh_exact(x, y, budget)
+        assert ((kept.value, kept.nodes_explored, kept.proven_optimal,
+                 kept.correspondence.pairs)
+                == (sorted_.value, sorted_.nodes_explored, sorted_.proven_optimal,
+                    sorted_.correspondence.pairs))
+
+
 def _lemma_pair(master, trial):
     """The pair lemma-check's trial draws (cli._lemma_trial): 2-6 points a side."""
     rng = master.child(trial)
@@ -474,6 +508,44 @@ def test_lemma_check_searches_are_pinned():
     assert all(proven for _, _, proven, _ in got)
     assert sum(nodes for _, nodes, _, _ in got) == 11_328
     assert hashlib.sha256(repr(got).encode()).hexdigest() == LEMMA_SEARCH_DIGEST
+
+
+def test_lemma_trial_tables_are_the_pinned_pairs():
+    # the trial takes X's and Y's tables as blocks of Z's; they must be the
+    # bytes _lemma_pair builds, which LEMMA_SEARCH_DIGEST pins
+    seen = []
+
+    def spy(space_x, space_y, *args, **kwargs):
+        seen.append((space_x, space_y))
+        return gh_exact(space_x, space_y, *args, **kwargs)
+
+    with mock.patch.object(cli, "gh_exact", spy):
+        for trial in range(100):
+            cli._lemma_trial(trial, SplitMix64(1))
+    master = SplitMix64(1)
+    for trial, got in enumerate(seen):
+        for space, want in zip(got, _lemma_pair(master, trial)):
+            assert space.dist.dtype == want.dist.dtype
+            assert space.dist.shape == want.dist.shape
+            assert space.dist.tobytes() == want.dist.tobytes()
+    assert len(seen) == 100
+
+
+def test_search_memory_at_the_broadcast_limit():
+    # T holds (16 * 16)^2 = BLOCK doubles (512 KiB) and is kept for the whole
+    # search; the floors' reductions and the search may add one BLOCK more
+    c = circle()
+    x = uniform_points(c, 16, seed=31).to_metric_space()
+    y = uniform_points(c, 16, seed=32).to_metric_space()
+    assert (x.size * y.size) ** 2 == gh.BLOCK
+    tracemalloc.start()
+    try:
+        result = gh_exact(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.proven_optimal
+    assert peak < 2 * gh.BLOCK * 8
 
 
 def test_search_memory_stays_quadratic():
