@@ -207,7 +207,7 @@ def _sample(manifold: AmbientManifold, sampler: dict, key: str, row: int,
     if subset.size != size:
         raise ValueError(f"row {row}: {path} holds {subset.size} points, "
                          f"the config asks for n_{key} = {size}")
-    return subset
+    return FiniteSubset(manifold, subset.points)  # the config's constants
 
 
 def cmd_circle_sweep(args) -> int:
@@ -277,6 +277,9 @@ def cmd_ratio(args) -> int:
 
 def _complex_from_args(args):
     if args.complex:
+        if args.max_dim is not None:
+            raise ValueError("--max-dim caps a complex built from --subset; a "
+                             "complex file records its own cap")
         return serialize.complex_from_dict(serialize.read_json(args.complex))
     if not (args.subset and args.scale is not None and 0 < args.scale < math.inf):
         raise ValueError("homology needs --complex, or --subset with a finite "
@@ -284,6 +287,9 @@ def _complex_from_args(args):
     subset = serialize.subset_from_dict(serialize.read_json(args.subset))
     m = subset.manifold
     max_dim = args.max_dim if args.max_dim is not None else m.dim + 1
+    if args.max_dim is not None and max_dim > subset.size:
+        raise ValueError(f"--max-dim {max_dim} exceeds the {subset.size} points of "
+                         f"the subset, the most vertices a simplex can have")
     if not args.cech:
         return build_vr(subset.to_metric_space(), args.scale, max_dim)
     if m.kind == CIRCLE:
@@ -298,13 +304,12 @@ def _complex_from_args(args):
 
 def cmd_homology(args) -> int:
     cx = _complex_from_args(args)
-    if args.up_to is None and cx.max_dim < 1:  # beta_0 already needs the edges
+    if cx.max_dim < 1:  # beta_0 already needs the edges
         need = ("a complex file that records dimension 1" if args.complex
                 else "--max-dim >= 1")
         raise ValueError(f"Betti numbers need {need}; the complex caps at dimension "
                          f"{cx.max_dim}")
-    up_to = args.up_to if args.up_to is not None else cx.max_dim - 1
-    betti = betti_numbers(cx, up_to)
+    betti = betti_numbers(cx, cx.max_dim - 1)
     _emit_json({"scale": cx.scale, "max_dim": cx.max_dim,
                 "simplex_counts": cx.simplex_counts(),
                 "betti": list(betti)}, args.out)
@@ -461,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ambient Cech instead of VR (circle exact, torus witnessed)")
     p.add_argument("--witness-grid", type=_positive_int)
     p.add_argument("--max-dim", type=int)
-    p.add_argument("--up-to", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_homology)
 

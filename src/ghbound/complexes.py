@@ -11,7 +11,8 @@ all its vertices within the radius).
 
 Built complexes are lazy masks (_MaskComplex): has_simplex tests bitmasks,
 and simplices are enumerated on first read, in canonical order. Explicit
-complexes, such as those read from a file, are validated sets of simplices.
+complexes, such as those read from a file, are validated sorted tuples of
+simplices, and has_simplex searches them by bisection.
 
 Vertex maps between complexes are tuples of int vertex indices.
 check_simplicial and check_contiguous are executable forms of the two standard
@@ -28,6 +29,7 @@ binds, it enumerates the source simplices and queries each image.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -44,7 +46,8 @@ class SimplicialComplex:
     simplices maps dimension to a lexicographically sorted tuple of strictly
     increasing vertex tuples. Every dimension 0..max_dim has an entry (possibly
     empty); max_dim records the construction cap, which may exceed the top
-    non-empty dimension. Instances are immutable by convention.
+    non-empty dimension. Instances are immutable by convention. Those tuples
+    are the only store: has_simplex bisects them.
 
     This constructor, for explicit complexes, checks every simplex and every
     one of its codimension-one faces, in time linear in simplices x dim, so a
@@ -62,19 +65,11 @@ class SimplicialComplex:
         self.max_dim = max_dim
         self.simplices = {d: tuple(sorted(set(map(tuple, simplices.get(d, ())))))
                           for d in range(max_dim + 1)}
-        self._sets: dict[int, frozenset] = {}  # filled per dimension by _set
         self._validate()
-
-    def _set(self, dim: int) -> frozenset:
-        """The simplices of one dimension as a set, frozen on first use."""
-        found = self._sets.get(dim)
-        if found is None:
-            found = self._sets[dim] = frozenset(self.simplices.get(dim, ()))
-        return found
 
     def _validate(self) -> None:
         for d, entries in self.simplices.items():
-            faces = self._set(d - 1) if d else frozenset()
+            faces = frozenset(self.simplices[d - 1]) if d else frozenset()
             for s in entries:
                 if len(s) != d + 1:
                     raise ValueError(f"simplex {s} filed under dimension {d}")
@@ -90,15 +85,16 @@ class SimplicialComplex:
                         raise ValueError(f"face {face} of {s} is missing")
 
     def has_simplex(self, simplex) -> bool:
-        t = tuple(simplex)
-        return t in self._set(len(t) - 1)
+        t = tuple(map(index, simplex))
+        return 0 < len(t) <= self.max_dim + 1 and self._holds(t)
+
+    def _holds(self, t: tuple[int, ...]) -> bool:  # 1 <= len(t) <= max_dim + 1
+        found = self.simplices[len(t) - 1]
+        i = bisect_left(found, t)
+        return i < len(found) and found[i] == t
 
     def simplex_counts(self) -> list[int]:
         return [len(self.simplices[d]) for d in range(self.max_dim + 1)]
-
-    def __repr__(self) -> str:
-        return (f"SimplicialComplex(vertices={self.vertex_count}, scale={self.scale:g}, "
-                f"max_dim={self.max_dim}, counts={self.simplex_counts()})")
 
 
 class _MaskComplex(SimplicialComplex):
@@ -158,10 +154,7 @@ class _MaskComplex(SimplicialComplex):
             level = next_level
         return simplices
 
-    def has_simplex(self, simplex) -> bool:
-        t = tuple(map(index, simplex))
-        if not 0 < len(t) <= self.max_dim + 1:
-            return False
+    def _holds(self, t: tuple[int, ...]) -> bool:
         nbr = self._nbr
         prev, seen = -1, 0  # seen: the bits of the vertices before v
         for v in t:
@@ -187,11 +180,9 @@ def _same_complex(a: SimplicialComplex, b: SimplicialComplex) -> bool:
 def build_vr(space: FiniteMetricSpace, scale: float, max_dim: int) -> SimplicialComplex:
     """Vietoris-Rips complex at one scale: simplices are sets of diameter < scale.
 
-    VR complexes are flag complexes, so the result holds only the proximity
-    graph, one neighbour bitmask per vertex packed from the rows of
-    dist < scale. has_simplex is a clique test on those masks; simplices is
-    enumerated on first read, dimension by dimension in the canonical
-    lexicographic order, and a complex that is only queried never enumerates.
+    VR complexes are flag complexes, so the result is a _MaskComplex of the
+    proximity graph alone, one neighbour bitmask per vertex packed from the
+    rows of dist < scale.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -257,10 +248,7 @@ def build_cech_witness(subset: FiniteSubset, radius: float, max_dim: int,
     (witness, point) pairs within radius from per-axis windows, exactly the
     dense table's entries below radius. The hits group into distinct
     non-empty stars; each point gets the bitmask of the stars it lies in and
-    a neighbour mask, the union of those stars. A vertex set is a simplex iff
-    the AND of its star masks is non-zero: has_simplex tests that, and the
-    simplices are enumerated on first read by the same level-wise expansion
-    as build_vr's, in the same canonical order.
+    a neighbour mask, the union of those stars, for a _MaskComplex.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")

@@ -71,23 +71,19 @@ the child's partial distortion and withdrawing the pair when resumed. The loop
 advances the generator on top of its stack, and pops it, records a leaf or
 pushes the child's generator. On small inputs a node costs numpy call
 overhead, not arithmetic, so each node makes a fixed handful of calls on
-preallocated buffers and does its bookkeeping in Python. One index u runs over
-the disjoint union of X and Y (u < nx is x = u, otherwise y = u - nx). One
-need vector takes the row and then the column minima of cost (with
-np.minimum.reduce, which skips ndarray.min's Python wrapper); a cap vector
-(+inf on uncovered points, -1 on covered ones, kept beside the Python cover
-counts) masks covered points, and argmax picks the first largest minimum, so
-X wins ties. The branching line is row u or column u - nx of cost, read once
-with .tolist(); its partners are walked in the stable sorted order of those
-values. Assigning (x, y) reads the matrix |d_X[x, :] - d_Y[y, :]| as the
-view T[x, y] when T was kept, and otherwise writes it into an (nx, ny)
-scratch matrix with one outer subtraction; each entry is the same IEEE
-subtraction d_X[x, i] - d_Y[y, j] either way, so the two paths agree bit for
-bit. It then logs the cells it raises above cost with their old values, and
-takes the elementwise maximum in place; withdrawing the pair writes the
-logged values back, and a banned cell (at +inf) is never raised. The log
-holds only the raised cells, so memory stays quadratic in practice, where a
-snapshot of cost per level would be cubic.
+preallocated buffers and does its bookkeeping in Python: one need vector
+holds the row and then the column minima of cost (np.minimum.reduce skips
+ndarray.min's Python wrapper), a cap vector masks covered points, and the
+branching line is read once with .tolist(); its partners are walked in the
+stable sorted order of those values. Assigning (x, y) reads the matrix
+|d_X[x, :] - d_Y[y, :]| as the view T[x, y] when T was kept, and otherwise
+writes it into an (nx, ny) scratch matrix with one outer subtraction; each
+entry is the same IEEE subtraction d_X[x, i] - d_Y[y, j] either way, so the
+two paths agree bit for bit. It then logs the cells it raises above cost with
+their old values, and takes the elementwise maximum in place; withdrawing the
+pair writes the logged values back, and a banned cell (at +inf) is never
+raised. The log holds only the raised cells, so memory stays quadratic in
+practice, where a snapshot of cost per level would be cubic.
 
 The result is exact whenever the node budget is not exhausted; on budget
 exhaustion the best correspondence found is returned with proven_optimal =
@@ -101,7 +97,7 @@ from operator import index
 
 import numpy as np
 
-from .manifolds import BLOCK, CIRCLE, FiniteMetricSpace, FiniteSubset
+from .manifolds import BLOCK, CIRCLE, FiniteMetricSpace, FiniteSubset, _distance_table
 
 NODE_BUDGET = 10_000_000  # node budget of gh_exact and the CLI by default
 
@@ -193,23 +189,24 @@ def rigid_incumbent(sub_x: FiniteSubset, sub_y: FiniteSubset) -> Correspondence:
     is deterministic. Motions are handled in blocks whose temporaries hold
     about BLOCK entries (one motion per block, if that is larger).
     """
-    if sub_x.manifold != sub_y.manifold or sub_x.manifold.kind != CIRCLE:
+    manifold = sub_x.manifold
+    if manifold != sub_y.manifold or manifold.kind != CIRCLE:
         raise ValueError("rigid_incumbent needs two subsets of one circle")
-    length = sub_x.manifold.params[0]
     dx = sub_x.to_metric_space().dist
     dy = sub_y.to_metric_space().dist
     nx, ny = len(dx), len(dy)
     theta_x, theta_y = sub_x.points[:, 0], sub_y.points[:, 0]
     offsets = theta_x - theta_x[0]
     images = np.mod(np.concatenate([theta_y[:, None] + offsets,  # (2 ny, nx): g(x)
-                                    theta_y[:, None] - offsets]), length)
+                                    theta_y[:, None] - offsets]), manifold.params[0])
     own_x = np.broadcast_to(np.arange(nx), (len(images), nx))
     own_y = np.broadcast_to(np.arange(ny), (len(images), ny))
     rows = max(1, BLOCK // (nx + ny) ** 2)
     best, best_xs, best_ys = np.inf, None, None
     for lo in range(0, len(images), rows):
-        gap = np.abs(images[lo:lo + rows, :, None] - theta_y)
-        cross = np.minimum(gap, length - gap)
+        # unnormalized: an image np.mod rounded to L must not become 0.0
+        cross = _distance_table(manifold, images[lo:lo + rows].reshape(-1, 1),
+                                sub_y.points).reshape(-1, nx, ny)
         xs = np.concatenate([own_x[lo:lo + rows], cross.argmin(axis=1)], axis=1)
         ys = np.concatenate([cross.argmin(axis=2), own_y[lo:lo + rows]], axis=1)
         # per motion, |d_X - d_Y| over every two related pairs

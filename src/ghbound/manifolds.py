@@ -13,14 +13,16 @@ Gromov-Hausdorff search consumes). Subsets are compared with the Hausdorff
 distance inside their common ambient manifold.
 The FiniteMetricSpace constructor, the door for outside input, checks every
 axiom. Builders of matrices that are metrics by construction (geodesic tables,
-principal submatrices) hand them over unchecked through its _closed.
+principal submatrices) hand them over unchecked through its _closed. Every
+geodesic table, witness tables included, comes from _distance_table, the one
+place that writes the wrapped gap min(|a - b|, L - |a - b|).
 
 Witness grids (the regular lattices that stand in for a whole circle or torus)
-are never formed point by point: _witness_terms holds one per-axis table of
-grid coordinate against point, covering_radius_witness sweeps the grid's
-product structure in blocks, and witness_hits finds the witness-point pairs
-within a radius from per-axis windows; complexes builds the witnessed Cech
-complex from star masks over those hits.
+are never formed point by point: _witness_terms holds one per-axis table,
+covering_radius_witness sweeps the grid's product structure in blocks, and
+witness_hits finds the witness-point pairs within a radius from per-axis
+windows; complexes builds the witnessed Cech complex from star masks over
+those hits.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ STRICT_SLACK = 1e-12  # open conditions "x < y" are enforced as x < y - STRICT_S
 BLOCK = 2 ** 16  # doubles per temporary of the dense distance kernels (0.5 MiB)
 MAX_GRID_POINTS = 2 ** 24  # larger regular grids are refused before any work
 MAX_WITNESS_TABLE = 2 ** 22  # entries of one per-axis witness table (32 MiB)
+MAX_TABLE = 2 ** 28  # entries of any one dense table (2 GiB of doubles)
 
 CIRCLE = "circle"
 FLAT_TORUS = "flat_torus"
@@ -136,8 +139,12 @@ def _distance_table(manifold: AmbientManifold, a: np.ndarray, b: np.ndarray) -> 
     Row blocks of the result take the squared per-axis terms one axis at a
     time, in axis order, so each temporary holds about BLOCK doubles (one row
     of the result, if a row is longer). Entries that overflow come out as inf,
-    silently; callers that need a finite table check for it.
+    silently; callers that need a finite table check for it. Tables of more
+    than MAX_TABLE entries are refused before any allocation.
     """
+    if len(a) * len(b) > MAX_TABLE:
+        raise ValueError(f"a distance table of {len(a)} x {len(b)} points has "
+                         f"{len(a) * len(b)} entries, more than the {MAX_TABLE} allowed")
     out = np.empty((len(a), len(b)))
     rows = max(1, BLOCK // max(1, len(b)))
     with np.errstate(over="ignore"):
@@ -297,34 +304,26 @@ def _witness_terms(manifold: AmbientManifold, per_axis: int,
     """Per-axis tables of the witness grid grid_axes(manifold, per_axis)
     against normalized points, one (per_axis, len(points)) table per axis.
 
-    Entry [i, j] of table k is the term _distance_table adds for axis k
-    between grid coordinate i and point j: the wrapped gap
-    min(|g_i - p_jk|, L_k - |g_i - p_jk|), squared on the torus. Summing a
-    witness's terms in axis order, then taking sqrt on the torus, gives its
-    distance to the point bit for bit as cross_distances does. The tables
-    take dim * per_axis * len(points) doubles; the grid is never formed.
-    The wrap takes its temporaries in row blocks of about BLOCK entries.
-    Tables of more than MAX_WITNESS_TABLE entries are refused before any work
-    (on a 1-dimensional torus the one table is the whole witness x point
-    table, which the grid cap alone lets reach 2^24 rows).
+    Table k is _distance_table on the circle of circumference L_k between
+    the grid's axis-k coordinates and the points' k-th coordinates, squared
+    in place on the torus: the terms _distance_table sums for each witness.
+    The tables take dim * per_axis * len(points) doubles; the grid is never
+    formed. Tables of more than MAX_WITNESS_TABLE entries are refused before
+    any work (on a 1-dimensional torus the one table is the whole witness x
+    point table, which the grid cap alone lets reach 2^24 rows).
     """
     entries = per_axis * len(points)
     if entries > MAX_WITNESS_TABLE:
         raise ValueError(f"a witness grid of {per_axis} points per axis against "
                          f"{len(points)} points needs tables of {entries} "
                          f"entries, more than the {MAX_WITNESS_TABLE} allowed")
-    terms = []
-    rows = max(1, BLOCK // len(points))
-    with np.errstate(over="ignore"):
-        for k, coords in enumerate(grid_axes(manifold, per_axis)):
-            term = np.subtract.outer(coords, points[:, k])
-            np.abs(term, out=term)
-            for lo in range(0, per_axis, rows):
-                block = term[lo:lo + rows]
-                np.minimum(block, manifold.params[k] - block, out=block)
-            if manifold.kind != CIRCLE:
+    axes = zip(manifold.params, grid_axes(manifold, per_axis))
+    terms = [_distance_table(circle(side), coords[:, None], points[:, k:k + 1])
+             for k, (side, coords) in enumerate(axes)]
+    if manifold.kind != CIRCLE:
+        with np.errstate(over="ignore"):
+            for term in terms:
                 np.multiply(term, term, out=term)
-            terms.append(term)
     return terms
 
 
@@ -338,10 +337,10 @@ def witness_hits(x: FiniteSubset, radius: float,
     product is dropped as soon as the sqrt of its partial sum reaches radius.
     Float addition of non-negative terms is monotone, so neither step loses a
     hit; and sqrt(fl(t * t)) == t in binary64, so the torus window is
-    {i : gap_k < radius}. The surviving sums are the dense distances bit for
-    bit, so the hits are exactly the entries of the dense witness x point
-    table below radius. The window masks are formed in row blocks of about
-    BLOCK entries, so past the tables themselves memory grows with the
+    {i : gap_k < radius}. The surviving sums add _distance_table's terms in
+    its order, so the hits are exactly the entries of the dense witness x
+    point table below radius. The window masks are formed in row blocks of
+    about BLOCK entries, so past the tables themselves memory grows with the
     number of hits.
     """
     root = (lambda t: t) if x.manifold.kind == CIRCLE else np.sqrt

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import BLOCK, FiniteSubset, euclidean
+from .manifolds import BLOCK, MAX_TABLE, FiniteSubset, euclidean
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,9 @@ def build_instance(n: int) -> RatioInstance:
         raise ValueError("n must be >= 2 (the subset must be non-empty)")
     if n ** 3 >= 2 ** 53:  # past it, float64 may round the products
         raise ValueError(f"n must have n^3 < 2^53 for exact float64 distances, not {n}")
+    if n * n > MAX_TABLE:
+        raise ValueError(f"n = {n} needs tables of {n * n} entries, more than the "
+                         f"{MAX_TABLE} allowed")
     full = np.tril(np.broadcast_to(np.arange(1, n + 1, dtype=np.int64), (n, n)))
     return RatioInstance(n, full, full[:-1].copy())
 

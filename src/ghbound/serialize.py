@@ -6,7 +6,8 @@ Subsets: {"manifold": {"kind": "circle"|"flat_torus"|"euclidean", "dim": n,
 Metric spaces: {"dist": [[...], ...], "labels": [...]} (labels checked, not kept).
 Complexes: {"scale": r, "vertex_count": m, "simplices": {"0": [[0], ...], ...}}
           with every dimension up to max_dim present (possibly empty), so the
-          file records the construction cap.
+          file records the construction cap. Dimension keys run from 0 to the
+          number of listed vertices.
 """
 
 from __future__ import annotations
@@ -157,6 +158,10 @@ def complex_from_dict(d: dict) -> SimplicialComplex:
                            "complex JSON 'simplices' entry")
         simplices[k] = [tuple(s) for s in entries]
     max_dim = max(simplices)
+    listed = len(set(simplices.get(0, ())))  # no simplex has more vertices
+    if min(simplices) < 0 or max_dim > listed:
+        raise ValueError(f"complex JSON 'simplices' keys run from {min(simplices)} to "
+                         f"{max_dim}, not within 0 to {listed}, the listed vertices")
     vertex_count = read_key(d, "vertex_count", "an integer", "complex JSON", None)
     if vertex_count is None:
         vertex_count = 1 + max((v for entries in simplices.values()
@@ -183,7 +188,10 @@ def ratio_report_to_dict(r: RatioReport) -> dict:
 
 def read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: the top-level JSON value must be an object, "
                          f"not {type(obj).__name__}")

@@ -238,6 +238,21 @@ def test_circle_sweep_file_sampler_manifold_mismatch(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+def test_circle_sweep_file_rows_take_the_config_constants(tmp_path, capsys):
+    # rows pass the kind/dim/params check whatever geometry constants their
+    # files carry; an X file with fill_rad beside a Y file without one used to
+    # exit 1 with "rigid_incumbent needs two subsets of one circle"
+    y = _subset_file(tmp_path, "y.json", uniform_points(circle(), 6, 2))
+    points = uniform_points(circle(), 6, 1).points
+    runs = []
+    for name, manifold in (("x.json", circle()), ("xc.json", circle(fill_rad=1.0, rho=0.5))):
+        x = _subset_file(tmp_path, name, FiniteSubset(manifold, points))
+        cfg = _file_sweep(tmp_path, [[6, 6]], {"x": [x], "y": [y]})
+        assert _run(["circle-sweep", "--config", cfg]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+
+
 def test_circle_sweep_rejects_torus(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"manifold": {"kind": "flat_torus", "params": [1, 1]},
@@ -308,11 +323,9 @@ def test_homology_complex_file_round_trip(tmp_path, capsys):
     assert _run(["homology", "--complex", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["betti"] == [1, 0]
     # beta_2 needs dimension 3 recorded, even when it is empty
-    assert _run(["homology", "--complex", str(path), "--up-to", "2"]) == 1
-    assert "insufficient skeleton" in capsys.readouterr().err
     hollow["simplices"]["3"] = []
     path.write_text(json.dumps(hollow))
-    assert _run(["homology", "--complex", str(path), "--up-to", "2"]) == 0
+    assert _run(["homology", "--complex", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["betti"] == [1, 0, 1]
 
 
@@ -771,16 +784,68 @@ def test_oversized_witness_tables_exit_one_allocating_nothing(tmp_path, argv):
     assert "needs tables of 5033164800 entries" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, message, peak", [
+    # 3 points printed 1,000 Betti numbers in 5.9 s
+    (["homology", "--subset", "{three}", "--scale", "1", "--max-dim", "1000"],
+     "--max-dim 1000 exceeds the 3 points of the subset", 2 ** 20),
+    (["homology", "--complex", "{hollow}", "--max-dim", "2"],
+     "a complex file records its own cap", 2 ** 20),
+    # 582 MiB and 3.7 s of empty dimensions
+    (["homology", "--complex", "{far}"],
+     "keys run from 0 to 1000000, not within 0 to 1", 2 ** 20),
+    # was silently dropped, exit 0
+    (["homology", "--complex", "{below}"], "keys run from -1 to 1, not within 0 to 3",
+     2 ** 20),
+    # a RecursionError traceback
+    (["bounds", "--x", "{nested}"], "JSON nested too deeply", 2 ** 20),
+    # a 65.5 TiB table; sampling the 3,000,000 points (23 MiB each copy)
+    # alone peaks near 72 MiB
+    (["fillrad-estimate", "--config", "{huge}"],
+     "a distance table of 3000000 x 3000000 points has 9000000000000 entries",
+     2 ** 27),
+    # 9.31 GiB for the staircase mask
+    (["ratio", "--n", "100000"], "n = 100000 needs tables of 10000000000 entries",
+     2 ** 20),
+], ids=["max-dim-past-size", "max-dim-with-complex", "key-past-vertices",
+        "key-below-zero", "nested-json", "fillrad-table", "ratio-table"])
+def test_oversized_inputs_exit_one_before_allocating(tmp_path, argv, message, peak):
+    three = _subset_file(tmp_path, "three.json", equispaced_circle(circle(), 3))
+    files = {"three": three,
+             "hollow": {"scale": 1.0, "simplices": {"0": [[0], [1]], "1": []}},
+             "far": {"scale": 1.0, "simplices": {"0": [[0]], "1000000": []}},
+             "below": {"scale": 1.0, "simplices": {"0": [[0], [1], [2]], "1": [],
+                                                    "-1": [[0, 1, 2]]}},
+             "huge": {"count": 3_000_000,
+                      "scale_grid": {"start": 1.6, "stop": 3.2, "steps": 3}}}
+    for name, payload in files.items():
+        if isinstance(payload, dict):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(payload))
+    files["nested"] = tmp_path / "nested.json"
+    files["nested"].write_text('{"manifold": {"kind": "circle"}, "points": '
+                               + "[" * 100_000 + "]" * 100_000 + "}")
+    proc = _run_child(["-c", _TRACED_MAIN, *[a.format(**files) for a in argv]])
+    assert proc.returncode == 0, proc.stderr
+    code, traced = map(int, proc.stdout.split())
+    assert code == 1
+    assert traced < peak
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["circle-sweep", "--config", "{sweep}", "--seed", "3"],
     ["circle-sweep", "--config", "{sweep}", "--budget", "5"],
     ["fillrad-estimate", "--config", "{fillrad}", "--seed", "3"],
     ["lemma-check", "--trials", "1", "--budget", "5"],
+    ["homology", "--complex", "{fillrad}", "--up-to", "1"],
 ])
 def test_dropped_options_exit_one(tmp_path, capsys, argv):
     # a config run's seed and node budget come from the config alone; a
     # lemma-check trial checks whatever correspondence its search returns, so
-    # a budget there changed nothing
+    # a budget there changed nothing; homology reports every Betti number its
+    # complex holds, and a shorter list is a prefix of that one
     fillrad = tmp_path / "fr.json"
     fillrad.write_text(json.dumps(_FILLRAD))
     paths = {"sweep": _sweep_config(tmp_path), "fillrad": str(fillrad)}
@@ -929,7 +994,7 @@ CLI_OPTIONS = {
     "circle-sweep": ["--config", "--out"],
     "ratio": ["--budget", "--crosscheck-max", "--n", "--out"],
     "homology": ["--cech", "--complex", "--max-dim", "--out", "--scale", "--subset",
-                 "--up-to", "--witness-grid"],
+                 "--witness-grid"],
     "gh-exact": ["--budget", "--out", "--x", "--y"],
     "fillrad-estimate": ["--config", "--out"],
     "lemma-check": ["--out", "--seed", "--trials"],
@@ -943,7 +1008,7 @@ def test_each_subcommand_has_its_pinned_options():
                             if s not in ("-h", "--help"))
                for name, p in commands.choices.items()}
     assert options == CLI_OPTIONS
-    assert sum(map(len, options.values())) == 29
+    assert sum(map(len, options.values())) == 28
 
 
 def test_bad_subcommand_exits_one():
