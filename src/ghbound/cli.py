@@ -38,15 +38,16 @@ from .complexes import (build_cech_circle, build_cech_witness, build_vr,
 from .gh import NODE_BUDGET, distortion, gh_exact, rigid_incumbent
 from .homology import betti_numbers, fundamental_class_survives, persistence_bars
 from .manifolds import (CIRCLE, EUCLIDEAN, FLAT_TORUS, AmbientManifold,
-                        FiniteSubset, circle, covering_radius_circle,
-                        covering_radius_witness, cross_distances,
-                        hausdorff_subsets)
+                        FiniteSubset, check_table_size, circle,
+                        covering_radius_circle, covering_radius_witness,
+                        cross_distances, hausdorff_subsets)
 from .ratio import as_subsets, build_instance, verify_instance
 from .sampling import (SplitMix64, equispaced_circle, grid_covering_radius,
                        grid_points, uniform_points)
 from .serialize import REQUIRED, read_key
 
 SANDWICH_TOL = 1e-9
+MAX_SCALE_STEPS = 2 ** 16  # fillrad-estimate grid points; the pinned runs use 118
 
 
 class CheckFailed(Exception):
@@ -87,41 +88,27 @@ def _dh_to_manifold(subset: FiniteSubset,
                      "supply --inputs for abstract evaluations")
 
 
-# name -> (single form, pair form, required constants), in report order. The
+# name -> (single form, pair form, the constants both forms read), in report
+# order. A bound runs iff each of its constants is present and not null. The
 # forms look bound functions up in this module's globals at call time. Every
 # term grows with dh_xm and shrinks with dh_ym, so an under-estimate of
 # d_H(X, M) and an over-estimate of d_H(Y, M) keep each bound safe.
 BOUNDS = {
     "convexity": (lambda c: convexity_bound(c["dh_xm"], c["rho"]),
                   lambda c: convexity_bound_pair(c["dh_xm"], c["rho"], c["dh_ym"]),
-                  ()),
+                  ("rho",)),
     "circle": (lambda c: circle_bound(c["dh_xm"], c["circumference"]),
                lambda c: circle_bound_pair(c["dh_xm"], c["dh_ym"], c["circumference"]),
                ("circumference",)),
     "fillrad": (lambda c: fillrad_bound(c["dh_xm"], c["rho"], c["fill_rad"]),
                 lambda c: fillrad_bound_pair(c["dh_xm"], c["rho"], c["fill_rad"],
                                              c["dh_ym"]),
-                ("fill_rad",)),
+                ("rho", "fill_rad")),
     "jung": (lambda c: jung_bound_pair(c["dh_xm"], c["rho"], c["kappa"], c["n"], 0.0),
              lambda c: jung_bound_pair(c["dh_xm"], c["rho"], c["kappa"], c["n"],
                                        c["dh_ym"]),
-             ()),
+             ("rho", "kappa", "n")),
 }
-
-
-def _missing(name: str, constants: dict) -> list[str]:
-    return [k for k in BOUNDS[name][2] if constants.get(k) is None]
-
-
-def _evaluate(name: str, constants: dict) -> dict:
-    if name not in BOUNDS:
-        raise ValueError(f"unknown bound name {name!r}")
-    missing = _missing(name, constants)
-    if missing:
-        raise ValueError(f"{name} bound needs the geometry constant {missing[0]!r}")
-    single, pair, _ = BOUNDS[name]
-    form = pair if "dh_ym" in constants else single
-    return serialize.bound_report_to_dict(form(constants))
 
 
 def cmd_bounds(args) -> int:
@@ -149,10 +136,13 @@ def cmd_bounds(args) -> int:
                 raise ValueError("X and Y must live on the same manifold")
             dh_ym, error = _dh_to_manifold(sub_y, args.witness_grid)
             inputs["dh_ym"] = dh_ym + error
-    constants = {"rho": math.inf, "kappa": 0.0, "n": 1, **inputs}
-    requested = (args.theorems.split(",") if args.theorems
-                 else [name for name in BOUNDS if not _missing(name, inputs)])
-    reports = [_evaluate(name.strip(), constants) for name in requested]
+    form = 1 if "dh_ym" in inputs else 0
+    reports = [serialize.bound_report_to_dict(entry[form](inputs))
+               for entry in BOUNDS.values()
+               if all(inputs.get(k) is not None for k in entry[2])]
+    if not reports:
+        raise ValueError("no bound applies to these inputs: " + "; ".join(
+            f"{name} needs {', '.join(c)}" for name, (*_, c) in BOUNDS.items()))
     _emit_json({"inputs": inputs, "reports": reports}, args.out)
     return 0
 
@@ -187,6 +177,8 @@ def _sample(manifold: AmbientManifold, sampler: dict, key: str, row: int,
             size: int, seed: int) -> FiniteSubset:
     """Row's subset for config key "x" or "y"; only the uniform kind reads seed."""
     kind = sampler["kind"]
+    points = size ** manifold.dim if kind == "equispaced" else size  # grid: per axis
+    check_table_size(points, points)  # every caller builds this table
     if kind == "equispaced":
         if manifold.kind != CIRCLE:
             return grid_points(manifold, size)
@@ -331,8 +323,9 @@ def cmd_fillrad_estimate(args) -> int:
     start, stop = (float(read_key(g, k, "a number", "config 'scale_grid'"))
                    for k in ("start", "stop"))
     steps = int(read_key(g, "steps", "an integer", "config 'scale_grid'"))
-    if not (start > 0 and stop > start and steps >= 2):
-        raise ValueError("scale grid must be strictly increasing")
+    if not (start > 0 and stop > start and 2 <= steps <= MAX_SCALE_STEPS):
+        raise ValueError(f"scale grid must be strictly increasing, in 2 to "
+                         f"{MAX_SCALE_STEPS} steps, not {steps}")
     n = m.dim
     count = int(read_key(config, "count", "an integer", "config"))
     sample = _sample(m, sampler, "x", 0, count, seed)
@@ -439,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="subset JSON for X")
     p.add_argument("--y", help="subset JSON for Y (enables pair bounds)")
     p.add_argument("--inputs", help="raw inputs JSON (dh_xm, rho, ...)")
-    p.add_argument("--theorems", help="comma list: convexity,circle,fillrad,jung")
     p.add_argument("--witness-grid", type=_positive_int,
                    help="witness points per axis")
     p.add_argument("--out")

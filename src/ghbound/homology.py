@@ -53,6 +53,8 @@ def _cofaces(faces: np.ndarray, cofaces: np.ndarray, face_pos: np.ndarray,
     *_pos give each row's filtration position. Returns (flat, starts): the
     face at position p has the cofaces flat[starts[p]:starts[p + 1]].
     """
+    if not len(cofaces):  # nor any dimension above; the search costs O(k^2)
+        return [], [0] * (len(faces) + 1)
     keys = _lex_keys(faces)
     col = face_pos[np.stack([np.searchsorted(keys, _lex_keys(np.delete(cofaces, i, 1)))
                              for i in range(cofaces.shape[1])], axis=1)].ravel()

@@ -133,6 +133,13 @@ def cross_distances(manifold: AmbientManifold, a: np.ndarray, b: np.ndarray) -> 
                            normalize_points(manifold, b))
 
 
+def check_table_size(rows: int, cols: int) -> None:
+    """Refuse a distance table of more than MAX_TABLE entries."""
+    if rows * cols > MAX_TABLE:
+        raise ValueError(f"a distance table of {rows} x {cols} points has "
+                         f"{rows * cols} entries, more than the {MAX_TABLE} allowed")
+
+
 def _distance_table(manifold: AmbientManifold, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """cross_distances on normalized points.
 
@@ -142,9 +149,7 @@ def _distance_table(manifold: AmbientManifold, a: np.ndarray, b: np.ndarray) -> 
     silently; callers that need a finite table check for it. Tables of more
     than MAX_TABLE entries are refused before any allocation.
     """
-    if len(a) * len(b) > MAX_TABLE:
-        raise ValueError(f"a distance table of {len(a)} x {len(b)} points has "
-                         f"{len(a) * len(b)} entries, more than the {MAX_TABLE} allowed")
+    check_table_size(len(a), len(b))
     out = np.empty((len(a), len(b)))
     rows = max(1, BLOCK // max(1, len(b)))
     with np.errstate(over="ignore"):

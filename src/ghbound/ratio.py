@@ -32,7 +32,7 @@ class RatioInstance:
 
     n: int
     full_points: np.ndarray     # int64, shape (n, n), rows p_1..p_n
-    subset_points: np.ndarray   # int64, shape (n-1, n), rows p_1..p_{n-1}
+    subset_points: np.ndarray   # int64, shape (n-1, n), rows p_1..p_{n-1}, a view
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def build_instance(n: int) -> RatioInstance:
         raise ValueError(f"n = {n} needs tables of {n * n} entries, more than the "
                          f"{MAX_TABLE} allowed")
     full = np.tril(np.broadcast_to(np.arange(1, n + 1, dtype=np.int64), (n, n)))
-    return RatioInstance(n, full, full[:-1].copy())
+    return RatioInstance(n, full, full[:-1])
 
 
 def apply_cyclic_isometry(points: np.ndarray) -> np.ndarray:
@@ -74,7 +74,7 @@ def _directed_sq(a: np.ndarray, b: np.ndarray) -> int:
     The products run in float64 (BLAS); every partial sum is an integer below
     2^53 for integer points within build_instance's bound, so each is exact.
     """
-    a, b = a.astype(np.float64), b.astype(np.float64)
+    a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
     norms_b = np.einsum("ij,ij->i", b, b)
     rows = max(1, BLOCK // len(b))
     worst = 0
@@ -98,11 +98,12 @@ def verify_instance(instance: RatioInstance) -> RatioReport:
     at most d_H(isometry(subset), full).
     """
     n = instance.n
-    h_sq = _hausdorff_sq(instance.subset_points, instance.full_points)
+    full = instance.full_points.astype(np.float64)  # the one float copy
+    h_sq = _hausdorff_sq(full[:-1], full)  # the subset is the first n - 1 rows
     if h_sq != n * n:
         raise ValueError(f"hausdorff distance squared is {h_sq}, expected {n * n}")
-    rotated = apply_cyclic_isometry(instance.subset_points)
-    h_rot_sq = _hausdorff_sq(rotated, instance.full_points)
+    rotated = apply_cyclic_isometry(full[:-1])
+    h_rot_sq = _hausdorff_sq(rotated, full)
     if h_rot_sq != n:
         raise ValueError(f"post-isometry hausdorff squared is {h_rot_sq}, expected {n}")
     hausdorff = math.sqrt(h_sq)

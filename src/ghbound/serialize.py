@@ -6,14 +6,15 @@ Subsets: {"manifold": {"kind": "circle"|"flat_torus"|"euclidean", "dim": n,
 Metric spaces: {"dist": [[...], ...], "labels": [...]} (labels checked, not kept).
 Complexes: {"scale": r, "vertex_count": m, "simplices": {"0": [[0], ...], ...}}
           with every dimension up to max_dim present (possibly empty), so the
-          file records the construction cap. Dimension keys run from 0 to the
-          number of listed vertices.
+          file records the construction cap. Dimension keys are canonical
+          decimals ("1", not "01") from 0 to the number of listed vertices.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -148,15 +149,13 @@ def complex_from_dict(d: dict) -> SimplicialComplex:
         raise ValueError("complex JSON 'simplices' must map at least one "
                          "dimension to its simplices")
     simplices = {}
-    for dim in raw:
-        try:
-            k = int(dim)
-        except ValueError:
+    for dim in raw:  # one spelling per dimension: int() reads "01" and "1_0" too
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", dim):
             raise ValueError(f"complex JSON 'simplices' key {dim!r} is not a "
-                             "dimension") from None
+                             "dimension in canonical decimal")
         entries = read_key(raw, dim, "a list of vertex lists",
                            "complex JSON 'simplices' entry")
-        simplices[k] = [tuple(s) for s in entries]
+        simplices[int(dim)] = [tuple(s) for s in entries]
     max_dim = max(simplices)
     listed = len(set(simplices.get(0, ())))  # no simplex has more vertices
     if min(simplices) < 0 or max_dim > listed:

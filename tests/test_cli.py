@@ -36,12 +36,11 @@ def _run(argv):
 def test_bounds_pair_circle(tmp_path, capsys):
     x = _subset_file(tmp_path, "x.json", equispaced_circle(circle(), 12))
     y = _subset_file(tmp_path, "y.json", equispaced_circle(circle(), 24))
-    assert _run(["bounds", "--x", x, "--y", y, "--theorems", "circle"]) == 0
+    assert _run(["bounds", "--x", x, "--y", y]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["inputs"]["dh_xm"] == pytest.approx(math.pi / 12)
     assert payload["inputs"]["dh_ym"] == pytest.approx(math.pi / 24)
-    (report,) = payload["reports"]
-    assert report["bound"] == "circle-pair"
+    (report,) = [r for r in payload["reports"] if r["bound"] == "circle-pair"]
     assert report["terms"]["hausdorff_term"] == pytest.approx(math.pi / 12 - math.pi / 24)
 
 
@@ -62,8 +61,7 @@ def test_bounds_raw_inputs(tmp_path, capsys):
     inputs = tmp_path / "inputs.json"
     inputs.write_text(json.dumps({"dh_xm": 0.2, "dh_ym": 0.05, "rho": 1.5,
                                   "kappa": 0.0, "n": 2, "fill_rad": 0.5}))
-    assert _run(["bounds", "--inputs", str(inputs),
-                 "--theorems", "convexity,fillrad,jung"]) == 0
+    assert _run(["bounds", "--inputs", str(inputs)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [r["bound"] for r in payload["reports"]] == [
         "convexity-pair", "fillrad-pair", "jung-pair"]
@@ -72,12 +70,15 @@ def test_bounds_raw_inputs(tmp_path, capsys):
 
 
 def test_bounds_inputs_default_to_every_applicable_bound(tmp_path, capsys):
-    # the rule --x uses: every bound whose required constants are present
+    # the rule --x uses: every bound whose constants are present and not null;
+    # jung needs n and kappa, which the first two rows do not carry
     inputs = tmp_path / "inputs.json"
-    raw = {"dh_xm": 0.2, "rho": 1.5, "circumference": 6.0, "fill_rad": 0.9}
-    for fill_rad, names in ((0.9, ["convexity", "circle", "fillrad", "jung-pair"]),
-                            (None, ["convexity", "circle", "jung-pair"])):
-        inputs.write_text(json.dumps({**raw, "fill_rad": fill_rad}))
+    raw = {"dh_xm": 0.2, "rho": 1.5, "circumference": 6.0}
+    for extra, names in (({"fill_rad": 0.9}, ["convexity", "circle", "fillrad"]),
+                         ({"fill_rad": None}, ["convexity", "circle"]),
+                         ({"fill_rad": 0.9, "kappa": 0.0, "n": 1},
+                          ["convexity", "circle", "fillrad", "jung-pair"])):
+        inputs.write_text(json.dumps({**raw, **extra}))
         assert _run(["bounds", "--inputs", str(inputs)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert [r["bound"] for r in payload["reports"]] == names
@@ -112,10 +113,56 @@ def test_bounds_torus_pair_over_estimates_dh_ym(tmp_path, capsys):
 def test_bounds_errors(tmp_path, capsys):
     assert _run(["bounds"]) == 1
     assert "needs --x" in capsys.readouterr().err
-    x = _subset_file(tmp_path, "e.json", uniform_points(flat_torus([1.0, 1.0]), 4, seed=0))
-    assert _run(["bounds", "--x", x, "--theorems", "circle"]) == 1
-    assert "circle bound needs" in capsys.readouterr().err
     assert _run(["bounds", "--x", str(tmp_path / "missing.json")]) == 1
+
+
+_CONSTANTS = {"rho": 1.5, "circumference": 6.0, "fill_rad": 0.9, "kappa": 1.0, "n": 3}
+
+
+@pytest.mark.parametrize("keys, names", [
+    ((), None),
+    (("kappa", "n"), None),
+    (("fill_rad",), None),
+    (("rho",), ["convexity"]),
+    (("circumference",), ["circle"]),
+    (("rho", "fill_rad"), ["convexity", "fillrad"]),
+    (("rho", "kappa"), ["convexity"]),
+    (("rho", "n"), ["convexity"]),
+    (("rho", "kappa", "n"), ["convexity", "jung"]),
+    (("circumference", "fill_rad", "kappa", "n"), ["circle"]),
+    (tuple(_CONSTANTS), ["convexity", "circle", "fillrad", "jung"]),
+])
+def test_bounds_inputs_run_exactly_the_bounds_their_constants_allow(
+        tmp_path, capsys, keys, names):
+    # a missing rho, kappa or n is not filled in: no bound may guess the
+    # manifold, and when none applies the command says which constants each needs
+    inputs = tmp_path / "inputs.json"
+    for dh in ({}, {"dh_ym": 0.05}):
+        inputs.write_text(json.dumps({"dh_xm": 0.2, **dh,
+                                      **{k: _CONSTANTS[k] for k in keys}}))
+        code = _run(["bounds", "--inputs", str(inputs)])
+        out = capsys.readouterr()
+        if names is None:
+            assert code == 1 and out.out == ""
+            assert out.err.startswith("error: no bound applies")
+            for name, (_, _, constants) in cli.BOUNDS.items():
+                assert f"{name} needs {', '.join(constants)}" in out.err
+            continue
+        assert code == 0
+        suffix = "-pair" if dh else ""
+        assert [r["bound"] for r in json.loads(out.out)["reports"]] == [
+            "jung-pair" if n == "jung" else n + suffix for n in names]
+
+
+@pytest.mark.parametrize("name", list(cli.BOUNDS))
+def test_bound_forms_read_only_their_declared_constants(name):
+    # each form gets a dict of the distances and its declared constants alone,
+    # so a formula reading an undeclared constant raises KeyError here; in the
+    # command it would run without that constant, or fail with a bare KeyError
+    single, pair, constants = cli.BOUNDS[name]
+    declared = {k: _CONSTANTS[k] for k in constants}
+    assert single({"dh_xm": 0.2, **declared}).lower_bound > 0
+    assert pair({"dh_xm": 0.2, "dh_ym": 0.05, **declared}).lower_bound > 0
 
 
 def _nan_torus_subset(tmp_path):
@@ -463,6 +510,12 @@ _FILLRAD = {"count": 4, "scale_grid": {"start": 1.6, "stop": 3.2, "steps": 3}}
     # fillrad-estimate reads the equispaced phase too
     ("fillrad-estimate --config", {**_FILLRAD, "sampler": {"kind": "equispaced",
                                                            "phase_x": "x"}}, "'phase_x'"),
+    # only canonical decimals name a dimension: int() read all but "None" as
+    # one, and a second spelling silently replaced the first ("01" dropped
+    # every edge)
+    *(("homology --complex", {"scale": 1.0, "simplices": {
+        "0": [[0], [1]], "1": [[0, 1]], key: []}}, repr(key))
+      for key in ("01", " 1", "+1", "\u0661", "1_0", "-0", "1 ", "None")),
 ])
 def test_malformed_json_exits_one_without_traceback(tmp_path, command, payload, key):
     path = tmp_path / "bad.json"
@@ -806,8 +859,20 @@ def test_oversized_witness_tables_exit_one_allocating_nothing(tmp_path, argv):
     # 9.31 GiB for the staircase mask
     (["ratio", "--n", "100000"], "n = 100000 needs tables of 10000000000 entries",
      2 ** 20),
+    # the sampler's 7.45 GiB died with a MemoryError traceback
+    (["fillrad-estimate", "--config", "{billion}"],
+     "a distance table of 1000000000 x 1000000000 points", 2 ** 20),
+    # np.linspace's 745 GiB, the same way
+    (["fillrad-estimate", "--config", "{steps}"],
+     "in 2 to 65536 steps, not 100000000000", 2 ** 20),
+    (["circle-sweep", "--config", "{sweep}"],
+     "a distance table of 1000000000 x 1000000000 points", 2 ** 20),
+    # a torus grid has count points per axis: 200 make 40,000 points
+    (["fillrad-estimate", "--config", "{grid}"],
+     "a distance table of 40000 x 40000 points", 2 ** 20),
 ], ids=["max-dim-past-size", "max-dim-with-complex", "key-past-vertices",
-        "key-below-zero", "nested-json", "fillrad-table", "ratio-table"])
+        "key-below-zero", "nested-json", "fillrad-table", "ratio-table",
+        "fillrad-count", "fillrad-steps", "sweep-size", "fillrad-grid"])
 def test_oversized_inputs_exit_one_before_allocating(tmp_path, argv, message, peak):
     three = _subset_file(tmp_path, "three.json", equispaced_circle(circle(), 3))
     files = {"three": three,
@@ -816,7 +881,13 @@ def test_oversized_inputs_exit_one_before_allocating(tmp_path, argv, message, pe
              "below": {"scale": 1.0, "simplices": {"0": [[0], [1], [2]], "1": [],
                                                     "-1": [[0, 1, 2]]}},
              "huge": {"count": 3_000_000,
-                      "scale_grid": {"start": 1.6, "stop": 3.2, "steps": 3}}}
+                      "scale_grid": {"start": 1.6, "stop": 3.2, "steps": 3}},
+             "billion": {**_FILLRAD, "count": 1_000_000_000},
+             "steps": {**_FILLRAD, "scale_grid": {"start": 0.15, "stop": 2.49,
+                                                  "steps": 100_000_000_000}},
+             "sweep": {"pairs": [[1_000_000_000, 3]]},
+             "grid": {**_FILLRAD, "count": 200,
+                      "manifold": {"kind": "flat_torus", "params": [1.0, 1.0]}}}
     for name, payload in files.items():
         if isinstance(payload, dict):
             files[name] = tmp_path / f"{name}.json"
@@ -840,12 +911,15 @@ def test_oversized_inputs_exit_one_before_allocating(tmp_path, argv, message, pe
     ["fillrad-estimate", "--config", "{fillrad}", "--seed", "3"],
     ["lemma-check", "--trials", "1", "--budget", "5"],
     ["homology", "--complex", "{fillrad}", "--up-to", "1"],
+    ["bounds", "--inputs", "{fillrad}", "--theorems", "circle"],
 ])
 def test_dropped_options_exit_one(tmp_path, capsys, argv):
     # a config run's seed and node budget come from the config alone; a
     # lemma-check trial checks whatever correspondence its search returns, so
     # a budget there changed nothing; homology reports every Betti number its
-    # complex holds, and a shorter list is a prefix of that one
+    # complex holds, and a shorter list is a prefix of that one; bounds runs
+    # every bound its constants allow, and a named subset of them is a
+    # reordered sub-list of that output
     fillrad = tmp_path / "fr.json"
     fillrad.write_text(json.dumps(_FILLRAD))
     paths = {"sweep": _sweep_config(tmp_path), "fillrad": str(fillrad)}
@@ -964,8 +1038,7 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
         "bounds-pair": ["bounds", "--x", torus, "--y", dense],
         "bounds-pair-grid": ["bounds", "--x", wide_x, "--y", wide_y,
                              "--witness-grid", "20"],
-        "bounds-inputs": ["bounds", "--inputs", str(inputs), "--theorems",
-                          "convexity,circle,fillrad,jung"],
+        "bounds-inputs": ["bounds", "--inputs", str(inputs)],
         "ratio": ["ratio"],
     }
 
@@ -990,7 +1063,7 @@ def test_stdout_is_byte_identical_to_the_pinned_runs(tmp_path, capsys):
 
 # every option of every subcommand; a new one is added here on purpose
 CLI_OPTIONS = {
-    "bounds": ["--inputs", "--out", "--theorems", "--witness-grid", "--x", "--y"],
+    "bounds": ["--inputs", "--out", "--witness-grid", "--x", "--y"],
     "circle-sweep": ["--config", "--out"],
     "ratio": ["--budget", "--crosscheck-max", "--n", "--out"],
     "homology": ["--cech", "--complex", "--max-dim", "--out", "--scale", "--subset",
@@ -1008,7 +1081,7 @@ def test_each_subcommand_has_its_pinned_options():
                             if s not in ("-h", "--help"))
                for name, p in commands.choices.items()}
     assert options == CLI_OPTIONS
-    assert sum(map(len, options.values())) == 28
+    assert sum(map(len, options.values())) == 27
 
 
 def test_bad_subcommand_exits_one():

@@ -522,19 +522,40 @@ def _map_pair(data):
     return maps
 
 
+def _fixed_map_pairs():
+    """Map pairs on three points of a line, 1 apart, that reach all eight
+    outcomes, so that the coverage assertion does not depend on the draws."""
+    points = np.arange(3.0)
+    line = FiniteMetricSpace(np.abs(np.subtract.outer(points, points)))
+    path = build_vr(line, 1.5, 2)  # edges 01 and 12
+    bare = build_vr(line, 0.5, 2)  # no edges
+    full = build_vr(line, 2.5, 2)  # the triangle
+    capped = build_vr(line, 2.5, 1)  # every edge, and a cap that binds
+    same = (0, 1, 2)
+    for source, target, g in ((path, path, same), (path, path, (1, 2, 2)),
+                              (path, bare, same), (path, capped, same),
+                              (full, capped, same), (path, capped, (1, 2, 0))):
+        yield VertexMap(source, target, same), VertexMap(source, target, g)
+
+
 def test_map_checks_agree_with_enumeration():
     outcomes = set()  # (check, decided by the edge test, result)
 
-    @settings(max_examples=250, deadline=None)
-    @given(st.data())
-    def agree(data):
-        f, g = _map_pair(data)
+    def record(f, g):
         simplicial = check_simplicial(f)
         assert simplicial == simplicial_by_enumeration(f)
         outcomes.add(("simplicial", _flag_pair(f, 1), simplicial))
         contiguous = check_contiguous(f, g)
         assert contiguous == contiguous_by_enumeration(f, g)
         outcomes.add(("contiguous", _flag_pair(f, 2), contiguous))
+
+    for f, g in _fixed_map_pairs():
+        record(f, g)
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def agree(data):
+        record(*_map_pair(data))
 
     agree()
     assert outcomes == {(check, masks, result) for check in ("simplicial", "contiguous")

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghbound import homology
 from ghbound import (SimplicialComplex, betti_numbers, build_vr,
                      check_simplicial, circle, compose_maps, distortion,
                      equispaced_circle, fundamental_class_survives, gh_exact,
@@ -96,6 +97,24 @@ def test_betti_against_dense_elimination():
         k = random_complex(rng)
         up_to = k.max_dim - 1
         assert list(betti_numbers(k, up_to)) == naive_betti(k, up_to)
+
+
+def test_empty_dimensions_cost_no_coface_search(monkeypatch):
+    # a cap far above the simplices: the coface search of dimension k built
+    # k + 2 key arrays even with no cofaces, so 180,000 in all at cap 600,
+    # and a point of R^5000 under `homology --subset` took 105 s
+    calls = []
+    lex_keys = homology._lex_keys
+
+    def counted(rows):
+        calls.append(len(rows))
+        return lex_keys(rows)
+
+    monkeypatch.setattr(homology, "_lex_keys", counted)
+    triangle = equispaced_circle(circle(), 3).to_metric_space()
+    k = build_vr(triangle, 4.0, 600)
+    assert betti_numbers(k, 599) == (1,) + (0,) * 599
+    assert len(calls) <= 10
 
 
 def test_insufficient_skeleton_error():

@@ -63,6 +63,21 @@ def test_verify_memory_stays_quadratic():
     assert peak < 8 * 2 ** 20
 
 
+def test_verify_holds_three_tables():
+    # the staircase, its float copy and the rotated subset: a subset copy and
+    # per-call float copies of every operand made five (154 MiB)
+    n = 2000
+    tracemalloc.start()
+    try:
+        instance = build_instance(n)
+        verify_instance(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * n * n * 8
+    assert np.shares_memory(instance.subset_points, instance.full_points)
+
+
 def test_shifted_point_distance_law():
     # rolling row j of the staircase lands near row j+1: the difference is a
     # block of j+1 ones, so the miss distance is exactly sqrt(j+1)
