@@ -69,6 +69,13 @@ def convexity_bound_pair(dh_xm: float, rho: float, dh_ym: float) -> BoundReport:
                    {"dh_xm": dh_xm, "rho": rho, "dh_ym": dh_ym})
 
 
+def _check_circle(circumference: float, *dh: float) -> None:
+    if any(d < 0 for d in dh):
+        raise ValueError("Hausdorff distances must be non-negative")
+    if not (math.isfinite(circumference) and circumference > 0):
+        raise ValueError("circumference must be finite and positive")
+
+
 def circle_bound(dh_x: float, circumference: float = math.tau) -> BoundReport:
     """d_GH(X, S^1) >= min(d_H(X,S^1), L/12) for a circle of circumference L.
 
@@ -76,8 +83,7 @@ def circle_bound(dh_x: float, circumference: float = math.tau) -> BoundReport:
     below the cap the bound meets the trivial upper bound d_H(X,S^1), so the
     value is exactly d_GH; this is reported as certified_equality.
     """
-    if dh_x < 0:
-        raise ValueError("Hausdorff distances must be non-negative")
+    _check_circle(circumference, dh_x)
     cap = circumference / 12.0
     terms = [("hausdorff_term", dh_x), ("cap_term", cap)]
     flags = {"certified_equality": dh_x < cap - STRICT_SLACK}
@@ -91,8 +97,7 @@ def circle_bound_pair(dh_x: float, dh_y: float,
 
     Valid for arbitrary circle subsets X and Y; useful when Y is the denser one.
     """
-    if dh_x < 0 or dh_y < 0:
-        raise ValueError("Hausdorff distances must be non-negative")
+    _check_circle(circumference, dh_x, dh_y)
     cap = circumference / 12.0
     terms = [("hausdorff_term", dh_x - dh_y), ("cap_term", cap - dh_y / 2.0)]
     return _report("circle-pair", terms, {},

@@ -10,7 +10,9 @@ approximated from a witness grid (a simplex is present iff some witness sees
 all its vertices within the radius).
 
 Built complexes are lazy masks (_MaskComplex): has_simplex tests bitmasks,
-and simplices are enumerated on first read, in canonical order. Explicit
+and each dimension is enumerated when first needed, in canonical order.
+simplex_counts only counts the top dimension, and homology's Betti numbers
+read its cofaces off the masks, so neither stores it. Explicit
 complexes, such as those read from a file, are validated sorted tuples of
 simplices, and has_simplex searches them by bisection.
 
@@ -105,8 +107,8 @@ class _MaskComplex(SimplicialComplex):
     nbr[i] has bit j set iff vertices i != j are adjacent (bit i is never
     read). member is None for a flag complex, where every clique is a
     simplex; for a witnessed Cech complex member[i] has bit s set iff vertex i
-    lies in star s, and a vertex with no star is not a vertex. simplices is
-    enumerated from the masks on first read; has_simplex never reads it.
+    lies in star s, and a vertex with no star is not a vertex. Dimensions are
+    enumerated on demand, each once, and kept; has_simplex reads none.
     """
 
     def __init__(self, vertex_count: int, scale: float, max_dim: int,
@@ -116,30 +118,76 @@ class _MaskComplex(SimplicialComplex):
         self.max_dim = max_dim
         self._nbr = nbr
         self._member = member
+        self._levels: list[tuple] = []  # dimensions 0, 1, ... enumerated so far
+        self._top_count: int | None = None  # set by _skeleton(max_dim - 1)
 
-    @cached_property
-    def simplices(self) -> dict[int, tuple]:
-        """Level-wise clique expansion, in the inductive style of Zomorodian
-        (2010). Each simplex carries the AND of its vertices' star masks (all
-        ones in a flag complex) and the bitmask of its common neighbours above
+    def _masks(self, s: tuple[int, ...], above: int) -> tuple[int, int]:
+        """The AND of s's star masks (-1 in a flag complex) and the bitmask of
+        the vertices u > above, not in s, adjacent to every vertex of s. (A
+        witnessed complex's nbr[v] holds bit v, so s's own bits are cleared.)"""
+        nbr, member = self._nbr, self._member
+        shared, common, own = -1, -1, 0
+        for v in s:
+            common &= nbr[v]
+            own |= 1 << v
+            if member is not None:
+                shared &= member[v]
+        return shared, (common & ~own) >> (above + 1) << (above + 1)
+
+    def _stars(self, cand: int, shared: int, first: bool = False) -> int:
+        """The bits u of cand whose star mask meets shared (every bit in a
+        flag complex); with first, only the lowest of them."""
+        member = self._member
+        if member is None:
+            return cand & -cand if first else cand
+        out = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if shared & member[low.bit_length() - 1]:
+                if first:
+                    return low
+                out |= low
+        return out
+
+    def _joins(self, s: tuple[int, ...], first: bool = False) -> int:
+        """Bitmask of the vertices u such that s plus u is a simplex of one
+        more dimension; with first, only the lowest of them."""
+        shared, common = self._masks(s, -1)
+        return self._stars(common, shared, first)
+
+    def _skeleton(self, top: int) -> list[tuple]:
+        """Dimensions 0..top, each enumerated once and kept.
+
+        Level-wise clique expansion, in the inductive style of Zomorodian
+        (2010), from the empty simplex. Each simplex carries the AND of its
+        vertices' star masks and the bitmask of its common neighbours above
         its last vertex. Popping the lowest bit u of that mask gives the
         candidate s + (u,), kept while the AND with u's star mask stays
         non-zero; its neighbour mask is what is left of the parent's
-        intersected with the neighbours of u, and a coface in the top
-        dimension or with an empty mask is not carried on. Parents are visited
-        in order and their cofaces come out by increasing u, so every
-        dimension is emitted lexicographically sorted and free of duplicates:
-        the output is canonical.
+        intersected with the neighbours of u. Parents are visited in order
+        and their cofaces come out by increasing u, so every dimension is
+        emitted lexicographically sorted and free of duplicates: the output
+        is canonical. When dimension max_dim - 1 is the last one enumerated,
+        the top dimension is counted from its masks, not built. A later call
+        resumes from the last kept dimension, recomputing its masks.
         """
+        levels = self._levels
+        if len(levels) > top:
+            return levels[:top + 1]
         nbr = self._nbr
         member = [-1] * self.vertex_count if self._member is None else self._member
-        level = [((i,), mask, nbr[i] >> (i + 1) << (i + 1))
-                 for i, mask in enumerate(member) if mask]
-        simplices = {0: tuple(s for s, _, _ in level)}
-        for k in range(1, self.max_dim + 1):
+        if levels:
+            level = [(s, *self._masks(s, s[-1])) for s in levels[-1]]
+        else:
+            level = [((), -1, (1 << self.vertex_count) - 1)]
+        while len(levels) <= top:
             found = []
             next_level = []
-            last = k == self.max_dim
+            carry = len(levels) < top
+            counting = not carry and top == self.max_dim - 1
+            onward = carry or counting  # this level's masks are read
+            count = 0
             for s, mask, cand in level:
                 while cand:
                     low = cand & -cand
@@ -148,11 +196,28 @@ class _MaskComplex(SimplicialComplex):
                     if shared := mask & member[u]:
                         t = s + (u,)
                         found.append(t)
-                        if not last and (common := cand & nbr[u]):
-                            next_level.append((t, shared, common))
-            simplices[k] = tuple(found)
+                        if onward and (common := cand & nbr[u]):
+                            if carry:
+                                next_level.append((t, shared, common))
+                            else:
+                                count += self._stars(common, shared).bit_count()
+            levels.append(tuple(found))
             level = next_level
-        return simplices
+            if counting:
+                self._top_count = count
+        return levels[:top + 1]
+
+    @cached_property
+    def simplices(self) -> dict[int, tuple]:
+        return dict(enumerate(self._skeleton(self.max_dim)))
+
+    def simplex_counts(self) -> list[int]:
+        """Counts per dimension. Unless it is already enumerated, the top
+        dimension is counted from its parents' masks and never built."""
+        top = self.max_dim
+        if top == 0 or len(self._levels) > top:
+            return [len(s) for s in self._skeleton(top)]
+        return [len(s) for s in self._skeleton(top - 1)] + [self._top_count]
 
     def _holds(self, t: tuple[int, ...]) -> bool:
         nbr = self._nbr

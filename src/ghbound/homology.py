@@ -1,8 +1,5 @@
 """Simplicial homology over Z/2: persistence pairs from one coboundary reduction.
 
-Chains are Python integers, one bit per simplex, so a column operation is a
-single XOR on an arbitrary-width word.
-
 One reduction serves everything here, and it reduces coboundaries, not
 boundaries. In dimension k = 0, 1, ..., up_to the columns are the k-simplices
 in decreasing filtration position, the rows are the (k+1)-simplices, and a
@@ -11,28 +8,37 @@ column's pivot is its earliest coface. Two shortcuts keep the work small:
 * clearing: a k-simplex that dimension k-1 paired as a death has a column
   that reduces to zero, so it is skipped;
 * emergent pairs: a column whose earliest coface has no owner yet is already
-  reduced. It is paired at once and kept as its list of cofaces; its integer
-  is built only if a later column has to XOR with it.
+  reduced (Bauer, "Ripser", J. Appl. Comput. Topol. 2021). It is paired at
+  once; its column is built only if a later column has to XOR with it.
 
-Dimension up_to + 1 only supplies rows and is never reduced. The coboundary
-matrix of dimension k is the boundary matrix of dimension k + 1 with rows and
-columns swapped and both orders reversed. That flip maps the lower-left
-submatrices, whose ranks fix the persistence pairs, onto each other, so the
-pairs are exactly those of the homology reduction (de Silva, Morozov and
-Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011). With
-simplices ordered by filtration value the pairs give the barcode, and all
-else is read off a barcode: Betti numbers count the bars that never die when
-every simplex enters at 0, and whether an inclusion keeps a homology group
-alive is read off the two-step filtration (the subcomplex, then the rest).
+Dimension up_to + 1 only supplies rows and is never reduced. Stored, its
+rows are filtration positions and a column is a Python integer with one bit
+per row, so a column operation is one XOR on an arbitrary-width word. For the
+Betti numbers of a built complex (a _MaskComplex) it is not stored at all:
+with every value 0 the order is lex, so a column's earliest coface adds its
+lowest joining vertex, read off its vertices' masks.
+
+The coboundary matrix of dimension k is the boundary matrix of dimension
+k + 1 with rows and columns swapped and both orders reversed. That flip maps
+the lower-left submatrices, whose ranks fix the persistence pairs, onto each
+other, so the pairs are exactly those of the homology reduction (de Silva,
+Morozov and Vejdemo-Johansson, "Dualities in persistent (co)homology",
+2011). With simplices ordered by filtration value the pairs give the barcode,
+and all else is read off a barcode: Betti numbers count the bars that never
+die when every simplex enters at 0, and whether an inclusion keeps a
+homology group alive is read off the two-step filtration (the subcomplex,
+then the rest).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Callable
 from itertools import chain
 
 import numpy as np
 
-from .complexes import SimplicialComplex, check_simplicial, inclusion_map
+from .complexes import SimplicialComplex, _MaskComplex, check_simplicial, inclusion_map
 
 
 def _lex_keys(rows: np.ndarray) -> np.ndarray:
@@ -46,15 +52,17 @@ def _lex_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def _cofaces(faces: np.ndarray, cofaces: np.ndarray, face_pos: np.ndarray,
-             coface_pos: np.ndarray) -> tuple[list[int], list[int]]:
-    """Cofaces of every face, by position, earliest first.
+             coface_pos: np.ndarray) -> tuple[Callable, Callable, Callable]:
+    """Stored cofaces of every face, as the (earliest, column, pivot) triple
+    that _pair_columns reads, with rows keyed by filtration position.
 
     faces and cofaces are lex-sorted vertex arrays of adjacent dimensions, and
-    *_pos give each row's filtration position. Returns (flat, starts): the
-    face at position p has the cofaces flat[starts[p]:starts[p + 1]].
+    *_pos give each row's filtration position. A column is an integer whose
+    bit top - p is row p, so its pivot is its highest bit.
     """
-    if not len(cofaces):  # nor any dimension above; the search costs O(k^2)
-        return [], [0] * (len(faces) + 1)
+    top = len(cofaces) - 1
+    if top < 0:  # nor any dimension above; the search costs O(k^2)
+        return (lambda j: None), None, None
     keys = _lex_keys(faces)
     col = face_pos[np.stack([np.searchsorted(keys, _lex_keys(np.delete(cofaces, i, 1)))
                              for i in range(cofaces.shape[1])], axis=1)].ravel()
@@ -63,33 +71,62 @@ def _cofaces(faces: np.ndarray, cofaces: np.ndarray, face_pos: np.ndarray,
     starts = np.searchsorted(col[by_col], np.arange(len(faces) + 1)).tolist()
     row = row[by_col]
     del col, by_col  # only the lists outlive this call
-    return row.tolist(), starts
-
-
-def _pair_columns(flat: list[int], starts: list[int], rows: int,
-                  cleared: dict[int, int]) -> dict[int, int]:
-    """Reduce one coboundary matrix; return pivot row -> owning column.
-
-    Column j holds the rows flat[starts[j]:starts[j + 1]], earliest first.
-    Columns are taken from the last to the first, skipping those in cleared.
-    """
-    top = rows - 1  # row p is bit top - p, so the pivot is the highest bit
+    flat = row.tolist()  # the rows of column j, earliest first
+    earliest = [flat[a] if a < b else None for a, b in zip(starts, starts[1:])]
 
     def column(j: int) -> int:
         return sum(1 << (top - p) for p in flat[starts[j]:starts[j + 1]])
 
-    owner: dict[int, int] = {}    # pivot row -> the column that owns it
-    reduced: dict[int, int] = {}  # pivot row -> its owner's column, once built
-    for j in range(len(starts) - 2, -1, -1):
-        if j in cleared or starts[j] == starts[j + 1]:
+    return earliest.__getitem__, column, lambda col: top + 1 - col.bit_length()
+
+
+def _mask_cofaces(faces: tuple, joins: Callable) -> tuple[Callable, Callable, Callable]:
+    """Cofaces of every face of a mask complex, from its joins, as the
+    (earliest, column, pivot) triple that _pair_columns reads. Rows are keyed
+    by their vertex tuples, and a column is the set of them: only a column
+    that must be XORed lists them all."""
+    def coface(s: tuple[int, ...], u: int) -> tuple[int, ...]:
+        i = bisect_left(s, u)
+        return s[:i] + (u,) + s[i:]
+
+    def earliest(j: int) -> tuple[int, ...] | None:
+        s = faces[j]
+        low = joins(s, True)
+        return coface(s, low.bit_length() - 1) if low else None
+
+    def column(j: int) -> set[tuple[int, ...]]:
+        s = faces[j]
+        mask = joins(s)
+        out = set()
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out.add(coface(s, low.bit_length() - 1))
+        return out
+
+    return earliest, column, min
+
+
+def _pair_columns(count: int, cleared: dict, earliest: Callable, column: Callable,
+                  pivot: Callable) -> dict:
+    """Reduce one coboundary matrix; return pivot row -> owning column.
+
+    Columns are taken from the last, count - 1, to the first, skipping those
+    in cleared. earliest(j) is column j's pivot row before any reduction (None
+    if it has no rows), column(j) is the column itself, which XOR reduces,
+    and pivot(col) is the earliest row of a non-zero column.
+    """
+    owner: dict = {}    # pivot row -> the column that owns it
+    reduced: dict = {}  # pivot row -> its owner's column, once built
+    for j in range(count - 1, -1, -1):
+        if j in cleared or (p := earliest(j)) is None:
             continue
-        p = flat[starts[j]]
         if p not in owner:  # emergent: the column is already reduced
             owner[p] = j
             continue
         col = column(j)
         while col:
-            p = top - col.bit_length() + 1
+            p = pivot(col)
             if p not in owner:
                 owner[p] = j
                 reduced[p] = col
@@ -100,25 +137,30 @@ def _pair_columns(flat: list[int], starts: list[int], rows: int,
     return owner
 
 
-def _reduce_coboundaries(simplices: dict, up_to: int,
-                         order: dict) -> dict[int, dict[int, int]]:
+def _reduce_coboundaries(simplices, up_to: int, order: dict | None = None,
+                         joins: Callable | None = None) -> dict[int, dict]:
     """Persistence pairs of dimensions 1..up_to + 1, by reducing coboundaries.
 
     simplices maps each dimension to its simplices in lexicographic order, and
-    order[k] lists dimension k's indices in filtration order. pairs[k] maps the
-    position of every k-simplex that kills a class to the position of the
-    (k-1)-simplex that gave birth to it.
+    order[k] lists dimension k's indices in filtration order (lex order when
+    order is None). pairs[k] maps the position of every k-simplex that kills a
+    class to the position of the (k-1)-simplex that gave birth to it. Given a
+    mask complex's joins (lex order only), dimension up_to + 1 is neither
+    given nor stored: the last step takes its cofaces from the masks, and
+    pairs[up_to + 1] is keyed by the killing simplices' vertex tuples.
     """
+    stored = up_to + 2 if joins is None else up_to + 1
     verts = {k: np.fromiter(chain.from_iterable(simplices[k]), dtype=">i8",
                             count=len(simplices[k]) * (k + 1)).reshape(-1, k + 1)
-             for k in range(up_to + 2)}
-    position = {k: np.argsort(idx) for k, idx in order.items()}  # inverse permutations
-    pairs: dict[int, dict[int, int]] = {}
-    deaths: dict[int, int] = {}
+             for k in range(stored)}
+    position = {k: np.arange(len(verts[k])) if order is None
+                else np.argsort(order[k]) for k in range(stored)}  # inverse permutations
+    pairs: dict[int, dict] = {}
+    deaths: dict = {}
     for k in range(up_to + 1):
-        pairs[k + 1] = deaths = _pair_columns(
-            *_cofaces(verts[k], verts[k + 1], position[k], position[k + 1]),
-            len(verts[k + 1]), deaths)
+        pairs[k + 1] = deaths = _pair_columns(len(verts[k]), deaths, *(
+            _cofaces(verts[k], verts[k + 1], position[k], position[k + 1])
+            if k + 1 < stored else _mask_cofaces(simplices[k], joins)))
     return pairs
 
 
@@ -133,11 +175,18 @@ def _check_up_to(complex_: SimplicialComplex, up_to: int) -> None:
 def betti_numbers(complex_: SimplicialComplex, up_to: int) -> tuple[int, ...]:
     """Betti numbers beta_0..beta_up_to; requires max_dim >= up_to + 1.
 
-    beta_k counts the k-bars that never die when every simplex enters at 0.
+    With every simplex entering at 0, beta_k counts the k-simplices that
+    neither kill a class nor give birth to one that dies. A mask complex is
+    enumerated to dimension up_to only.
     """
-    zeros = {k: np.zeros(len(s)) for k, s in complex_.simplices.items()}
-    bars = persistence_bars(complex_, zeros, up_to)
-    return tuple(int(np.isinf(bars[k][:, 1]).sum()) for k in range(up_to + 1))
+    _check_up_to(complex_, up_to)
+    if isinstance(complex_, _MaskComplex):
+        simplices, joins = complex_._skeleton(up_to), complex_._joins
+    else:
+        simplices, joins = complex_.simplices, None
+    pairs = _reduce_coboundaries(simplices, up_to, joins=joins)
+    return tuple(len(simplices[k]) - len(pairs.get(k, ())) - len(pairs[k + 1])
+                 for k in range(up_to + 1))
 
 
 def persistence_bars(complex_: SimplicialComplex, values: dict[int, np.ndarray],

@@ -196,3 +196,11 @@ def test_bounds_reject_negative_inputs():
         circle_bound(-0.1)
     with pytest.raises(ValueError):
         jung_constant(0, 0.0)
+
+
+@pytest.mark.parametrize("circumference", [0.0, -1.0, math.inf, math.nan])
+def test_circle_bounds_need_a_finite_positive_circumference(circumference):
+    for call in (lambda: circle_bound(0.2, circumference),
+                 lambda: circle_bound_pair(0.2, 0.1, circumference)):
+        with pytest.raises(ValueError, match="circumference must be finite and positive"):
+            call()

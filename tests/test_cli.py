@@ -516,6 +516,9 @@ _FILLRAD = {"count": 4, "scale_grid": {"start": 1.6, "stop": 3.2, "steps": 3}}
     *(("homology --complex", {"scale": 1.0, "simplices": {
         "0": [[0], [1]], "1": [[0, 1]], key: []}}, repr(key))
       for key in ("01", " 1", "+1", "\u0661", "1_0", "-0", "1 ", "None")),
+    # a subset file's circle refuses this circumference; the bare inputs ran on it
+    ("bounds --inputs", {"dh_xm": 0.2, "circumference": -1},
+     "circumference must be finite and positive"),
 ])
 def test_malformed_json_exits_one_without_traceback(tmp_path, command, payload, key):
     path = tmp_path / "bad.json"

@@ -13,10 +13,19 @@ Oracle notes
 * fundamental_class_survives reads survival off the persistence pass; it must
   equal oracles.fundamental_class_survives, which builds the induced map, on
   random VR pairs of circle and torus samples and on shuffled subsets.
+* Adamaszek's theorem ("Clique complexes and graph powers", Israel J. Math.
+  2013) is an external oracle for VR complexes of equispaced circles. VR(Y_N)
+  at scale (2 pi / N)(k + 1/2) is the clique complex of the cyclic graph
+  power C_N^k, which is S^{2l+1} when l/(2l+1) < k/N < (l+1)/(2l+3) and a
+  wedge of N - 2k - 1 copies of S^{2l} when k/N = l/(2l+1).
+* A mask complex never stores its top dimension for betti_numbers or
+  simplex_counts: both must equal the stored path's results on an explicit
+  SimplicialComplex with the same simplices, in any order of queries.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghbound import homology
-from ghbound import (SimplicialComplex, betti_numbers, build_vr,
+from ghbound import (SimplicialComplex, betti_numbers, build_cech_witness, build_vr,
                      check_simplicial, circle, compose_maps, distortion,
                      equispaced_circle, fundamental_class_survives, gh_exact,
                      flat_torus, inclusion_map, induced_vr_map, uniform_points,
@@ -115,6 +124,58 @@ def test_empty_dimensions_cost_no_coface_search(monkeypatch):
     k = build_vr(triangle, 4.0, 600)
     assert betti_numbers(k, 599) == (1,) + (0,) * 599
     assert len(calls) <= 10
+
+
+def _cyclic_power_betti(n, k):
+    """b_0..b_3 of the clique complex of C_n^k, 1 <= k < n/2, by Adamaszek."""
+    betti = [1, 0, 0, 0]
+    ratio, l = Fraction(k, n), 0
+    while ratio > Fraction(l, 2 * l + 1):
+        if ratio < Fraction(l + 1, 2 * l + 3):  # S^{2l+1}
+            if 2 * l + 1 <= 3:
+                betti[2 * l + 1] = 1
+            return betti
+        l += 1
+    if 2 * l <= 3:  # a wedge of n - 2k - 1 copies of S^{2l}, l >= 1
+        betti[2 * l] = n - 2 * k - 1
+    return betti
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(5, 19)
+                                  for k in range(1, (n + 1) // 2)])
+def test_betti_of_cyclic_graph_powers_match_adamaszek(n, k):
+    space = equispaced_circle(circle(), n).to_metric_space()
+    cx = build_vr(space, 2 * np.pi / n * (k + 0.5), 4)  # fresh: nothing enumerated
+    assert list(betti_numbers(cx, 3)) == _cyclic_power_betti(n, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(on_torus=st.booleans(), witnessed=st.booleans(), size=st.integers(3, 14),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 0.7),
+       max_dim=st.integers(1, 4), per_axis=st.integers(4, 24), data=st.data())
+def test_mask_complexes_never_store_the_top_dimension(on_torus, witnessed, size, seed,
+                                                      scale, max_dim, per_axis, data):
+    manifold = flat_torus([1.0, 1.0]) if on_torus else circle()
+    subset = uniform_points(manifold, size, seed)
+    far = float(subset.to_metric_space().dist.max())
+
+    def fresh():
+        if witnessed:
+            return build_cech_witness(subset, scale * far, max_dim, per_axis)
+        return build_vr(subset.to_metric_space(), scale * far, max_dim)
+
+    stored = fresh()
+    explicit = SimplicialComplex(stored.vertex_count, stored.scale, max_dim,
+                                 stored.simplices)
+    cx = fresh()
+    queries = data.draw(st.permutations([None, *range(max_dim)]), label="queries")
+    for up_to in queries:
+        if up_to is None:
+            assert cx.simplex_counts() == explicit.simplex_counts()
+        else:
+            assert betti_numbers(cx, up_to) == betti_numbers(explicit, up_to)
+    assert "simplices" not in vars(cx)
+    assert len(cx._levels) <= max_dim  # dimensions 0..max_dim - 1 at most
 
 
 def test_insufficient_skeleton_error():

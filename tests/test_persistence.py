@@ -16,6 +16,8 @@ Oracle notes
 * betti_numbers on a 300-point witnessed Cech complex (tetrahedra as the top
   dimension) must peak below 10 MiB under tracemalloc, which also counts
   numpy's buffers. The homology reduction it replaced peaked at 16.6 MiB.
+  On a fresh copy, simplex_counts and betti_numbers together must peak below
+  7 MiB: neither stores the tetrahedra (storing them read 8.61 MiB).
 * persistence_bars (a coboundary reduction with clearing and emergent pairs)
   must equal oracles.standard_barcode row for row: the textbook reduction of
   the dense boundary matrix, with no clearing and none of the library's
@@ -171,6 +173,27 @@ def test_betti_of_a_300_point_witnessed_cech_complex_peaks_below_10_mib():
         tracemalloc.stop()
     assert betti == (1, 2, 1)
     assert peak < 10 * 2**20
+
+
+def test_counts_and_betti_of_a_fresh_300_point_witnessed_cech_complex_peak_below_7_mib():
+    # the same complex, with nothing enumerated before tracing starts: the
+    # tetrahedra are only counted, never stored (the stored path read 8.61 MiB)
+    torus = flat_torus([1.0, 1.0])
+    cell = np.arange(300)
+    u = uniform_points(torus, 300, 5).points
+    points = np.stack([(cell % 20 + u[:, 0]) / 20, (cell // 20 + u[:, 1]) / 15],
+                      axis=1)
+    cx = build_cech_witness(FiniteSubset(torus, points), 0.08, 3, 64)
+    tracemalloc.start()
+    try:
+        counts = cx.simplex_counts()
+        betti = betti_numbers(cx, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [300, 3224, 11012, 18614]
+    assert betti == (1, 2, 1)
+    assert peak < 7 * 2**20
 
 
 def _assert_bars_match_the_oracle(cx, values, up_to):
