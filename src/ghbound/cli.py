@@ -33,10 +33,9 @@ from .bounds import (circle_bound, circle_bound_pair, convexity_bound,
 # being called through these names
 from .complexes import (build_cech_circle, build_cech_witness, build_vr,
                         check_contiguous, check_simplicial, compose_maps,
-                        inclusion_map, induced_vr_map, simplex_diameters,
-                        subset_projection_map)
+                        inclusion_map, induced_vr_map, subset_projection_map)
 from .gh import NODE_BUDGET, distortion, gh_exact, rigid_incumbent
-from .homology import betti_numbers, fundamental_class_survives, persistence_bars
+from .homology import betti_numbers, fundamental_class_survives, vr_persistence_bars
 from .manifolds import (CIRCLE, EUCLIDEAN, FLAT_TORUS, AmbientManifold,
                         FiniteSubset, check_table_size, circle,
                         covering_radius_circle, covering_radius_witness,
@@ -331,8 +330,7 @@ def cmd_fillrad_estimate(args) -> int:
     sample = _sample(m, sampler, "x", 0, count, seed)
     space = sample.to_metric_space()
     grid = np.linspace(start, stop, steps)
-    top = build_vr(space, float(grid[-1]), n + 1)
-    bars = persistence_bars(top, simplex_diameters(top, space.dist), n)
+    bars = vr_persistence_bars(space, float(grid[-1]), n)
     betti = np.stack([np.searchsorted(b[:, 0], grid)
                       - np.searchsorted(np.sort(b[:, 1]), grid)
                       for b in bars.values()], axis=1)

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations
-from operator import index
+from functools import cached_property, reduce
+from operator import and_, index
 
 import numpy as np
 
@@ -264,24 +263,6 @@ def _neighbour_masks(dist: np.ndarray, scale: float) -> list[int]:
             for i in range(len(dist))]
 
 
-def simplex_diameters(complex_: SimplicialComplex,
-                      dist: np.ndarray) -> dict[int, np.ndarray]:
-    """Diameter under dist of every simplex, per dimension in the complex's order.
-
-    A simplex enters the VR filtration at its diameter: it is in build_vr's
-    complex at scale s iff its diameter is < s.
-    """
-    out = {}
-    for k, simplices in complex_.simplices.items():
-        # reshape keeps an empty dimension two-dimensional
-        verts = np.asarray(simplices, dtype=np.intp).reshape(-1, k + 1)
-        diam = np.zeros(len(verts))
-        for a, b in combinations(range(k + 1), 2):
-            np.maximum(diam, dist[verts[:, a], verts[:, b]], out=diam)
-        out[k] = diam
-    return out
-
-
 def build_cech_circle(space: FiniteMetricSpace, radius: float, max_dim: int,
                       circumference: float) -> SimplicialComplex:
     """Exact ambient Cech complex for a circle subset, radius below circumference/6.
@@ -312,8 +293,10 @@ def build_cech_witness(subset: FiniteSubset, radius: float, max_dim: int,
     The witness x point table is never formed: witness_hits finds the
     (witness, point) pairs within radius from per-axis windows, exactly the
     dense table's entries below radius. The hits group into distinct
-    non-empty stars; each point gets the bitmask of the stars it lies in and
-    a neighbour mask, the union of those stars, for a _MaskComplex.
+    non-empty stars, of which only the maximal ones are kept: a vertex set
+    lies in some star iff it lies in a maximal one. Each point gets the
+    bitmask of the kept stars it lies in and a neighbour mask, the union of
+    those stars, for a _MaskComplex.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -324,15 +307,20 @@ def build_cech_witness(subset: FiniteSubset, radius: float, max_dim: int,
     points = point[order].tolist()
     cuts = [0, *(np.flatnonzero(np.diff(witness[order])) + 1).tolist(), len(points)]
     stars = {tuple(points[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if hi > lo}
-    member = [0] * subset.size  # bit s: the point lies in star s
+    member = [0] * subset.size  # bit s: the point lies in kept star s
     nbr = [0] * subset.size  # the points sharing a star with it, itself included
-    for s, star in enumerate(stars):
+    kept = 0
+    # largest first, so a star that no kept star holds lies in no other star
+    for star in sorted(stars, key=len, reverse=True):
+        if reduce(and_, [member[j] for j in star]):
+            continue
         span = 0
         for j in star:
             span |= 1 << j
         for j in star:
-            member[j] |= 1 << s
+            member[j] |= 1 << kept
             nbr[j] |= span
+        kept += 1
     return _MaskComplex(subset.size, radius, max_dim, nbr, member)
 
 

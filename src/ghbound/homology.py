@@ -11,12 +11,21 @@ column's pivot is its earliest coface. Two shortcuts keep the work small:
   reduced (Bauer, "Ripser", J. Appl. Comput. Topol. 2021). It is paired at
   once; its column is built only if a later column has to XOR with it.
 
-Dimension up_to + 1 only supplies rows and is never reduced. Stored, its
-rows are filtration positions and a column is a Python integer with one bit
-per row, so a column operation is one XOR on an arbitrary-width word. For the
-Betti numbers of a built complex (a _MaskComplex) it is not stored at all:
-with every value 0 the order is lex, so a column's earliest coface adds its
-lowest joining vertex, read off its vertices' masks.
+Dimension up_to + 1 only supplies rows and is never reduced. Its cofaces
+come from one of three sources:
+
+* stored (an explicit complex, or a filtration given by its values): rows
+  are filtration positions and a column is a Python integer with one bit per
+  row, so a column operation is one XOR on an arbitrary-width word;
+* masks (the Betti numbers of a built complex, a _MaskComplex): with every
+  value 0 the order is lex, so a column's earliest coface adds its lowest
+  joining vertex, read off its vertices' masks;
+* distance rows (vr_persistence_bars, the VR filtration): a face's cofaces
+  add the vertices within scale of all its vertices, each entering at the
+  larger of the face's diameter and its farthest distance to them. One
+  blocked pass over the rows finds every column's earliest coface; a row is
+  keyed by an integer that compares like (diameter, lex), and only a column
+  that must be XORed lists its cofaces, as a sorted array of keys.
 
 The coboundary matrix of dimension k is the boundary matrix of dimension
 k + 1 with rows and columns swapped and both orders reversed. That flip maps
@@ -34,11 +43,30 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
-from .complexes import SimplicialComplex, _MaskComplex, check_simplicial, inclusion_map
+from .complexes import (SimplicialComplex, _MaskComplex, build_vr, check_simplicial,
+                        inclusion_map)
+from .manifolds import BLOCK, FiniteMetricSpace
+
+
+def _vertex_arrays(simplices, top: int) -> dict[int, np.ndarray]:
+    """Dimensions 0..top as arrays with one row of vertices per simplex."""
+    return {k: np.fromiter(chain.from_iterable(simplices[k]), dtype=">i8",
+                           count=len(simplices[k]) * (k + 1)).reshape(-1, k + 1)
+            for k in range(top + 1)}
+
+
+def _diameters(verts: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Diameter under dist of each row of vertices: the scale at which the
+    simplex enters the VR filtration (it is in build_vr's complex at scale s
+    iff its diameter is < s)."""
+    diam = np.zeros(len(verts))
+    for a, b in combinations(range(verts.shape[1]), 2):
+        np.maximum(diam, dist[verts[:, a], verts[:, b]], out=diam)
+    return diam
 
 
 def _lex_keys(rows: np.ndarray) -> np.ndarray:
@@ -107,6 +135,94 @@ def _mask_cofaces(faces: tuple, joins: Callable) -> tuple[Callable, Callable, Ca
     return earliest, column, min
 
 
+def _row_keys(rank: np.ndarray, rows: np.ndarray, n: int, levels: int) -> np.ndarray:
+    """One integer per row, rank * n ** width + the base-n code of the row.
+
+    rows holds vertex rows below n, width to a row, and rank values below
+    levels, so the keys compare like (rank, row). They are int64 while the
+    largest, levels * n ** width - 1, fits in it, and Python integers (object
+    dtype) past that, so no key ever wraps.
+    """
+    dtype = np.int64 if levels * n ** rows.shape[1] <= 2 ** 63 else object
+    key = rank.astype(dtype)
+    for col in rows.T:  # Horner: no partial key exceeds the full one
+        key = key * n + col.astype(dtype)
+    return key
+
+
+class _SortedRows:
+    """A column as a sorted array of distinct row keys. It is true while
+    non-empty, and ^ is the symmetric difference, so _pair_columns reduces it
+    as it does an integer or a set."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self, keys: np.ndarray) -> None:
+        self.keys = keys
+
+    def __bool__(self) -> bool:
+        return len(self.keys) > 0
+
+    def __xor__(self, other: _SortedRows) -> _SortedRows:
+        return _SortedRows(np.setxor1d(self.keys, other.keys, assume_unique=True))
+
+
+def _vr_cofaces(faces: np.ndarray, diam: np.ndarray, dist: np.ndarray,
+                scale: float) -> tuple[tuple[Callable, Callable, Callable], Callable]:
+    """Cofaces in the VR filtration below scale of every face, read off the
+    distance rows.
+
+    faces holds vertex rows in filtration order and diam their diameters. A
+    face's coface adds a vertex u outside it with dist[v, u] < scale for every
+    vertex v of the face, and enters at the larger of the face's diameter and
+    that row maximum. A row is keyed by _row_keys: the rank of its diameter
+    among the distinct distances, then its sorted vertices, so keys compare
+    like (diameter, lex) and the least key is the earliest coface. Returns the
+    (earliest, column, pivot) triple that _pair_columns reads, and a map from
+    a list of row keys to their diameters.
+    """
+    n = len(dist)
+    levels = np.unique(dist)
+    width = faces.shape[1] + 1  # vertices of a coface
+
+    def entries(f: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Each face's coface diameters, one column per vertex u; inf where u
+        adds no coface."""
+        near = dist[f[:, 0]]
+        for i in range(1, f.shape[1]):
+            np.maximum(near, dist[f[:, i]], out=near)
+        near[near >= scale] = np.inf
+        near[np.arange(len(f))[:, None], f] = np.inf
+        return np.maximum(near, d[:, None], out=near)
+
+    def keys(f: np.ndarray, u: np.ndarray, at: np.ndarray) -> np.ndarray:
+        rows = np.sort(np.column_stack((f, u)), axis=1)
+        return _row_keys(np.searchsorted(levels, at), rows, n, len(levels))
+
+    earliest: list = []
+    step = max(1, BLOCK // n)  # faces per block, so a block holds about BLOCK entries
+    for lo in range(0, len(faces), step):
+        f = faces[lo:lo + step]
+        near = entries(f, diam[lo:lo + step])
+        u = near.argmin(axis=1)  # the first minimum: the lowest vertex wins a tie
+        at = near[np.arange(len(f)), u]
+        first = keys(f, u, at).tolist()
+        for i in np.flatnonzero(np.isinf(at)).tolist():
+            first[i] = None
+        earliest += first
+
+    def column(j: int) -> _SortedRows:
+        near = entries(faces[j:j + 1], diam[j:j + 1])[0]
+        u = np.flatnonzero(near < np.inf)
+        found = keys(np.broadcast_to(faces[j], (len(u), width - 1)), u, near[u])
+        found.sort()
+        return _SortedRows(found)
+
+    base = n ** width
+    return ((earliest.__getitem__, column, lambda col: int(col.keys[0])),
+            lambda rows: levels[[r // base for r in rows]])
+
+
 def _pair_columns(count: int, cleared: dict, earliest: Callable, column: Callable,
                   pivot: Callable) -> dict:
     """Reduce one coboundary matrix; return pivot row -> owning column.
@@ -137,22 +253,20 @@ def _pair_columns(count: int, cleared: dict, earliest: Callable, column: Callabl
     return owner
 
 
-def _reduce_coboundaries(simplices, up_to: int, order: dict | None = None,
-                         joins: Callable | None = None) -> dict[int, dict]:
+def _reduce_coboundaries(verts: dict[int, np.ndarray], up_to: int,
+                         order: dict | None = None,
+                         last: tuple | None = None) -> dict[int, dict]:
     """Persistence pairs of dimensions 1..up_to + 1, by reducing coboundaries.
 
-    simplices maps each dimension to its simplices in lexicographic order, and
+    verts[k] holds the k-simplices' vertex rows in lexicographic order, and
     order[k] lists dimension k's indices in filtration order (lex order when
     order is None). pairs[k] maps the position of every k-simplex that kills a
-    class to the position of the (k-1)-simplex that gave birth to it. Given a
-    mask complex's joins (lex order only), dimension up_to + 1 is neither
-    given nor stored: the last step takes its cofaces from the masks, and
-    pairs[up_to + 1] is keyed by the killing simplices' vertex tuples.
+    class to the position of the (k-1)-simplex that gave birth to it. Given
+    last, the (earliest, column, pivot) triple of the last step, dimension
+    up_to + 1 is neither given nor stored, and pairs[up_to + 1] is keyed by
+    last's row keys.
     """
-    stored = up_to + 2 if joins is None else up_to + 1
-    verts = {k: np.fromiter(chain.from_iterable(simplices[k]), dtype=">i8",
-                            count=len(simplices[k]) * (k + 1)).reshape(-1, k + 1)
-             for k in range(stored)}
+    stored = up_to + 2 if last is None else up_to + 1
     position = {k: np.arange(len(verts[k])) if order is None
                 else np.argsort(order[k]) for k in range(stored)}  # inverse permutations
     pairs: dict[int, dict] = {}
@@ -160,7 +274,7 @@ def _reduce_coboundaries(simplices, up_to: int, order: dict | None = None,
     for k in range(up_to + 1):
         pairs[k + 1] = deaths = _pair_columns(len(verts[k]), deaths, *(
             _cofaces(verts[k], verts[k + 1], position[k], position[k + 1])
-            if k + 1 < stored else _mask_cofaces(simplices[k], joins)))
+            if k + 1 < stored else last))
     return pairs
 
 
@@ -181,12 +295,32 @@ def betti_numbers(complex_: SimplicialComplex, up_to: int) -> tuple[int, ...]:
     """
     _check_up_to(complex_, up_to)
     if isinstance(complex_, _MaskComplex):
-        simplices, joins = complex_._skeleton(up_to), complex_._joins
+        simplices = complex_._skeleton(up_to)
+        last = _mask_cofaces(simplices[up_to], complex_._joins)
     else:
-        simplices, joins = complex_.simplices, None
-    pairs = _reduce_coboundaries(simplices, up_to, joins=joins)
+        simplices, last = complex_.simplices, None
+    pairs = _reduce_coboundaries(
+        _vertex_arrays(simplices, up_to + (last is None)), up_to, last=last)
     return tuple(len(simplices[k]) - len(pairs.get(k, ())) - len(pairs[k + 1])
                  for k in range(up_to + 1))
+
+
+def _barcode(pairs: dict[int, dict], ordered: dict[int, np.ndarray], up_to: int,
+             top_values: Callable) -> dict[int, np.ndarray]:
+    """Bars of dimensions 0..up_to. ordered[k] holds dimension k's values in
+    filtration order, and top_values(rows) the values of the
+    (up_to + 1)-simplices keyed by rows in pairs[up_to + 1]."""
+    bars = {}
+    for k in range(up_to + 1):
+        death = np.full(len(ordered[k]), np.inf)
+        killed = pairs[k + 1]  # death row -> birth position
+        rows = list(killed)
+        death[list(killed.values())] = (ordered[k + 1][rows] if k < up_to
+                                        else top_values(rows))
+        positive = np.ones(len(death), dtype=bool)
+        positive[list(pairs.get(k, {}))] = False
+        bars[k] = np.column_stack((ordered[k], death))[positive]
+    return bars
 
 
 def persistence_bars(complex_: SimplicialComplex, values: dict[int, np.ndarray],
@@ -204,17 +338,31 @@ def persistence_bars(complex_: SimplicialComplex, values: dict[int, np.ndarray],
     """
     _check_up_to(complex_, up_to)
     order = {k: np.argsort(values[k], kind="stable") for k in range(up_to + 2)}
-    pairs = _reduce_coboundaries(complex_.simplices, up_to, order)
-    ordered_values = {k: values[k][idx] for k, idx in order.items()}
-    bars = {}
-    for k in range(up_to + 1):
-        death = np.full(len(order[k]), np.inf)
-        killed = pairs[k + 1]  # death position -> birth position
-        death[list(killed.values())] = ordered_values[k + 1][list(killed)]
-        positive = np.ones(len(death), dtype=bool)
-        positive[list(pairs.get(k, {}))] = False
-        bars[k] = np.column_stack((ordered_values[k], death))[positive]
-    return bars
+    pairs = _reduce_coboundaries(_vertex_arrays(complex_.simplices, up_to + 1),
+                                 up_to, order)
+    ordered = {k: values[k][idx] for k, idx in order.items()}
+    return _barcode(pairs, ordered, up_to, ordered[up_to + 1].__getitem__)
+
+
+def vr_persistence_bars(space: FiniteMetricSpace, scale: float,
+                        up_to: int) -> dict[int, np.ndarray]:
+    """persistence_bars of build_vr(space, scale, up_to + 1), every simplex
+    at its diameter, with dimension up_to + 1 never enumerated.
+
+    Dimensions 0..up_to are enumerated, ordered by (diameter, lex) and
+    reduced as persistence_bars reduces them; the last step reads its
+    cofaces off the distance rows.
+    """
+    if up_to < 0:
+        raise ValueError("up_to must be >= 0")
+    verts = _vertex_arrays(build_vr(space, scale, up_to + 1)._skeleton(up_to), up_to)
+    values = {k: _diameters(v, space.dist) for k, v in verts.items()}
+    order = {k: np.argsort(v, kind="stable") for k, v in values.items()}
+    ordered = {k: values[k][idx] for k, idx in order.items()}
+    last, death_values = _vr_cofaces(verts[up_to][order[up_to]], ordered[up_to],
+                                     space.dist, scale)
+    return _barcode(_reduce_coboundaries(verts, up_to, order, last), ordered, up_to,
+                    death_values)
 
 
 def fundamental_class_survives(small: SimplicialComplex, big: SimplicialComplex,

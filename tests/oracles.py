@@ -75,6 +75,14 @@ def naive_betti(complex_: SimplicialComplex, up_to: int) -> list[int]:
     return out
 
 
+def vr_values(complex_: SimplicialComplex, dist: np.ndarray) -> dict[int, np.ndarray]:
+    """Each simplex's diameter under dist, the scale at which it enters the VR
+    filtration, per dimension in the complex's order, one simplex at a time."""
+    return {k: np.array([max((dist[a, b] for a, b in combinations(s, 2)), default=0.0)
+                         for s in simplices], dtype=np.float64)
+            for k, simplices in complex_.simplices.items()}
+
+
 def standard_barcode(complex_: SimplicialComplex, values: dict[int, np.ndarray],
                      up_to: int) -> dict[int, np.ndarray]:
     """Barcode by the textbook reduction of the whole filtered boundary matrix.

@@ -675,6 +675,25 @@ def test_fillrad_estimate_exact_death_on_the_torus(tmp_path, capsys):
     assert payload["death_scale"] == pytest.approx(math.sqrt(5) / 6, abs=1e-12)
 
 
+# the 8 x 8 grid of the unit flat torus up to 0.6, where the VR complex has
+# 380,864 tetrahedra
+_TORUS8 = {"manifold": {"kind": "flat_torus", "params": [1.0, 1.0]},
+           "sampler": {"kind": "equispaced"}, "count": 8,
+           "scale_grid": {"start": 0.19, "stop": 0.6, "steps": 16}}
+
+
+def test_fillrad_estimate_on_the_8x8_torus_peaks_below_32_mib(tmp_path):
+    # the tetrahedra are never stored; storing them peaked at 214 MiB
+    cfg = tmp_path / "fr.json"
+    cfg.write_text(json.dumps(_TORUS8))
+    proc = _run_child(["-c", _TRACED_MAIN, "fillrad-estimate", "--config", str(cfg),
+                       "--out", str(tmp_path / "out.json")])
+    assert proc.returncode == 0, proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak < 32 * 2 ** 20
+
+
 def test_fillrad_estimate_strict_tie_at_the_death(tmp_path, capsys):
     dist = equispaced_circle(circle(), 18).to_metric_space().dist
     # the class dies when the triangle (0, 6, 12) enters, at its diameter; the
@@ -963,6 +982,8 @@ PINNED_STDOUT = {
         "7748cb88b474d4d9c4bca1b030294416facf77664f28f07d1da7160937a0cad0",
     "fillrad-estimate-torus":
         "125bf8a59da020f4bd5ceb2977d73e9bc679cdd26db86f0834ee0d80d99095c2",
+    "fillrad-estimate-torus8":
+        "200246689404c333127ce91f307c076417d3c6ed7173ee9f0820090a982f644a",
     "circle-sweep": "41ec85ba22e80f7daf196dd52a0cd3dd272a3c8b048c48d8a359933c51d66982",
     "gh-exact": "adb0d65e853346dab69e5440858d2f0cc07d2403b4a0791f6ab9cbedff8d8830",
     "bounds-pair": "9e7e616e68c30ea6019e9306a8ea5e148ecd832e4aa56e4c0304a8b25626a819",
@@ -1004,6 +1025,8 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
         "manifold": {"kind": "flat_torus", "params": [1.0, 1.0]},
         "sampler": {"kind": "equispaced"}, "count": 6, "max_dim": 3,
         "scale_grid": {"start": 0.25, "stop": 0.75, "steps": 23}}))
+    fillrad_torus8 = tmp_path / "fillrad_torus8.json"
+    fillrad_torus8.write_text(json.dumps(_TORUS8))
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps({  # gh-sweep's fixed draw; only row 16 runs out
         "manifold": {"kind": "circle"}, "sampler": {"kind": "uniform", "seed": 2},
@@ -1036,6 +1059,8 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
         "fillrad-estimate": ["fillrad-estimate", "--config", str(fillrad)],
         "fillrad-estimate-torus": ["fillrad-estimate", "--config",
                                    str(fillrad_torus)],
+        "fillrad-estimate-torus8": ["fillrad-estimate", "--config",
+                                    str(fillrad_torus8)],
         "circle-sweep": ["circle-sweep", "--config", str(sweep)],
         "gh-exact": ["gh-exact", "--x", hard_x, "--y", hard_y],
         "bounds-pair": ["bounds", "--x", torus, "--y", dense],

@@ -26,6 +26,8 @@ Oracle notes
 * build_cech_circle: compared against an ambient grid probe deciding whether
   the vertex balls share a point, away from decision boundaries.
 * nesting: witnessed Cech at radius r always sits inside VR at 2r.
+* build_cech_witness keeps only maximal stars: on a 300-point torus complex
+  no kept star lies inside another.
 """
 
 from __future__ import annotations
@@ -359,6 +361,26 @@ def test_cech_witness_vertex_requires_witness():
     k = build_cech_witness(sub, 0.2, 1, 1)
     assert k.simplices[0] == ((0,), (1,))
     assert k.simplices[1] == ((0, 1),)
+
+
+def test_cech_witness_keeps_only_maximal_stars():
+    # the 300-point torus complex (one uniform point per cell of a 20 x 15
+    # grid) has 2,547 distinct witness stars, of which 783 are maximal
+    torus = flat_torus([1.0, 1.0])
+    cell = np.arange(300)
+    u = uniform_points(torus, 300, 5).points
+    points = np.stack([(cell % 20 + u[:, 0]) / 20, (cell // 20 + u[:, 1]) / 15],
+                      axis=1)
+    k = build_cech_witness(FiniteSubset(torus, points), 0.08, 3, 64)
+    stars = {}  # star bit -> the bitmask of the points in it
+    for j, bits in enumerate(k._member):
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            stars[low] = stars.get(low, 0) | 1 << j
+    spans = list(stars.values())
+    assert len(spans) == 783
+    assert not any(a != b and a & ~b == 0 for a in spans for b in spans)
 
 
 def _pair(rng, size_x=5, size_y=4):

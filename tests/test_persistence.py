@@ -24,6 +24,13 @@ Oracle notes
   homology code. Inputs are VR filtrations of jittered circles and tori,
   equispaced circles (whose diameters tie), and random complexes
   with random face-monotone values drawn from a few levels (ties again).
+  On every VR filtration vr_persistence_bars, which never stores the top
+  dimension, must equal the oracle too.
+* vr_persistence_bars must equal persistence_bars on the stored complex with
+  oracles.vr_values, dimension by dimension, on uniform and equispaced
+  circle and 2-torus samples of up to 30 points, and on 1,700 torus points
+  where its row keys pass int64; _row_keys must give exact keys that order
+  like (rank, row) past int64.
 """
 
 from __future__ import annotations
@@ -37,11 +44,12 @@ from hypothesis import strategies as st
 
 from ghbound import (FiniteSubset, betti_numbers, build_cech_witness, build_vr,
                      circle, cli, equispaced_circle, flat_torus, grid_points,
-                     persistence_bars, simplex_diameters, uniform_points)
+                     persistence_bars, uniform_points, vr_persistence_bars)
+from ghbound.homology import _row_keys
 from ghbound.serialize import subset_to_dict, write_json
 
 from oracles import (HomologyBasis, fundamental_class_survives, naive_betti,
-                     random_complex, standard_barcode)
+                     random_complex, standard_barcode, vr_values)
 
 SETTINGS = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -150,7 +158,7 @@ def test_betti_matches_dense_elimination_on_torus_witness_cech(size, seed, radiu
 def test_bars_give_betti_numbers_of_every_sublevel_complex(size, seed, scale):
     space = _torus_sample(size, seed).to_metric_space()
     top = build_vr(space, scale, 3)
-    values = simplex_diameters(top, space.dist)
+    values = vr_values(top, space.dist)
     bars = persistence_bars(top, values, 2)
     for s in np.unique(np.concatenate([values[1], [scale]])):
         alive = [int(((b[:, 0] < s) & (s <= b[:, 1])).sum()) for b in bars.values()]
@@ -196,17 +204,22 @@ def test_counts_and_betti_of_a_fresh_300_point_witnessed_cech_complex_peak_below
     assert peak < 7 * 2**20
 
 
-def _assert_bars_match_the_oracle(cx, values, up_to):
-    got = persistence_bars(cx, values, up_to)
-    want = standard_barcode(cx, values, up_to)
+def _assert_same_bars(got, want):
     assert list(got) == list(want)
     for k in want:
         assert np.array_equal(got[k], want[k]), k
 
 
+def _assert_bars_match_the_oracle(cx, values, up_to, *more):
+    want = standard_barcode(cx, values, up_to)
+    for got in (persistence_bars(cx, values, up_to), *more):
+        _assert_same_bars(got, want)
+
+
 def _assert_vr_bars_match_the_oracle(space, scale, up_to):
     top = build_vr(space, scale, up_to + 1)
-    _assert_bars_match_the_oracle(top, simplex_diameters(top, space.dist), up_to)
+    _assert_bars_match_the_oracle(top, vr_values(top, space.dist), up_to,
+                                  vr_persistence_bars(space, scale, up_to))
 
 
 @SETTINGS
@@ -254,3 +267,59 @@ def test_bars_match_the_oracle_on_random_complexes(seed, levels):
                                        for d in range(k + 1)))
         values[k] = own
     _assert_bars_match_the_oracle(cx, values, cx.max_dim - 1)
+
+
+def _assert_vr_bars_match_the_stored_filtration(space, scale, up_to):
+    top = build_vr(space, scale, up_to + 1)
+    _assert_same_bars(vr_persistence_bars(space, scale, up_to),
+                      persistence_bars(top, vr_values(top, space.dist), up_to))
+
+
+@SETTINGS
+@given(size=st.integers(3, 30), seed=st.integers(0, 2**32 - 1),
+       torus=st.booleans(), equispaced=st.booleans(), reach=st.floats(0.02, 1.0),
+       up_to=st.integers(0, 2))
+def test_vr_bars_match_the_stored_filtration(size, seed, torus, equispaced, reach,
+                                             up_to):
+    # equispaced samples tie in their diameters, so (diameter, lex) decides
+    if torus:
+        m = flat_torus([1.0, 1.0])
+        subset = (grid_points(m, min(5, round(size ** 0.5))) if equispaced
+                  else uniform_points(m, size, seed))
+    else:
+        m = circle()
+        subset = (equispaced_circle(m, size) if equispaced
+                  else uniform_points(m, size, seed))
+    space = subset.to_metric_space()
+    _assert_vr_bars_match_the_stored_filtration(space, reach * float(space.dist.max()),
+                                                up_to)
+
+
+def test_vr_bars_match_the_stored_filtration_past_int64_keys():
+    # 1,700 points have so many distinct distances that tetrahedron keys pass
+    # int64, so the last step keys its rows by Python integers
+    space = uniform_points(flat_torus([1.0, 1.0]), 1700, 3).to_metric_space()
+    assert len(np.unique(space.dist)) * 1700 ** 4 > 2 ** 63
+    _assert_vr_bars_match_the_stored_filtration(space, 0.035, 2)
+
+
+def test_row_keys_stay_exact_and_ordered_past_int64():
+    # triangles of 7,200 circle points with all C(7200, 2) + 1 distance levels
+    n, levels = 7200, 7200 * 7199 // 2 + 1
+    rng = np.random.default_rng(0)
+    rows = np.sort(rng.choice(n, (200, 3)), axis=1)
+    rows[:40] = rows[40:80]  # equal rows under different ranks
+    rows[0] = (n - 3, n - 2, n - 1)
+    rank = rng.integers(levels - 3, levels, 200)
+    rank[80:120] = rank[120:160]  # equal ranks over different rows
+    keys = _row_keys(rank, rows, n, levels)
+    want = [int(r) * n ** 3 + int(a) * n ** 2 + int(b) * n + int(c)
+            for r, (a, b, c) in zip(rank, rows)]
+    assert keys.dtype == object
+    assert keys.tolist() == want
+    assert max(want) >= 2 ** 63  # int64 would have wrapped
+    by_key = sorted(range(200), key=want.__getitem__)
+    assert by_key == sorted(range(200), key=lambda i: (rank[i], tuple(rows[i])))
+    # at the boundary the largest key is 2**63 - 1, and int64 holds it
+    top = _row_keys(np.array([2 ** 32 - 1]), np.array([[2 ** 31 - 1]]), 2 ** 31, 2 ** 32)
+    assert top.dtype == np.int64 and top.tolist() == [2 ** 63 - 1]
