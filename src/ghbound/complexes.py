@@ -16,6 +16,24 @@ read its cofaces off the masks, so neither stores it. Explicit
 complexes, such as those read from a file, are validated sorted tuples of
 simplices, and has_simplex searches them by bisection.
 
+A mask complex's edge collapse (_collapsed) removes dominated edges until
+none is left. With N[.] the closed neighbourhoods, edge xy is dominated by a
+vertex w outside it when N[x] & N[y] <= N[w] and, with star masks,
+member[x] & member[y] & ~member[w] == 0: every kept star that holds x and y
+holds w. Then every simplex containing x and y is a clique inside N[w] and
+lies in a star that holds w, so adding w keeps it a simplex: the link of xy
+is a cone with apex w. Removing the open star of an edge whose link is a
+cone keeps the homotopy type (Boissonnat and Pritam, "Edge collapse and
+persistence of flag complexes", SoCG 2020; Barmak and Minian, "Strong
+homotopy types, nerves and collapses", Discrete Comput. Geom. 2012), and it
+is one mask edit: the remaining complex is the cliques of the smaller graph
+that share a star. The star condition is what makes the rule sound off flag
+complexes: the witnessed hollow triangle, stars {0,1}, {1,2} and {0,2},
+has every edge dominated in its graph and none in its stars. The collapse
+ignores max_dim: homology below max_dim depends only on the
+max_dim-skeleton, so it is the homology of the uncapped complex, which the
+collapse keeps.
+
 Vertex maps between complexes are tuples of int vertex indices.
 check_simplicial and check_contiguous are executable forms of the two standard
 lemmas used to turn metric data (a correspondence with small distortion, or a
@@ -103,11 +121,14 @@ class _MaskComplex(SimplicialComplex):
     vertices is a simplex iff its vertices are pairwise adjacent and, when
     star masks are given, the AND of their star masks is non-zero.
 
-    nbr[i] has bit j set iff vertices i != j are adjacent (bit i is never
-    read). member is None for a flag complex, where every clique is a
-    simplex; for a witnessed Cech complex member[i] has bit s set iff vertex i
-    lies in star s, and a vertex with no star is not a vertex. Dimensions are
-    enumerated on demand, each once, and kept; has_simplex reads none.
+    For i != j, nbr[i] has bit j set iff vertices i and j are adjacent. A
+    flag complex's masks are open (bit i of nbr[i] is clear); a witnessed
+    complex's are closed, the union of i's stars, so they hold bit i when i
+    lies in a star. No reader depends on bit i. member is None
+    for a flag complex, where every clique is a simplex; for a witnessed Cech
+    complex member[i] has bit s set iff vertex i lies in star s, and a vertex
+    with no star is not a vertex. Dimensions are enumerated on demand, each
+    once, and kept; has_simplex reads none.
     """
 
     def __init__(self, vertex_count: int, scale: float, max_dim: int,
@@ -217,6 +238,36 @@ class _MaskComplex(SimplicialComplex):
         if top == 0 or len(self._levels) > top:
             return [len(s) for s in self._skeleton(top)]
         return [len(s) for s in self._skeleton(top - 1)] + [self._top_count]
+
+    def _collapsed(self) -> _MaskComplex:
+        """This complex with dominated edges removed until none is left (see
+        the module docstring), in the same open or closed mask form. Vertices
+        are visited lowest first, and a removal revisits both endpoints: it
+        shrinks only their neighbourhoods, so only their edges can become
+        dominated."""
+        nbr, member = list(self._nbr), self._member
+        todo = (1 << self.vertex_count) - 1
+        while todo:
+            x = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            ys = nbr[x] & ~(1 << x)
+            while ys:
+                by = ys & -ys
+                ys ^= by
+                y = by.bit_length() - 1
+                common = (nbr[x] | 1 << x) & (nbr[y] | by)
+                ws = common & ~(1 << x | by)
+                while ws:
+                    bw = ws & -ws
+                    ws ^= bw
+                    w = bw.bit_length() - 1
+                    if not (common & ~(nbr[w] | bw) or member is not None
+                            and member[x] & member[y] & ~member[w]):
+                        nbr[x] ^= by
+                        nbr[y] ^= 1 << x
+                        todo |= 1 << x | by
+                        break
+        return _MaskComplex(self.vertex_count, self.scale, self.max_dim, nbr, member)
 
     def _holds(self, t: tuple[int, ...]) -> bool:
         nbr = self._nbr

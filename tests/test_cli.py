@@ -972,6 +972,10 @@ PINNED_STDOUT = {
         "179720a2e15faf9d2cf2f8e47455d549df718cd29fe6e40d528a2bc7c40d49bf",
     "homology-vr-torus":
         "73ec159e1c3e0830c8ee4cf5c240ba8c4a57109a00408b4c033dda74e53c5849",
+    "homology-vr-torus-300":
+        "721e447591734e384668b394ecc71c2a835e86e44080a423f47974976b2d8abc",
+    "homology-vr-grid-16":
+        "96320938974578f6b85f3edbda219db3c6bc01e884a2633830df7d0a17882a59",
     "homology-cech-torus":
         "7effa6904d373106e6da828dec0b7ec480d3a795e127c785f80f297559c308fd",
     "homology-cech-torus-300":
@@ -1010,6 +1014,7 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
     torus = _subset_file(tmp_path, "torus.json",
                          uniform_points(flat_torus([1.0, 1.0]), 120, seed=3))
     dense = _subset_file(tmp_path, "dense.json", _stratified_torus(300, (20, 15), 5))
+    grid = _subset_file(tmp_path, "grid.json", grid_points(flat_torus([1.0, 1.0]), 16))
     box = _subset_file(tmp_path, "box.json",
                        uniform_points(flat_torus([0.7, 1.3, 2.0]), 60, seed=11))
     wide = flat_torus([1.0, 1.5])
@@ -1050,6 +1055,10 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
                                  "--max-dim", "3", "--cech"],
         "homology-vr-torus": ["homology", "--subset", torus, "--scale", "0.12",
                               "--max-dim", "3"],
+        "homology-vr-torus-300": ["homology", "--subset", dense, "--scale", "0.12",
+                                  "--max-dim", "3"],
+        "homology-vr-grid-16": ["homology", "--subset", grid, "--scale", "0.3",
+                                "--max-dim", "3"],
         "homology-cech-torus": ["homology", "--subset", torus, "--scale", "0.08",
                                 "--max-dim", "3", "--cech"],
         "homology-cech-torus-300": ["homology", "--subset", dense, "--scale", "0.08",

@@ -28,6 +28,11 @@ Oracle notes
 * nesting: witnessed Cech at radius r always sits inside VR at 2r.
 * build_cech_witness keeps only maximal stars: on a 300-point torus complex
   no kept star lies inside another.
+* edge collapse: the edges left on VR of the 16 x 16 torus grid at 0.3, on
+  VR of 200 equispaced circle points at 66.5 (2 pi / 200) (the cyclic graph
+  power C_200^66, which collapses to its 200-edge cycle) and on the 300-point
+  witnessed torus complex are pinned counts, and collapsing the result again
+  removes nothing.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from ghbound import (FiniteMetricSpace, FiniteSubset, SimplicialComplex,
                      uniform_points, VertexMap)
 
 from ghbound.complexes import _flag_pair
+from ghbound.sampling import grid_points
 from oracles import (contiguous_by_enumeration, random_complex,
                      simplicial_by_enumeration, vr_brute, witness_cech, witness_table)
 
@@ -363,15 +369,19 @@ def test_cech_witness_vertex_requires_witness():
     assert k.simplices[1] == ((0, 1),)
 
 
-def test_cech_witness_keeps_only_maximal_stars():
-    # the 300-point torus complex (one uniform point per cell of a 20 x 15
-    # grid) has 2,547 distinct witness stars, of which 783 are maximal
+def _torus_300():
+    """One uniform point per cell of a 20 x 15 grid on the unit flat torus."""
     torus = flat_torus([1.0, 1.0])
     cell = np.arange(300)
     u = uniform_points(torus, 300, 5).points
-    points = np.stack([(cell % 20 + u[:, 0]) / 20, (cell // 20 + u[:, 1]) / 15],
-                      axis=1)
-    k = build_cech_witness(FiniteSubset(torus, points), 0.08, 3, 64)
+    return FiniteSubset(torus, np.stack([(cell % 20 + u[:, 0]) / 20,
+                                         (cell // 20 + u[:, 1]) / 15], axis=1))
+
+
+def test_cech_witness_keeps_only_maximal_stars():
+    # the 300-point torus complex has 2,547 distinct witness stars, of which
+    # 783 are maximal
+    k = build_cech_witness(_torus_300(), 0.08, 3, 64)
     stars = {}  # star bit -> the bitmask of the points in it
     for j, bits in enumerate(k._member):
         while bits:
@@ -381,6 +391,21 @@ def test_cech_witness_keeps_only_maximal_stars():
     spans = list(stars.values())
     assert len(spans) == 783
     assert not any(a != b and a & ~b == 0 for a in spans for b in spans)
+
+
+@pytest.mark.parametrize("build, edges", [
+    (lambda: build_vr(grid_points(flat_torus([1.0, 1.0]), 16).to_metric_space(),
+                      0.3, 1), (8704, 324)),
+    (lambda: build_vr(equispaced_circle(circle(), 200).to_metric_space(),
+                      66.5 * 2 * math.pi / 200, 1), (13200, 200)),
+    (lambda: build_cech_witness(_torus_300(), 0.08, 1, 64), (3224, 964)),
+], ids=["vr-grid-16", "vr-cyclic-power-200-66", "cech-torus-300"])
+def test_edge_collapse_leaves_pinned_edge_counts(build, edges):
+    cx = build()
+    collapsed = cx._collapsed()
+    assert (cx.simplex_counts()[1], collapsed.simplex_counts()[1]) == edges
+    assert collapsed.simplex_counts()[0] == cx.simplex_counts()[0]
+    assert collapsed._collapsed()._nbr == collapsed._nbr
 
 
 def _pair(rng, size_x=5, size_y=4):

@@ -21,6 +21,11 @@ Oracle notes
 * A mask complex never stores its top dimension for betti_numbers or
   simplex_counts: both must equal the stored path's results on an explicit
   SimplicialComplex with the same simplices, in any order of queries.
+* Betti numbers of a mask complex come from its edge-collapsed complex; they
+  must equal the stored path's beta_0..beta_3 on an explicit copy of the
+  uncollapsed simplices, for VR complexes of circle, 2-torus, 3-torus and R^3
+  samples and witnessed Cech complexes of 2-torus samples. A witnessed hollow
+  triangle, whose edges a flag-only rule would collapse, keeps beta_1 = 1.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ from hypothesis import strategies as st
 from ghbound import homology
 from ghbound import (SimplicialComplex, betti_numbers, build_cech_witness, build_vr,
                      check_simplicial, circle, compose_maps, distortion,
-                     equispaced_circle, fundamental_class_survives, gh_exact,
-                     flat_torus, inclusion_map, induced_vr_map, uniform_points,
-                     VertexMap)
+                     equispaced_circle, euclidean, fundamental_class_survives,
+                     gh_exact, flat_torus, inclusion_map, induced_vr_map,
+                     uniform_points, VertexMap)
+from ghbound.complexes import _MaskComplex
 
 import oracles
 from oracles import HomologyBasis, induced_map, naive_betti, random_complex
@@ -176,6 +182,40 @@ def test_mask_complexes_never_store_the_top_dimension(on_torus, witnessed, size,
             assert betti_numbers(cx, up_to) == betti_numbers(explicit, up_to)
     assert "simplices" not in vars(cx)
     assert len(cx._levels) <= max_dim  # dimensions 0..max_dim - 1 at most
+
+
+def test_witnessed_hollow_triangle_keeps_its_cycle():
+    # kept stars {0, 1}, {1, 2} and {0, 2}: every edge is dominated in the
+    # graph, but no star holds a triangle, so no edge's link is a cone
+    cx = _MaskComplex(3, 1.0, 2, [0b111] * 3, [0b101, 0b011, 0b110])
+    assert cx._collapsed()._nbr == cx._nbr
+    assert betti_numbers(cx, 1) == (1, 1)
+
+
+_AMBIENTS = {"circle": circle(), "torus2": flat_torus([1.0, 1.0]),
+             "torus3": flat_torus([1.0, 1.0, 1.0]), "r3": euclidean(3)}
+
+
+def _farthest(subset) -> float:
+    return float(subset.to_metric_space().dist.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(ambient=st.sampled_from(list(_AMBIENTS)), size=st.integers(4, 14),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.1, 0.9),
+       per_axis=st.integers(4, 24))
+def test_collapsed_betti_numbers_match_the_stored_path(ambient, size, seed, scale,
+                                                       per_axis):
+    # VR of a sample of the drawn ambient, and witnessed Cech of a 2-torus
+    # sample, each at a scale relative to its sample's largest distance
+    sample = uniform_points(_AMBIENTS[ambient], size, seed)
+    torus = uniform_points(_AMBIENTS["torus2"], size, seed)
+    for cx in (build_vr(sample.to_metric_space(), scale * _farthest(sample), 4),
+               build_cech_witness(torus, scale * _farthest(torus), 4, per_axis)):
+        explicit = SimplicialComplex(cx.vertex_count, cx.scale, 4, cx.simplices)
+        assert betti_numbers(cx, 3) == betti_numbers(explicit, 3)
+        collapsed = cx._collapsed()
+        assert collapsed._collapsed()._nbr == collapsed._nbr
 
 
 def test_insufficient_skeleton_error():
