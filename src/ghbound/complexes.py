@@ -11,8 +11,10 @@ all its vertices within the radius).
 
 Built complexes are lazy masks (_MaskComplex): has_simplex tests bitmasks,
 and each dimension is enumerated when first needed, in canonical order.
-simplex_counts only counts the top dimension, and homology's Betti numbers
-read its cofaces off the masks, so neither stores it. Explicit
+simplex_counts stores no dimension it has not already enumerated: one walk
+counts them, carrying masks and no simplex, and counts the top dimension
+from the masks of the dimension below. homology's Betti numbers read the top
+dimension's cofaces off the masks, so it is never stored. Explicit
 complexes, such as those read from a file, are validated sorted tuples of
 simplices, and has_simplex searches them by bisection.
 
@@ -139,7 +141,6 @@ class _MaskComplex(SimplicialComplex):
         self._nbr = nbr
         self._member = member
         self._levels: list[tuple] = []  # dimensions 0, 1, ... enumerated so far
-        self._top_count: int | None = None  # set by _skeleton(max_dim - 1)
 
     def _masks(self, s: tuple[int, ...], above: int) -> tuple[int, int]:
         """The AND of s's star masks (-1 in a flag complex) and the bitmask of
@@ -176,55 +177,63 @@ class _MaskComplex(SimplicialComplex):
         shared, common = self._masks(s, -1)
         return self._stars(common, shared, first)
 
-    def _skeleton(self, top: int) -> list[tuple]:
-        """Dimensions 0..top, each enumerated once and kept.
+    def _expand(self, top: int, keep: bool) -> list:
+        """Dimensions len(self._levels)..top, by one level-wise clique walk.
 
-        Level-wise clique expansion, in the inductive style of Zomorodian
-        (2010), from the empty simplex. Each simplex carries the AND of its
-        vertices' star masks and the bitmask of its common neighbours above
-        its last vertex. Popping the lowest bit u of that mask gives the
-        candidate s + (u,), kept while the AND with u's star mask stays
-        non-zero; its neighbour mask is what is left of the parent's
-        intersected with the neighbours of u. Parents are visited in order
-        and their cofaces come out by increasing u, so every dimension is
-        emitted lexicographically sorted and free of duplicates: the output
-        is canonical. When dimension max_dim - 1 is the last one enumerated,
-        the top dimension is counted from its masks, not built. A later call
-        resumes from the last kept dimension, recomputing its masks.
+        The walk is in the inductive style of Zomorodian (2010) and starts
+        from the last kept dimension, its masks recomputed, or from the empty
+        simplex. Each simplex carries the AND of its vertices' star masks and
+        the bitmask of its common neighbours above its last vertex. Popping
+        the lowest bit u of that mask gives the candidate s + (u,), kept while
+        the AND with u's star mask stays non-zero; its neighbour mask is what
+        is left of the parent's intersected with the neighbours of u. Parents
+        are visited in order and their cofaces come out by increasing u, so
+        with keep every dimension is emitted as a lexicographically sorted
+        tuple free of duplicates: the output is canonical. Without keep only
+        counts come out: the walk carries its (star AND, neighbour mask) pairs
+        and no simplex, and unless the walk starts at dimension top, that
+        dimension is counted from the masks of the one below it, never walked.
         """
         levels = self._levels
-        if len(levels) > top:
-            return levels[:top + 1]
         nbr = self._nbr
         member = [-1] * self.vertex_count if self._member is None else self._member
         if levels:
             level = [(s, *self._masks(s, s[-1])) for s in levels[-1]]
         else:
             level = [((), -1, (1 << self.vertex_count) - 1)]
-        while len(levels) <= top:
-            found = []
-            next_level = []
-            carry = len(levels) < top
-            counting = not carry and top == self.max_dim - 1
-            onward = carry or counting  # this level's masks are read
-            count = 0
+        out: list = []
+        t = None  # without keep, no simplex is formed
+        for d in range(len(levels), top + 1):
+            last = not keep and d == top - 1  # this level's masks count dimension top
+            found, next_level, count, above = [], [], 0, 0
             for s, mask, cand in level:
                 while cand:
                     low = cand & -cand
                     cand ^= low
                     u = low.bit_length() - 1
                     if shared := mask & member[u]:
-                        t = s + (u,)
-                        found.append(t)
-                        if onward and (common := cand & nbr[u]):
-                            if carry:
-                                next_level.append((t, shared, common))
+                        if keep:
+                            t = s + (u,)
+                            found.append(t)
+                        else:
+                            count += 1
+                        if d < top and (common := cand & nbr[u]):
+                            if last:
+                                above += self._stars(common, shared).bit_count()
                             else:
-                                count += self._stars(common, shared).bit_count()
-            levels.append(tuple(found))
+                                next_level.append((t, shared, common))
+            out.append(tuple(found) if keep else count)
+            if last:
+                out.append(above)
+                break
             level = next_level
-            if counting:
-                self._top_count = count
+        return out
+
+    def _skeleton(self, top: int) -> list[tuple]:
+        """Dimensions 0..top, each enumerated once and kept."""
+        levels = self._levels
+        if len(levels) <= top:
+            levels += self._expand(top, keep=True)
         return levels[:top + 1]
 
     @cached_property
@@ -232,12 +241,11 @@ class _MaskComplex(SimplicialComplex):
         return dict(enumerate(self._skeleton(self.max_dim)))
 
     def simplex_counts(self) -> list[int]:
-        """Counts per dimension. Unless it is already enumerated, the top
-        dimension is counted from its parents' masks and never built."""
+        """Counts per dimension: the kept dimensions by their length, the rest
+        by a walk that stores no simplex."""
         top = self.max_dim
-        if top == 0 or len(self._levels) > top:
-            return [len(s) for s in self._skeleton(top)]
-        return [len(s) for s in self._skeleton(top - 1)] + [self._top_count]
+        counts = [len(s) for s in self._levels[:top + 1]]
+        return counts + self._expand(top, keep=False) if len(counts) <= top else counts
 
     def _collapsed(self) -> _MaskComplex:
         """This complex with dominated edges removed until none is left (see

@@ -35,7 +35,11 @@ come from one of three sources:
   larger of the face's diameter and its farthest distance to them. One
   blocked pass over the rows finds every column's earliest coface; a row is
   keyed by an integer that compares like (diameter, lex), and only a column
-  that must be XORed lists its cofaces, as a sorted array of keys.
+  that must be XORed lists its cofaces, as a sorted array of keys built off
+  one row maximum. The column under reduction is a lazy heap (_HeapColumn,
+  after Ripser): an XOR pushes the other column's keys, and equal keys
+  cancel in pairs only when they reach the top, so the long cocycle of a
+  fundamental class is never re-sorted as it grows.
 
 The coboundary matrix of dimension k is the boundary matrix of dimension
 k + 1 with rows and columns swapped and both orders reversed. That flip maps
@@ -53,7 +57,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable
+from heapq import heappop, heappush
 from itertools import chain, combinations
+from operator import mul
 
 import numpy as np
 
@@ -145,6 +151,11 @@ def _mask_cofaces(faces: tuple, joins: Callable) -> tuple[Callable, Callable, Ca
     return earliest, column, min
 
 
+def _key_dtype(levels: int, n: int, width: int) -> type:
+    """int64 if every key of _row_keys fits in it, else object."""
+    return np.int64 if levels * n ** width <= 2 ** 63 else object
+
+
 def _row_keys(rank: np.ndarray, rows: np.ndarray, n: int, levels: int) -> np.ndarray:
     """One integer per row, rank * n ** width + the base-n code of the row.
 
@@ -153,28 +164,62 @@ def _row_keys(rank: np.ndarray, rows: np.ndarray, n: int, levels: int) -> np.nda
     largest, levels * n ** width - 1, fits in it, and Python integers (object
     dtype) past that, so no key ever wraps.
     """
-    dtype = np.int64 if levels * n ** rows.shape[1] <= 2 ** 63 else object
+    dtype = _key_dtype(levels, n, rows.shape[1])
     key = rank.astype(dtype)
     for col in rows.T:  # Horner: no partial key exceeds the full one
         key = key * n + col.astype(dtype)
     return key
 
 
-class _SortedRows:
-    """A column as a sorted array of distinct row keys. It is true while
-    non-empty, and ^ is the symmetric difference, so _pair_columns reduces it
-    as it does an integer or a set."""
+class _HeapColumn:
+    """A column of row keys over Z/2 whose reduction runs on a lazy heap, as
+    Ripser's working coboundary does (Bauer, "Ripser: efficient computation
+    of Vietoris-Rips persistence barcodes", J. Appl. Comput. Topol. 2021).
 
-    __slots__ = ("keys",)
+    A built column is a sorted array of distinct keys. The first ^= turns the
+    column under reduction into a heap list, and every ^= pushes the other
+    column's keys onto it uncancelled. The truth test pops equal least keys
+    in pairs, which cancel, and stops at the first unpaired one, so that key
+    is then heap[0], the pivot. A heap that is XORed into another column is
+    first compacted back into an array: sorted, keeping the keys that occur
+    an odd number of times.
+    """
+
+    __slots__ = ("keys", "heap")
 
     def __init__(self, keys: np.ndarray) -> None:
         self.keys = keys
+        self.heap: list | None = None
 
     def __bool__(self) -> bool:
-        return len(self.keys) > 0
+        heap = self.heap
+        if heap is None:
+            return len(self.keys) > 0
+        while heap:
+            least = heappop(heap)
+            if not heap or heap[0] != least:
+                heappush(heap, least)
+                return True
+            heappop(heap)
+        return False
 
-    def __xor__(self, other: _SortedRows) -> _SortedRows:
-        return _SortedRows(np.setxor1d(self.keys, other.keys, assume_unique=True))
+    def __ixor__(self, other: _HeapColumn) -> _HeapColumn:
+        if self.heap is None:  # a sorted list is a heap; keys[:0] keeps the dtype
+            self.heap, self.keys = self.keys.tolist(), self.keys[:0]
+        heap = self.heap
+        for key in other.sorted_keys().tolist():
+            heappush(heap, key)
+        return self
+
+    def sorted_keys(self) -> np.ndarray:
+        if self.heap is not None:
+            keys, times = np.unique(np.array(self.heap, dtype=self.keys.dtype),
+                                    return_counts=True)
+            self.keys, self.heap = keys[times % 2 == 1], None
+        return self.keys
+
+    def pivot(self) -> int:
+        return self.heap[0] if self.heap is not None else int(self.keys[0])
 
 
 def _vr_cofaces(faces: np.ndarray, diam: np.ndarray, dist: np.ndarray,
@@ -221,15 +266,29 @@ def _vr_cofaces(faces: np.ndarray, diam: np.ndarray, dist: np.ndarray,
             first[i] = None
         earliest += first
 
-    def column(j: int) -> _SortedRows:
-        near = entries(faces[j:j + 1], diam[j:j + 1])[0]
-        u = np.flatnonzero(near < np.inf)
-        found = keys(np.broadcast_to(faces[j], (len(u), width - 1)), u, near[u])
-        found.sort()
-        return _SortedRows(found)
-
+    dtype = _key_dtype(len(levels), n, width)
+    place = [n ** e for e in range(width - 1, -1, -1)]  # of each vertex position
+    at_place = np.array(place, dtype=dtype)
     base = n ** width
-    return ((earliest.__getitem__, column, lambda col: int(col.keys[0])),
+
+    def column(j: int) -> _HeapColumn:
+        """The keys _row_keys gives the face's cofaces, built off one row
+        maximum: a vertex u inserted at position i takes place i, and the
+        face's vertices keep their order in the other places."""
+        f = faces[j]
+        near = dist[f].max(axis=0)
+        near[f] = np.inf
+        u = np.flatnonzero(near < scale)
+        rank = np.searchsorted(levels, np.maximum(near[u], diam[j]))
+        v = f.tolist()
+        face_at = np.array([sum(map(mul, v, place[:i] + place[i + 1:]))
+                            for i in range(width)], dtype=dtype)
+        i = np.searchsorted(f, u)
+        found = rank.astype(dtype) * base + face_at[i] + u.astype(dtype) * at_place[i]
+        found.sort()
+        return _HeapColumn(found)
+
+    return ((earliest.__getitem__, column, _HeapColumn.pivot),
             lambda rows: levels[[r // base for r in rows]])
 
 

@@ -20,7 +20,8 @@ Oracle notes
   wedge of N - 2k - 1 copies of S^{2l} when k/N = l/(2l+1).
 * A mask complex never stores its top dimension for betti_numbers or
   simplex_counts: both must equal the stored path's results on an explicit
-  SimplicialComplex with the same simplices, in any order of queries.
+  SimplicialComplex with the same simplices, in any order of queries, also
+  when counting resumes from a dimension enumerated in between.
 * Betti numbers of a mask complex come from its edge-collapsed complex; they
   must equal the stored path's beta_0..beta_3 on an explicit copy of the
   uncollapsed simplices, for VR complexes of circle, 2-torus, 3-torus and R^3
@@ -174,10 +175,14 @@ def test_mask_complexes_never_store_the_top_dimension(on_torus, witnessed, size,
     explicit = SimplicialComplex(stored.vertex_count, stored.scale, max_dim,
                                  stored.simplices)
     cx = fresh()
-    queries = data.draw(st.permutations([None, *range(max_dim)]), label="queries")
+    kept = data.draw(st.integers(0, max_dim - 1), label="kept")
+    queries = data.draw(st.permutations([None, None, "kept", *range(max_dim)]),
+                        label="queries")
     for up_to in queries:
         if up_to is None:
             assert cx.simplex_counts() == explicit.simplex_counts()
+        elif up_to == "kept":  # later counts resume from the last kept dimension
+            assert cx._skeleton(kept) == [explicit.simplices[k] for k in range(kept + 1)]
         else:
             assert betti_numbers(cx, up_to) == betti_numbers(explicit, up_to)
     assert "simplices" not in vars(cx)
