@@ -16,8 +16,7 @@ from .complexes import (SimplicialComplex, VertexMap, build_cech_circle,
                         check_simplicial, compose_maps, inclusion_map,
                         induced_vr_map, subset_projection_map)
 from .gh import Correspondence, GHResult, distortion, gh_exact, rigid_incumbent
-from .homology import (betti_numbers, fundamental_class_survives, persistence_bars,
-                       vr_persistence_bars)
+from .homology import betti_numbers, fundamental_class_survives, vr_persistence_bars
 from .manifolds import (AmbientManifold, FiniteMetricSpace, FiniteSubset,
                         circle, covering_radius_circle, covering_radius_witness,
                         cross_distances, euclidean, flat_torus,

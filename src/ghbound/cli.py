@@ -110,8 +110,16 @@ BOUNDS = {
 }
 
 
+def _given(args, *options: str) -> str:
+    """Those of the options that the command line set, comma-separated."""
+    values = ((o, getattr(args, o[2:].replace("-", "_"))) for o in options)
+    return ", ".join(o for o, v in values if v is not None and v is not False)
+
+
 def cmd_bounds(args) -> int:
     if args.inputs:
+        if given := _given(args, "--x", "--y", "--witness-grid"):
+            raise ValueError(f"--inputs takes no subset or witness grid: {given}")
         raw = serialize.read_json(args.inputs)
         inputs = {k: read_key(raw, k, kind, "inputs")
                   for k, kind in (("rho", "a number"), ("kappa", "a number"),
@@ -125,6 +133,8 @@ def cmd_bounds(args) -> int:
             raise ValueError("bounds needs --x (a subset JSON) or --inputs")
         sub_x = serialize.subset_from_dict(serialize.read_json(args.x))
         m = sub_x.manifold
+        if args.witness_grid is not None and m.kind != FLAT_TORUS:
+            raise ValueError(f"--witness-grid samples a torus, not a {m.kind}")
         inputs = {"dh_xm": _dh_to_manifold(sub_x, args.witness_grid)[0],
                   "rho": m.rho, "kappa": m.kappa, "n": m.dim, "fill_rad": m.fill_rad}
         if m.kind == CIRCLE:
@@ -268,10 +278,13 @@ def cmd_ratio(args) -> int:
 
 def _complex_from_args(args):
     if args.complex:
-        if args.max_dim is not None:
-            raise ValueError("--max-dim caps a complex built from --subset; a "
-                             "complex file records its own cap")
+        if given := _given(args, "--subset", "--scale", "--cech", "--witness-grid",
+                           "--max-dim"):
+            raise ValueError(f"{given} shape a complex built from --subset; a "
+                             "complex file records its own cap and is read as is")
         return serialize.complex_from_dict(serialize.read_json(args.complex))
+    if args.witness_grid is not None and not args.cech:
+        raise ValueError("--witness-grid needs --cech on a torus subset")
     if not (args.subset and args.scale is not None and 0 < args.scale < math.inf):
         raise ValueError("homology needs --complex, or --subset with a finite "
                          "--scale > 0")
@@ -284,6 +297,8 @@ def _complex_from_args(args):
     if not args.cech:
         return build_vr(subset.to_metric_space(), args.scale, max_dim)
     if m.kind == CIRCLE:
+        if args.witness_grid is not None:
+            raise ValueError("--witness-grid samples a torus, not a circle")
         return build_cech_circle(subset.to_metric_space(), args.scale, max_dim,
                                  m.params[0])
     if m.kind == EUCLIDEAN:

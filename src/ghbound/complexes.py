@@ -10,13 +10,14 @@ approximated from a witness grid (a simplex is present iff some witness sees
 all its vertices within the radius).
 
 Built complexes are lazy masks (_MaskComplex): has_simplex tests bitmasks,
-and each dimension is enumerated when first needed, in canonical order.
-simplex_counts stores no dimension it has not already enumerated: one walk
-counts them, carrying masks and no simplex, and counts the top dimension
-from the masks of the dimension below. homology's Betti numbers read the top
-dimension's cofaces off the masks, so it is never stored. Explicit
-complexes, such as those read from a file, are validated sorted tuples of
-simplices, and has_simplex searches them by bisection.
+and each dimension is enumerated when first needed, in canonical order;
+simplex_counts counts the dimensions not yet enumerated in one walk that
+stores no simplex. Explicit complexes, such as those read from a file, are
+validated sorted tuples of simplices that has_simplex bisects. Both offer
+homology _skeleton (dimensions 0..top), _collapsed (the edge collapse below,
+or the explicit complex itself) and _joins, the bitmask of the vertices that
+extend a face to a simplex: the AND of its vertices' masks, or one mask per
+face built from the stored cofaces, so homology enumerates no top dimension.
 
 A mask complex's edge collapse (_collapsed) removes dominated edges until
 none is left. With N[.] the closed neighbourhoods, edge xy is dominated by a
@@ -52,8 +53,10 @@ binds, it enumerates the source simplices and queries each image.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import combinations
 from operator import and_, index
 
 import numpy as np
@@ -65,10 +68,10 @@ class SimplicialComplex:
     """An abstract simplicial complex on vertices 0..vertex_count-1.
 
     simplices maps dimension to a lexicographically sorted tuple of strictly
-    increasing vertex tuples. Every dimension 0..max_dim has an entry (possibly
-    empty); max_dim records the construction cap, which may exceed the top
-    non-empty dimension. Instances are immutable by convention. Those tuples
-    are the only store: has_simplex bisects them.
+    increasing tuples of int vertices. Every dimension 0..max_dim has an entry
+    (possibly empty); max_dim records the construction cap, which may exceed
+    the top non-empty dimension. Instances are immutable by convention. The
+    tuples are the store: has_simplex bisects them, _joins caches masks of them.
 
     This constructor, for explicit complexes, checks every simplex and every
     one of its codimension-one faces, in time linear in simplices x dim, so a
@@ -84,9 +87,11 @@ class SimplicialComplex:
         self.vertex_count = vertex_count
         self.scale = float(scale)
         self.max_dim = max_dim
-        self.simplices = {d: tuple(sorted(set(map(tuple, simplices.get(d, ())))))
+        self.simplices = {d: tuple(sorted({tuple(map(index, s))
+                                           for s in simplices.get(d, ())}))
                           for d in range(max_dim + 1)}
         self._validate()
+        self._join_masks: dict[int, dict] = {}  # coface dimension -> face -> joins
 
     def _validate(self) -> None:
         for d, entries in self.simplices.items():
@@ -116,6 +121,30 @@ class SimplicialComplex:
 
     def simplex_counts(self) -> list[int]:
         return [len(self.simplices[d]) for d in range(self.max_dim + 1)]
+
+    def _skeleton(self, top: int) -> list[tuple]:
+        """Dimensions 0..top."""
+        return [self.simplices[d] for d in range(top + 1)]
+
+    def _collapsed(self) -> SimplicialComplex:
+        """Homology reads an explicit complex as it is."""
+        return self
+
+    def _joins(self, s: tuple[int, ...], first: bool = False) -> int:
+        """Bitmask of the vertices u such that s plus u is a simplex of one
+        more dimension; with first, only the lowest of them. Read off one mask
+        per face, built from the stored cofaces the first time a face of s's
+        dimension asks."""
+        d = len(s)  # the cofaces' dimension
+        if d not in self._join_masks:
+            masks: dict[tuple, int] = defaultdict(int)
+            for c in self.simplices.get(d, ()):
+                # combinations drops the last vertex first, then the one before
+                for face, u in zip(combinations(c, d), reversed(c)):
+                    masks[face] |= 1 << u
+            self._join_masks[d] = masks
+        mask = self._join_masks[d].get(s, 0)
+        return mask & -mask if first else mask
 
 
 class _MaskComplex(SimplicialComplex):

@@ -1,56 +1,50 @@
-"""Simplicial homology over Z/2: persistence pairs from one coboundary reduction.
+"""Simplicial homology over Z/2: union-find, then one coboundary reduction
+per dimension, each call reading every step's cofaces from one source.
 
-One reduction serves everything here, and it reduces coboundaries, not
-boundaries. In dimension k = 0, 1, ..., up_to the columns are the k-simplices
-in decreasing filtration position, the rows are the (k+1)-simplices, and a
-column's pivot is its earliest coface. Two shortcuts keep the work small:
+Dimension 0 is paired by union-find, as in Ripser (Bauer, J. Appl. Comput.
+Topol. 2021): in filtration order, an edge that joins two components kills
+the younger, whose least vertex is the larger (the elder rule). Those edges
+are the columns dimension 1 clears, so dimension 0 builds no column.
 
-* clearing: a k-simplex that dimension k-1 paired as a death has a column
-  that reduces to zero, so it is skipped;
+In dimension k = 1, ..., up_to the columns are the k-simplices in
+decreasing filtration position, the rows are the (k+1)-simplices, and a
+column's pivot is its earliest coface. A column carries the key its simplex
+has as a row one dimension down. Two shortcuts keep the work small:
+
+* clearing: a k-simplex paired as a death in dimension k-1 has a column
+  that reduces to zero, so a column whose key is among those rows is skipped;
 * emergent pairs: a column whose earliest coface has no owner yet is already
-  reduced (Bauer, "Ripser", J. Appl. Comput. Topol. 2021). It is paired at
-  once; its column is built only if a later column has to XOR with it.
+  reduced. It is paired at once; its column is built only if a later column
+  has to XOR with it.
 
-The Betti numbers of a built complex are those of its edge collapse
-(complexes._MaskComplex._collapsed). Edge xy goes when some vertex w outside
-it has N[x] & N[y] <= N[w] on closed neighbourhoods and, in a witnessed
-complex, lies in every kept star holding x and y. The link of xy is then a
-cone with apex w, and removing the open star of such an edge keeps the
-homotopy type (Boissonnat and Pritam, SoCG 2020; Barmak and Minian, DCG
-2012). The collapse ignores the cap: homology below max_dim depends only on
-the max_dim-skeleton. On the VR complex of the 16 x 16 grid on the unit
-torus at 0.3 it leaves 324 of 8,704 edges.
+The cofaces come from one of two sources, and dimension up_to + 1 only
+supplies rows, so it is neither reduced nor enumerated:
 
-Dimension up_to + 1 only supplies rows and is never reduced. Its cofaces
-come from one of three sources:
-
-* stored (an explicit complex, or a filtration given by its values): rows
-  are filtration positions and a column is a Python integer with one bit per
-  row, so a column operation is one XOR on an arbitrary-width word;
-* masks (the Betti numbers of a built complex, a _MaskComplex): with every
-  value 0 the order is lex, so a column's earliest coface adds its lowest
-  joining vertex, read off its vertices' masks;
+* masks (betti_numbers, fundamental_class_survives): a complex's _joins
+  gives the vertices that extend a face to a simplex (complexes). Rows are
+  keyed by their vertex tuples: with every value 0 the order is lex, so a
+  column's earliest coface adds its lowest joining vertex. Survival keys a
+  row by (not in the image, vertex tuple). The Betti numbers of a built
+  complex are those of its edge collapse (complexes._MaskComplex._collapsed);
+  on the VR complex of the 16 x 16 grid on the unit torus at 0.3 it leaves
+  324 of 8,704 edges;
 * distance rows (vr_persistence_bars, the VR filtration): a face's cofaces
   add the vertices within scale of all its vertices, each entering at the
   larger of the face's diameter and its farthest distance to them. One
   blocked pass over the rows finds every column's earliest coface; a row is
   keyed by an integer that compares like (diameter, lex), and only a column
-  that must be XORed lists its cofaces, as a sorted array of keys built off
-  one row maximum. The column under reduction is a lazy heap (_HeapColumn,
-  after Ripser): an XOR pushes the other column's keys, and equal keys
-  cancel in pairs only when they reach the top, so the long cocycle of a
-  fundamental class is never re-sorted as it grows.
+  that must be XORed lists its cofaces, built off one row maximum. The
+  column under reduction is a lazy heap (_HeapColumn, after Ripser), so the
+  long cocycle of a fundamental class is never re-sorted as it grows.
 
 The coboundary matrix of dimension k is the boundary matrix of dimension
 k + 1 with rows and columns swapped and both orders reversed. That flip maps
 the lower-left submatrices, whose ranks fix the persistence pairs, onto each
-other, so the pairs are exactly those of the homology reduction (de Silva,
-Morozov and Vejdemo-Johansson, "Dualities in persistent (co)homology",
-2011). With simplices ordered by filtration value the pairs give the barcode,
-and all else is read off a barcode: Betti numbers count the bars that never
-die when every simplex enters at 0, and whether an inclusion keeps a
-homology group alive is read off the two-step filtration (the subcomplex,
-then the rest).
+other, so the pairs are those of the homology reduction (de Silva, Morozov
+and Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011). With
+simplices ordered by filtration value the pairs give the barcode; Betti
+numbers and survival under an inclusion are read off the pairs of one
+filtration (every simplex at 0; the subcomplex at 0, then the rest at 1).
 """
 
 from __future__ import annotations
@@ -58,21 +52,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable
 from heapq import heappop, heappush
-from itertools import chain, combinations
+from itertools import combinations
 from operator import mul
 
 import numpy as np
 
-from .complexes import (SimplicialComplex, _MaskComplex, build_vr, check_simplicial,
-                        inclusion_map)
+from .complexes import SimplicialComplex, build_vr, check_simplicial, inclusion_map
 from .manifolds import BLOCK, FiniteMetricSpace
-
-
-def _vertex_arrays(simplices, top: int) -> dict[int, np.ndarray]:
-    """Dimensions 0..top as arrays with one row of vertices per simplex."""
-    return {k: np.fromiter(chain.from_iterable(simplices[k]), dtype=">i8",
-                           count=len(simplices[k]) * (k + 1)).reshape(-1, k + 1)
-            for k in range(top + 1)}
 
 
 def _diameters(verts: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -85,70 +71,37 @@ def _diameters(verts: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return diam
 
 
-def _lex_keys(rows: np.ndarray) -> np.ndarray:
-    """One key per row that compares like the row's vertex tuple.
+def _mask_cofaces(faces: tuple, joins: Callable, row: Callable | None = None) -> tuple:
+    """Cofaces of every face of a complex, from its joins, as the (keys,
+    earliest, column, pivot) that _pair_columns reads.
 
-    The bytes of big-endian non-negative int64s compare in numeric order, so
-    the keys sort lexicographically and no packing can overflow.
+    faces are in filtration order. Rows are keyed by their vertex tuples, lex
+    order being the filtration order when every value is 0, or by row(coface)
+    when row is given; a face's key is made the same way. A column is the set
+    of its rows' keys, and only a column that must be XORed lists them all.
     """
-    rows = np.ascontiguousarray(rows, dtype=">i8")
-    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
-
-
-def _cofaces(faces: np.ndarray, cofaces: np.ndarray, face_pos: np.ndarray,
-             coface_pos: np.ndarray) -> tuple[Callable, Callable, Callable]:
-    """Stored cofaces of every face, as the (earliest, column, pivot) triple
-    that _pair_columns reads, with rows keyed by filtration position.
-
-    faces and cofaces are lex-sorted vertex arrays of adjacent dimensions, and
-    *_pos give each row's filtration position. A column is an integer whose
-    bit top - p is row p, so its pivot is its highest bit.
-    """
-    top = len(cofaces) - 1
-    if top < 0:  # nor any dimension above; the search costs O(k^2)
-        return (lambda j: None), None, None
-    keys = _lex_keys(faces)
-    col = face_pos[np.stack([np.searchsorted(keys, _lex_keys(np.delete(cofaces, i, 1)))
-                             for i in range(cofaces.shape[1])], axis=1)].ravel()
-    row = np.repeat(coface_pos, cofaces.shape[1])
-    by_col = np.lexsort((row, col))
-    starts = np.searchsorted(col[by_col], np.arange(len(faces) + 1)).tolist()
-    row = row[by_col]
-    del col, by_col  # only the lists outlive this call
-    flat = row.tolist()  # the rows of column j, earliest first
-    earliest = [flat[a] if a < b else None for a, b in zip(starts, starts[1:])]
-
-    def column(j: int) -> int:
-        return sum(1 << (top - p) for p in flat[starts[j]:starts[j + 1]])
-
-    return earliest.__getitem__, column, lambda col: top + 1 - col.bit_length()
-
-
-def _mask_cofaces(faces: tuple, joins: Callable) -> tuple[Callable, Callable, Callable]:
-    """Cofaces of every face of a mask complex, from its joins, as the
-    (earliest, column, pivot) triple that _pair_columns reads. Rows are keyed
-    by their vertex tuples, and a column is the set of them: only a column
-    that must be XORed lists them all."""
-    def coface(s: tuple[int, ...], u: int) -> tuple[int, ...]:
-        i = bisect_left(s, u)
-        return s[:i] + (u,) + s[i:]
-
-    def earliest(j: int) -> tuple[int, ...] | None:
-        s = faces[j]
-        low = joins(s, True)
-        return coface(s, low.bit_length() - 1) if low else None
-
-    def column(j: int) -> set[tuple[int, ...]]:
-        s = faces[j]
-        mask = joins(s)
-        out = set()
+    def cofaces(s: tuple[int, ...], mask: int):
         while mask:
             low = mask & -mask
             mask ^= low
-            out.add(coface(s, low.bit_length() - 1))
-        return out
+            u = low.bit_length() - 1
+            i = bisect_left(s, u)
+            yield s[:i] + (u,) + s[i:]
 
-    return earliest, column, min
+    def column(j: int) -> set:
+        s = faces[j]
+        found = cofaces(s, joins(s))
+        return set(found if row is None else map(row, found))
+
+    if row is not None:
+        return ([row(s) for s in faces], lambda j: min(column(j), default=None),
+                column, min)
+
+    def earliest(j: int) -> tuple[int, ...] | None:
+        s = faces[j]
+        return next(cofaces(s, joins(s, True)), None)
+
+    return faces, earliest, column, min
 
 
 def _key_dtype(levels: int, n: int, width: int) -> type:
@@ -222,8 +175,8 @@ class _HeapColumn:
         return self.heap[0] if self.heap is not None else int(self.keys[0])
 
 
-def _vr_cofaces(faces: np.ndarray, diam: np.ndarray, dist: np.ndarray,
-                scale: float) -> tuple[tuple[Callable, Callable, Callable], Callable]:
+def _vr_cofaces(faces: np.ndarray, diam: np.ndarray, dist: np.ndarray, scale: float,
+                levels: np.ndarray) -> tuple[tuple, Callable]:
     """Cofaces in the VR filtration below scale of every face, read off the
     distance rows.
 
@@ -231,13 +184,14 @@ def _vr_cofaces(faces: np.ndarray, diam: np.ndarray, dist: np.ndarray,
     face's coface adds a vertex u outside it with dist[v, u] < scale for every
     vertex v of the face, and enters at the larger of the face's diameter and
     that row maximum. A row is keyed by _row_keys: the rank of its diameter
-    among the distinct distances, then its sorted vertices, so keys compare
-    like (diameter, lex) and the least key is the earliest coface. Returns the
-    (earliest, column, pivot) triple that _pair_columns reads, and a map from
-    a list of row keys to their diameters.
+    among levels, the distinct distances, then its sorted vertices, so keys
+    compare like (diameter, lex) and the least key is the earliest coface; a
+    face is keyed the same way, so the keys of faces in filtration order
+    ascend.
+    Returns the (keys, earliest, column, pivot) that _pair_columns reads, and
+    a map from a list of row keys to their diameters.
     """
     n = len(dist)
-    levels = np.unique(dist)
     width = faces.shape[1] + 1  # vertices of a coface
 
     def entries(f: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -288,23 +242,25 @@ def _vr_cofaces(faces: np.ndarray, diam: np.ndarray, dist: np.ndarray,
         found.sort()
         return _HeapColumn(found)
 
-    return ((earliest.__getitem__, column, _HeapColumn.pivot),
+    own = _row_keys(np.searchsorted(levels, diam), faces, n, len(levels)).tolist()
+    return ((own, earliest.__getitem__, column, _HeapColumn.pivot),
             lambda rows: levels[[r // base for r in rows]])
 
 
-def _pair_columns(count: int, cleared: dict, earliest: Callable, column: Callable,
+def _pair_columns(cleared, keys: list, earliest: Callable, column: Callable,
                   pivot: Callable) -> dict:
     """Reduce one coboundary matrix; return pivot row -> owning column.
 
-    Columns are taken from the last, count - 1, to the first, skipping those
-    in cleared. earliest(j) is column j's pivot row before any reduction (None
-    if it has no rows), column(j) is the column itself, which XOR reduces,
-    and pivot(col) is the earliest row of a non-zero column.
+    Columns are taken from the last, len(keys) - 1, to the first, skipping
+    column j when keys[j], its key as a row one dimension down, is in cleared.
+    earliest(j) is column j's pivot row before any reduction (None if it has
+    no rows), column(j) is the column itself, which XOR reduces, and
+    pivot(col) is the earliest row of a non-zero column.
     """
     owner: dict = {}    # pivot row -> the column that owns it
     reduced: dict = {}  # pivot row -> its owner's column, once built
-    for j in range(count - 1, -1, -1):
-        if j in cleared or (p := earliest(j)) is None:
+    for j in range(len(keys) - 1, -1, -1):
+        if keys[j] in cleared or (p := earliest(j)) is None:
             continue
         if p not in owner:  # emergent: the column is already reduced
             owner[p] = j
@@ -322,29 +278,32 @@ def _pair_columns(count: int, cleared: dict, earliest: Callable, column: Callabl
     return owner
 
 
-def _reduce_coboundaries(verts: dict[int, np.ndarray], up_to: int,
-                         order: dict | None = None,
-                         last: tuple | None = None) -> dict[int, dict]:
-    """Persistence pairs of dimensions 1..up_to + 1, by reducing coboundaries.
+def _merges(edges: list, born) -> dict[int, int]:
+    """Dimension 0's persistence pairs by union-find: edge index -> the vertex
+    whose class the edge kills.
 
-    verts[k] holds the k-simplices' vertex rows in lexicographic order, and
-    order[k] lists dimension k's indices in filtration order (lex order when
-    order is None). pairs[k] maps the position of every k-simplex that kills a
-    class to the position of the (k-1)-simplex that gave birth to it. Given
-    last, the (earliest, column, pivot) triple of the last step, dimension
-    up_to + 1 is neither given nor stored, and pairs[up_to + 1] is keyed by
-    last's row keys.
+    edges lists (a, b) pairs in filtration order, and born[v] orders vertex
+    v's birth. A component is named by its eldest vertex, and an edge that
+    joins two components kills the younger (the elder rule), so the pairs are
+    those the reduction of dimension 0 would give.
     """
-    stored = up_to + 2 if last is None else up_to + 1
-    position = {k: np.arange(len(verts[k])) if order is None
-                else np.argsort(order[k]) for k in range(stored)}  # inverse permutations
-    pairs: dict[int, dict] = {}
-    deaths: dict = {}
-    for k in range(up_to + 1):
-        pairs[k + 1] = deaths = _pair_columns(len(verts[k]), deaths, *(
-            _cofaces(verts[k], verts[k + 1], position[k], position[k + 1])
-            if k + 1 < stored else last))
-    return pairs
+    parent = list(range(len(born)))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]  # path halving
+            v = parent[v]
+        return v
+
+    killed = {}
+    for i, (a, b) in enumerate(edges):
+        a, b = root(a), root(b)
+        if a != b:
+            if born[a] > born[b]:
+                a, b = b, a
+            parent[b] = a
+            killed[i] = b
+    return killed
 
 
 def _check_up_to(complex_: SimplicialComplex, up_to: int) -> None:
@@ -359,85 +318,67 @@ def betti_numbers(complex_: SimplicialComplex, up_to: int) -> tuple[int, ...]:
     """Betti numbers beta_0..beta_up_to; requires max_dim >= up_to + 1.
 
     With every simplex entering at 0, beta_k counts the k-simplices that
-    neither kill a class nor give birth to one that dies. A mask complex is
-    replaced by its edge collapse: an edge xy is removed while a vertex w
-    outside it has N[x] & N[y] <= N[w] and lies in every star holding x and
-    y, so the link of xy is a cone on w and the homotopy type is kept
-    (Boissonnat and Pritam 2020; Barmak and Minian 2012). The collapse ignores
-    max_dim, which the Betti numbers below it do not depend on. The collapsed
-    complex is enumerated to dimension up_to only.
+    neither kill a class nor give birth to one that dies. They are computed on
+    the complex's edge collapse, which keeps the homotopy type, enumerated to
+    dimension up_to only (the edges when up_to is 0). The first dimension
+    without a simplex ends the reduction: none above it has one either.
     """
     _check_up_to(complex_, up_to)
-    if isinstance(complex_, _MaskComplex):
-        complex_ = complex_._collapsed()
-        simplices = complex_._skeleton(up_to)
-        last = _mask_cofaces(simplices[up_to], complex_._joins)
-    else:
-        simplices, last = complex_.simplices, None
-    pairs = _reduce_coboundaries(
-        _vertex_arrays(simplices, up_to + (last is None)), up_to, last=last)
-    return tuple(len(simplices[k]) - len(pairs.get(k, ())) - len(pairs[k + 1])
-                 for k in range(up_to + 1))
-
-
-def _barcode(pairs: dict[int, dict], ordered: dict[int, np.ndarray], up_to: int,
-             top_values: Callable) -> dict[int, np.ndarray]:
-    """Bars of dimensions 0..up_to. ordered[k] holds dimension k's values in
-    filtration order, and top_values(rows) the values of the
-    (up_to + 1)-simplices keyed by rows in pairs[up_to + 1]."""
-    bars = {}
-    for k in range(up_to + 1):
-        death = np.full(len(ordered[k]), np.inf)
-        killed = pairs[k + 1]  # death row -> birth position
-        rows = list(killed)
-        death[list(killed.values())] = (ordered[k + 1][rows] if k < up_to
-                                        else top_values(rows))
-        positive = np.ones(len(death), dtype=bool)
-        positive[list(pairs.get(k, {}))] = False
-        bars[k] = np.column_stack((ordered[k], death))[positive]
-    return bars
-
-
-def persistence_bars(complex_: SimplicialComplex, values: dict[int, np.ndarray],
-                     up_to: int) -> dict[int, np.ndarray]:
-    """Barcode in dimensions 0..up_to of the filtration that adds each simplex
-    at its value.
-
-    values[k][i] is the value of complex_.simplices[k][i], and no face may
-    exceed its cofaces. Each dimension is ordered by (value, lex) and the
-    coboundaries are reduced once. bars[k] holds one (birth, death) row per
-    k-class in birth order; death is inf for a class that never dies. Under
-    the strict convention (a simplex is present at scale s iff its value is
-    < s) a bar is alive at s iff birth < s <= death, so
-    beta_k(s) = #{birth < s} - #{death < s}.
-    """
-    _check_up_to(complex_, up_to)
-    order = {k: np.argsort(values[k], kind="stable") for k in range(up_to + 2)}
-    pairs = _reduce_coboundaries(_vertex_arrays(complex_.simplices, up_to + 1),
-                                 up_to, order)
-    ordered = {k: values[k][idx] for k, idx in order.items()}
-    return _barcode(pairs, ordered, up_to, ordered[up_to + 1].__getitem__)
+    complex_ = complex_._collapsed()
+    simplices = complex_._skeleton(max(up_to, 1))
+    killed = _merges(simplices[1], range(complex_.vertex_count))
+    betti = [len(simplices[0]) - len(killed)]
+    deaths = {simplices[1][i] for i in killed}
+    for k in range(1, up_to + 1):
+        if not simplices[k]:
+            break
+        pairs = _pair_columns(deaths, *_mask_cofaces(simplices[k], complex_._joins))
+        betti.append(len(simplices[k]) - len(deaths) - len(pairs))
+        deaths = pairs
+    return tuple(betti) + (0,) * (up_to + 1 - len(betti))
 
 
 def vr_persistence_bars(space: FiniteMetricSpace, scale: float,
                         up_to: int) -> dict[int, np.ndarray]:
-    """persistence_bars of build_vr(space, scale, up_to + 1), every simplex
-    at its diameter, with dimension up_to + 1 never enumerated.
+    """Barcode in dimensions 0..up_to of the VR filtration below scale, in
+    which each simplex of build_vr(space, scale, up_to + 1) enters at its
+    diameter.
 
-    Dimensions 0..up_to are enumerated, ordered by (diameter, lex) and
-    reduced as persistence_bars reduces them; the last step reads its
-    cofaces off the distance rows.
+    Dimensions 0..up_to are enumerated and ordered by (diameter, lex);
+    dimension 0 is paired by union-find over the edges, and every higher
+    step reads its cofaces off the distance rows, so dimension up_to + 1 is
+    never enumerated. bars[k] holds one (birth, death) row per k-class in
+    birth order; death is inf for a class that never dies. Under the strict
+    convention (a simplex is present at scale s iff its diameter is < s) a
+    bar is alive at s iff birth < s <= death, so
+    beta_k(s) = #{birth < s} - #{death < s}.
     """
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
-    verts = _vertex_arrays(build_vr(space, scale, up_to + 1)._skeleton(up_to), up_to)
-    values = {k: _diameters(v, space.dist) for k, v in verts.items()}
-    order = {k: np.argsort(v, kind="stable") for k, v in values.items()}
-    ordered = {k: values[k][idx] for k, idx in order.items()}
-    last, death_values = _vr_cofaces(verts[up_to][order[up_to]], ordered[up_to],
-                                     space.dist, scale)
-    return _barcode(_reduce_coboundaries(verts, up_to, order, last), ordered, up_to,
-                    death_values)
+    dist = space.dist
+    levels = np.unique(dist)
+    faces, diam = [], []
+    skeleton = build_vr(space, scale, up_to + 1)._skeleton(max(up_to, 1))
+    for k, found in enumerate(skeleton):
+        verts = np.array(found, dtype=np.intp).reshape(-1, k + 1)
+        values = _diameters(verts, dist)
+        order = np.argsort(values, kind="stable")
+        faces.append(verts[order])
+        diam.append(values[order])
+    killed = _merges(faces[1].tolist(), range(len(dist)))
+    death = np.full(len(dist), np.inf)
+    death[list(killed.values())] = diam[1][list(killed)]
+    bars = {0: np.column_stack((diam[0], death))}
+    for k in range(1, up_to + 1):
+        (keys, *cofaces), diameter = _vr_cofaces(faces[k], diam[k], dist, scale, levels)
+        if k == 1:  # dimension 0's deaths, by key
+            deaths = {keys[i] for i in killed}
+        pairs = _pair_columns(deaths, keys, *cofaces)
+        death = np.full(len(keys), np.inf)
+        death[list(pairs.values())] = diameter(list(pairs))
+        bars[k] = np.column_stack((diam[k], death))[[key not in deaths for key in keys]]
+        deaths = pairs
+    return bars
 
 
 def fundamental_class_survives(small: SimplicialComplex, big: SimplicialComplex,
@@ -452,7 +393,9 @@ def fundamental_class_survives(small: SimplicialComplex, big: SimplicialComplex,
     Read off the two-step filtration that puts the image of small at 0 and the
     rest of big at 1: the map is injective with equal ranks iff every
     positive-length dim-bar born at 0 never dies and every bar that never dies
-    is born at 0.
+    is born at 0. A simplex is keyed by (not in the image, vertex tuple),
+    which orders it in that filtration; dimension 0 is paired by union-find,
+    and the dimensions above by reducing coboundaries off big's joins.
     """
     inc = inclusion_map(small, big, vertex_image)
     if len(set(inc.image)) != len(inc.image):
@@ -462,10 +405,22 @@ def fundamental_class_survives(small: SimplicialComplex, big: SimplicialComplex,
                          "contain the small one")
     _check_up_to(small, dim)
     _check_up_to(big, dim)
-    values = {}
-    for k in range(dim + 2):
-        image = {inc.apply(s) for s in small.simplices[k]}
-        values[k] = np.array([0.0 if s in image else 1.0 for s in big.simplices[k]])
-    bars = persistence_bars(big, values, dim)[dim]
-    lasting = bars[bars[:, 0] < bars[:, 1]]
-    return bool(np.all((lasting[:, 0] == 0.0) == np.isinf(lasting[:, 1])))
+    image = {inc.apply(s) for found in small._skeleton(dim + 1) for s in found}
+
+    def row(s: tuple[int, ...]) -> tuple[bool, tuple[int, ...]]:
+        return s not in image, s
+
+    simplices = [sorted(found, key=row) for found in big._skeleton(max(dim, 1))]
+    killed = _merges(simplices[1], [row((v,)) for v in range(big.vertex_count)])
+    deaths = {row(simplices[1][i]): row((v,)) for i, v in killed.items()}
+    positive = [row(s) for s in simplices[0]]
+    for k in range(1, dim + 1):
+        keys, *cofaces = _mask_cofaces(simplices[k], big._joins, row)
+        pairs = _pair_columns(deaths, keys, *cofaces)
+        positive = [key for key in keys if key not in deaths]
+        deaths = {r: keys[j] for r, j in pairs.items()}
+    killer = {born: r for r, born in deaths.items()}
+    # key[0] is True for a class born at 1, killer[key][0] for one dying at 1:
+    # a class born at 0 must not die at 1, and every class born at 1 must die
+    return all(killer[key][0] <= key[0] if key in killer else not key[0]
+               for key in positive)

@@ -1,7 +1,7 @@
 """Independent oracles the tests check the library against.
 
 Everything here recomputes results through a different route than the library:
-dense numpy Gaussian elimination instead of bitset reduction, explicit
+dense numpy Gaussian elimination instead of coboundary reduction, explicit
 representative cycles and induced maps instead of reading ranks and survival
 off one persistence pass, full enumeration instead of branch-and-bound,
 definitional subset scans instead of clique expansion, simplex-by-simplex
@@ -87,32 +87,33 @@ def standard_barcode(complex_: SimplicialComplex, values: dict[int, np.ndarray],
                      up_to: int) -> dict[int, np.ndarray]:
     """Barcode by the textbook reduction of the whole filtered boundary matrix.
 
-    Every simplex of dimension <= up_to + 1 is one row and one column of a
-    dense matrix, ordered by (value, dimension, index in complex_). Columns
-    are reduced left to right, each until its lowest entry is unique, with no
-    clearing; a reduced column j with lowest row i pairs i (birth) with j
-    (death). bars[k] lists (birth, death) per zero column of a k-simplex in
-    that order, death inf when its row is nobody's lowest entry.
+    Every simplex of dimension <= up_to + 1 is one row and one column of the
+    matrix, ordered by (value, dimension, index in complex_); a column is an
+    integer with bit i set for row i. Columns are reduced left to right, each
+    until its lowest entry is unique, with no clearing; a reduced column j
+    with lowest row i pairs i (birth) with j (death). bars[k] lists
+    (birth, death) per zero column of a k-simplex in that order, death inf
+    when its row is nobody's lowest entry.
     """
     cells = sorted((float(values[k][i]), k, i) for k in range(up_to + 2)
                    for i in range(len(complex_.simplices[k])))
     where = {(k, complex_.simplices[k][i]): n for n, (_, k, i) in enumerate(cells)}
-    cols = np.zeros((len(cells), len(cells)), dtype=bool)  # cols[j] is column j
-    for j, (_, k, i) in enumerate(cells):
+    cols = []  # cols[j] is column j
+    for _, k, i in cells:
         s = complex_.simplices[k][i]
-        for drop in range(len(s) if k else 0):
-            cols[j, where[(k - 1, s[:drop] + s[drop + 1:])]] = True
+        cols.append(sum(1 << where[(k - 1, s[:drop] + s[drop + 1:])]
+                        for drop in range(len(s) if k else 0)))
     owner: dict[int, int] = {}  # lowest row -> the reduced column that has it
     for j in range(len(cells)):
-        while cols[j].any():
-            low = int(np.flatnonzero(cols[j])[-1])
+        while cols[j]:
+            low = cols[j].bit_length() - 1
             if low not in owner:
                 owner[low] = j
                 break
             cols[j] ^= cols[owner[low]]
     bars: dict[int, list] = {k: [] for k in range(up_to + 1)}
     for n, (value, k, _) in enumerate(cells):
-        if k <= up_to and not cols[n].any():
+        if k <= up_to and not cols[n]:
             bars[k].append((value, cells[owner[n]][0] if n in owner else np.inf))
     return {k: np.array(rows, dtype=np.float64).reshape(-1, 2)
             for k, rows in bars.items()}

@@ -15,14 +15,26 @@ import numpy as np
 import pytest
 
 import ghbound
-from ghbound import (FiniteSubset, SplitMix64, circle, cli, equispaced_circle,
-                     euclidean, flat_torus, grid_points, uniform_points)
-from ghbound.serialize import subset_to_dict, write_json
+from ghbound import (FiniteSubset, SplitMix64, build_cech_witness, circle, cli,
+                     equispaced_circle, euclidean, flat_torus, grid_points,
+                     uniform_points)
+from ghbound.serialize import read_json, subset_from_dict, subset_to_dict, write_json
+
+from oracles import random_complex
 
 
 def _subset_file(tmp_path, name, subset):
     path = tmp_path / name
     write_json(subset_to_dict(subset), str(path))
+    return str(path)
+
+
+def _complex_file(tmp_path, name, cx):
+    """cx as a complex file that lists every simplex, for `homology --complex`."""
+    path = tmp_path / name
+    path.write_text(json.dumps({"scale": cx.scale, "vertex_count": cx.vertex_count,
+                                "simplices": {str(k): [list(s) for s in found]
+                                              for k, found in cx.simplices.items()}}))
     return str(path)
 
 
@@ -927,6 +939,45 @@ def test_oversized_inputs_exit_one_before_allocating(tmp_path, argv, message, pe
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["homology", "--complex", "{missing}", "--scale", "0"], "--scale"),
+    (["homology", "--complex", "{missing}", "--subset", "{missing}"], "--subset"),
+    (["homology", "--complex", "{missing}", "--cech"], "--cech"),
+    (["homology", "--complex", "{missing}", "--witness-grid", "8", "--scale", "1"],
+     "--scale, --witness-grid"),
+    (["homology", "--subset", "{missing}", "--scale", "0.2", "--witness-grid", "8"],
+     "--witness-grid needs --cech"),
+    (["bounds", "--inputs", "{missing}", "--x", "{missing}"], "--x"),
+    (["bounds", "--inputs", "{missing}", "--y", "{missing}"], "--y"),
+    (["bounds", "--inputs", "{missing}", "--witness-grid", "8"], "--witness-grid"),
+])
+def test_ignored_options_exit_one_before_any_file_is_read(tmp_path, capsys, argv,
+                                                          flags):
+    # each of these ran and dropped the option; the file named does not
+    # exist, so reading it first would have failed on that instead
+    missing = str(tmp_path / "missing.json")
+    assert _run([a.format(missing=missing) for a in argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and flags in out.err
+    assert "missing.json" not in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--subset", "{ring}", "--cech", "--scale", "0.5",
+     "--witness-grid", "8"],
+    ["bounds", "--x", "{ring}", "--witness-grid", "8"],
+    ["bounds", "--x", "{ring}", "--y", "{ring}", "--witness-grid", "8"],
+])
+def test_witness_grids_off_a_torus_exit_one(tmp_path, capsys, argv):
+    # the circle's Cech complex and its d_H are exact, and read no grid
+    ring = _subset_file(tmp_path, "ring.json", equispaced_circle(circle(), 6))
+    assert _run([a.format(ring=ring) for a in argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: --witness-grid samples a torus")
+
+
 @pytest.mark.parametrize("argv", [
     ["circle-sweep", "--config", "{sweep}", "--seed", "3"],
     ["circle-sweep", "--config", "{sweep}", "--budget", "5"],
@@ -982,6 +1033,10 @@ PINNED_STDOUT = {
         "2120a7bbe3e9f783bbf204255bb2baca3035a865c9a3f3b0e23eb35691fc1197",
     "homology-cech-torus3":
         "94932a95dd2bb056d9c1efc238696e5d5dd0586ff384b23e63ab02a54adf4fc0",
+    "homology-complex-cech-torus":
+        "7effa6904d373106e6da828dec0b7ec480d3a795e127c785f80f297559c308fd",
+    "homology-complex-random":
+        "7b5bf962958ca1f0194aa51a2d9120eabb446c76fc3a83213eaab0437bb989e7",
     "fillrad-estimate":
         "7748cb88b474d4d9c4bca1b030294416facf77664f28f07d1da7160937a0cad0",
     "fillrad-estimate-torus":
@@ -1020,6 +1075,12 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
     wide = flat_torus([1.0, 1.5])
     wide_x = _subset_file(tmp_path, "wide_x.json", uniform_points(wide, 50, seed=13))
     wide_y = _subset_file(tmp_path, "wide_y.json", uniform_points(wide, 30, seed=17))
+    # explicit copies: the 120-point witnessed Cech complex on the default
+    # grid, and a random complex that is not a flag complex
+    cech = build_cech_witness(subset_from_dict(read_json(torus)), 0.08, 3, 64)
+    explicit_cech = _complex_file(tmp_path, "cech.json", cech)
+    explicit_random = _complex_file(tmp_path, "random.json",
+                                    random_complex(np.random.default_rng(105)))
     fillrad = tmp_path / "fillrad.json"
     fillrad.write_text(json.dumps({  # the criterion-5 config
         "manifold": {"kind": "circle"}, "sampler": {"kind": "equispaced"},
@@ -1065,6 +1126,8 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
                                     "--max-dim", "3", "--cech"],
         "homology-cech-torus3": ["homology", "--cech", "--subset", box, "--scale", "0.35",
                                  "--witness-grid", "6", "--max-dim", "3"],
+        "homology-complex-cech-torus": ["homology", "--complex", explicit_cech],
+        "homology-complex-random": ["homology", "--complex", explicit_random],
         "fillrad-estimate": ["fillrad-estimate", "--config", str(fillrad)],
         "fillrad-estimate-torus": ["fillrad-estimate", "--config",
                                    str(fillrad_torus)],

@@ -10,21 +10,30 @@ Oracle notes
 * induced maps (oracles.induced_map, the reference that tracks explicit
   representative cycles): identity gives the identity matrix, a collapse
   kills H_1, composition matches matrix product, contiguous maps agree.
-* fundamental_class_survives reads survival off the persistence pass; it must
-  equal oracles.fundamental_class_survives, which builds the induced map, on
-  random VR pairs of circle and torus samples and on shuffled subsets.
+* fundamental_class_survives reads survival off the pairs of the two-step
+  filtration (union-find, then coboundaries off the big complex's joins); it
+  must equal oracles.fundamental_class_survives, which builds the induced
+  map, on random VR pairs of circle and torus samples and on shuffled
+  subsets.
+* betti_numbers stops at the first empty dimension: at cap 600 on a
+  triangle, built or explicit, at most 10 reduction steps build cofaces.
+* Clearing: a reduction step reads the earliest coface of exactly the
+  k-simplices that kill no class, n_k - rank d_k of them with the rank from
+  dense elimination, on random explicit complexes and on VR filtrations.
 * Adamaszek's theorem ("Clique complexes and graph powers", Israel J. Math.
   2013) is an external oracle for VR complexes of equispaced circles. VR(Y_N)
   at scale (2 pi / N)(k + 1/2) is the clique complex of the cyclic graph
   power C_N^k, which is S^{2l+1} when l/(2l+1) < k/N < (l+1)/(2l+3) and a
   wedge of N - 2k - 1 copies of S^{2l} when k/N = l/(2l+1).
 * A mask complex never stores its top dimension for betti_numbers or
-  simplex_counts: both must equal the stored path's results on an explicit
+  simplex_counts: both must equal the results on an explicit
   SimplicialComplex with the same simplices, in any order of queries, also
-  when counting resumes from a dimension enumerated in between.
+  when counting resumes from a dimension enumerated in between. The explicit
+  complex's _joins, read off its stored cofaces, must equal the masks' on
+  every face, and Betti numbers to up_to build join masks of cofaces up to
+  dimension up_to + 1 only.
 * Betti numbers of a mask complex come from its edge-collapsed complex; they
-  must equal the stored path's beta_0..beta_3 on an explicit copy of the
-  uncollapsed simplices, for VR complexes of circle, 2-torus, 3-torus and R^3
+  must equal beta_0..beta_3 of an explicit copy of the uncollapsed simplices, for VR complexes of circle, 2-torus, 3-torus and R^3
   samples and witnessed Cech complexes of 2-torus samples. A witnessed hollow
   triangle, whose edges a flag-only rule would collapse, keeps beta_1 = 1.
 """
@@ -44,11 +53,12 @@ from ghbound import (SimplicialComplex, betti_numbers, build_cech_witness, build
                      check_simplicial, circle, compose_maps, distortion,
                      equispaced_circle, euclidean, fundamental_class_survives,
                      gh_exact, flat_torus, inclusion_map, induced_vr_map,
-                     uniform_points, VertexMap)
+                     uniform_points, vr_persistence_bars, VertexMap)
 from ghbound.complexes import _MaskComplex
 
 import oracles
-from oracles import HomologyBasis, induced_map, naive_betti, random_complex
+from oracles import (HomologyBasis, gf2_rank_dense, induced_map, naive_betti,
+                     naive_boundary_matrix, random_complex)
 
 
 def closure_of(triangles, vertices, max_dim=2, scale=1.0):
@@ -116,21 +126,63 @@ def test_betti_against_dense_elimination():
 
 
 def test_empty_dimensions_cost_no_coface_search(monkeypatch):
-    # a cap far above the simplices: the coface search of dimension k built
-    # k + 2 key arrays even with no cofaces, so 180,000 in all at cap 600,
-    # and a point of R^5000 under `homology --subset` took 105 s
+    # a cap far above the simplices: a reduction step that built its cofaces
+    # in every dimension up to cap 600 took 105 s on a point of R^5000 under
+    # `homology --subset`; the first empty dimension ends the reduction
     calls = []
-    lex_keys = homology._lex_keys
+    mask_cofaces = homology._mask_cofaces
 
-    def counted(rows):
-        calls.append(len(rows))
-        return lex_keys(rows)
+    def counted(faces, *args):
+        calls.append(len(faces))
+        return mask_cofaces(faces, *args)
 
-    monkeypatch.setattr(homology, "_lex_keys", counted)
+    monkeypatch.setattr(homology, "_mask_cofaces", counted)
     triangle = equispaced_circle(circle(), 3).to_metric_space()
-    k = build_vr(triangle, 4.0, 600)
-    assert betti_numbers(k, 599) == (1,) + (0,) * 599
-    assert len(calls) <= 10
+    for k in (build_vr(triangle, 4.0, 600),
+              SimplicialComplex(3, 4.0, 600, build_vr(triangle, 4.0, 2).simplices)):
+        calls.clear()
+        assert betti_numbers(k, 599) == (1,) + (0,) * 599
+        assert len(calls) <= 10
+
+
+def _count_columns_read(monkeypatch) -> list[int]:
+    """Per reduction step, the columns whose earliest coface was read."""
+    reads: list[int] = []
+    pair_columns = homology._pair_columns
+
+    def counted(cleared, keys, earliest, *rest):
+        reads.append(0)
+
+        def counting(j):
+            reads[-1] += 1
+            return earliest(j)
+
+        return pair_columns(cleared, keys, counting, *rest)
+
+    monkeypatch.setattr(homology, "_pair_columns", counted)
+    return reads
+
+
+def _unkilled(cx, k):
+    """The k-simplices that kill no class: all but rank d_k of them."""
+    return len(cx.simplices[k]) - gf2_rank_dense(naive_boundary_matrix(cx, k))
+
+
+def test_cleared_columns_are_never_read(monkeypatch):
+    # a k-simplex that kills a (k-1)-class is skipped by its key: dimension 1
+    # skips the edges union-find merged with, masks and distance rows alike
+    reads = _count_columns_read(monkeypatch)
+    rng = np.random.default_rng(0xC1EA2)
+    for _ in range(30):
+        cx = random_complex(rng)
+        reads.clear()
+        betti_numbers(cx, cx.max_dim - 1)
+        assert reads == [_unkilled(cx, k) for k in range(1, len(reads) + 1)]
+    for seed in range(5):
+        space = uniform_points(flat_torus([1.0, 1.0]), 12, seed).to_metric_space()
+        reads.clear()
+        vr_persistence_bars(space, 0.45, 2)
+        assert reads == [_unkilled(build_vr(space, 0.45, 2), k) for k in (1, 2)]
 
 
 def _cyclic_power_betti(n, k):
@@ -187,6 +239,24 @@ def test_mask_complexes_never_store_the_top_dimension(on_torus, witnessed, size,
             assert betti_numbers(cx, up_to) == betti_numbers(explicit, up_to)
     assert "simplices" not in vars(cx)
     assert len(cx._levels) <= max_dim  # dimensions 0..max_dim - 1 at most
+
+
+@settings(max_examples=40, deadline=None)
+@given(witnessed=st.booleans(), size=st.integers(3, 12), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.1, 0.8), up_to=st.integers(0, 2))
+def test_explicit_joins_match_the_masks_up_to_the_top(witnessed, size, seed, scale,
+                                                      up_to):
+    subset = uniform_points(flat_torus([1.0, 1.0]), size, seed)
+    cx = (build_cech_witness(subset, scale, 3, 16) if witnessed
+          else build_vr(subset.to_metric_space(), scale, 3))
+    explicit = SimplicialComplex(cx.vertex_count, cx.scale, 3, cx.simplices)
+    assert betti_numbers(explicit, up_to) == betti_numbers(cx, up_to)
+    # join masks are built for the cofaces of dimensions 2..up_to + 1 alone
+    assert set(explicit._join_masks) <= set(range(2, up_to + 2))
+    for d in range(3):
+        for s in explicit.simplices[d]:
+            assert explicit._joins(s) == cx._joins(s)
+            assert explicit._joins(s, True) == cx._joins(s, True)
 
 
 def test_witnessed_hollow_triangle_keeps_its_cycle():

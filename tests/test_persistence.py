@@ -12,26 +12,29 @@ Oracle notes
 * betti_numbers (the coboundary reduction) must equal
   oracles.HomologyBasis and dense elimination (oracles.naive_betti) on random
   VR and witnessed Cech complexes of torus samples.
-* persistence_bars must reproduce betti_numbers of every sublevel complex.
+* vr_persistence_bars must reproduce betti_numbers of every sublevel complex.
 * betti_numbers on a 300-point witnessed Cech complex (tetrahedra as the top
   dimension) must peak below 10 MiB under tracemalloc, which also counts
   numpy's buffers. The homology reduction it replaced peaked at 16.6 MiB.
   On a fresh copy, simplex_counts and betti_numbers together must peak below
   7 MiB: neither stores the tetrahedra (storing them read 8.61 MiB).
-* persistence_bars (a coboundary reduction with clearing and emergent pairs)
-  must equal oracles.standard_barcode row for row: the textbook reduction of
-  the dense boundary matrix, with no clearing and none of the library's
+* vr_persistence_bars (union-find for dimension 0, then a coboundary
+  reduction with clearing and emergent pairs off the distance rows) must
+  equal oracles.standard_barcode row for row: the textbook reduction of the
+  whole filtered boundary matrix, with no clearing and none of the library's
   homology code. Inputs are VR filtrations of jittered circles and tori,
-  equispaced circles (whose diameters tie), and random complexes
-  with random face-monotone values drawn from a few levels (ties again).
-  On every VR filtration vr_persistence_bars, which never stores the top
-  dimension, must equal the oracle too.
-* vr_persistence_bars must equal persistence_bars on the stored complex with
-  oracles.vr_values, dimension by dimension, on uniform and equispaced
-  circle and 2-torus samples of up to 30 points, and on 1,700 torus points
+  equispaced circles (whose diameters tie), and the stored filtration
+  (oracles.vr_values on the enumerated complex) of uniform and equispaced
+  circle and 2-torus samples of up to 30 points, and of 1,700 torus points
   where its row keys pass int64; _row_keys must give exact keys that order
-  like (rank, row) past int64. The same holds on 60 and 120 equispaced circle
-  points at 2.49, where one cocycle is XORed with hundreds of columns, and
+  like (rank, row) past int64. The oracle's columns are integer bitsets, so
+  30 uniform points at full reach (27,027 tetrahedra) fit.
+* On 60 and 120 equispaced circle points at 2.49, where one cocycle is XORed
+  with hundreds of columns and the oracle's matrix does not fit, the bars
+  must keep their SHA-256 digests, and H_1 must have exactly one bar of
+  positive length, [2 pi / N, 2 pi / 3) to 1e-12: VR(Y_N) is a circle from
+  the first edge until its edges reach a third of the circle (Adamaszek and
+  Adams, "The Vietoris-Rips complexes of a circle", Pacific J. Math. 2017).
   200 of them must peak below 10 MiB under tracemalloc (8.6 MiB measured).
 * A VR column, built off one row maximum, must hold exactly the _row_keys of
   its cofaces listed one by one, in int64 and past it.
@@ -42,6 +45,7 @@ Oracle notes
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
 
@@ -52,12 +56,12 @@ from hypothesis import strategies as st
 
 from ghbound import (FiniteSubset, betti_numbers, build_cech_witness, build_vr,
                      circle, cli, equispaced_circle, flat_torus, grid_points,
-                     persistence_bars, uniform_points, vr_persistence_bars)
+                     uniform_points, vr_persistence_bars)
 from ghbound.homology import _diameters, _HeapColumn, _row_keys, _vr_cofaces
 from ghbound.serialize import subset_to_dict, write_json
 
 from oracles import (HomologyBasis, fundamental_class_survives, naive_betti,
-                     random_complex, standard_barcode, vr_values)
+                     standard_barcode, vr_values)
 
 SETTINGS = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -165,10 +169,9 @@ def test_betti_matches_dense_elimination_on_torus_witness_cech(size, seed, radiu
        scale=st.floats(0.2, 0.8))
 def test_bars_give_betti_numbers_of_every_sublevel_complex(size, seed, scale):
     space = _torus_sample(size, seed).to_metric_space()
-    top = build_vr(space, scale, 3)
-    values = vr_values(top, space.dist)
-    bars = persistence_bars(top, values, 2)
-    for s in np.unique(np.concatenate([values[1], [scale]])):
+    bars = vr_persistence_bars(space, scale, 2)
+    edges = space.dist[np.triu_indices(size, 1)]
+    for s in np.unique(np.concatenate([edges[edges < scale], [scale]])):
         alive = [int(((b[:, 0] < s) & (s <= b[:, 1])).sum()) for b in bars.values()]
         assert alive == list(betti_numbers(build_vr(space, float(s), 3), 2))
 
@@ -218,16 +221,10 @@ def _assert_same_bars(got, want):
         assert np.array_equal(got[k], want[k]), k
 
 
-def _assert_bars_match_the_oracle(cx, values, up_to, *more):
-    want = standard_barcode(cx, values, up_to)
-    for got in (persistence_bars(cx, values, up_to), *more):
-        _assert_same_bars(got, want)
-
-
 def _assert_vr_bars_match_the_oracle(space, scale, up_to):
     top = build_vr(space, scale, up_to + 1)
-    _assert_bars_match_the_oracle(top, vr_values(top, space.dist), up_to,
-                                  vr_persistence_bars(space, scale, up_to))
+    _assert_same_bars(vr_persistence_bars(space, scale, up_to),
+                      standard_barcode(top, vr_values(top, space.dist), up_to))
 
 
 @SETTINGS
@@ -261,29 +258,6 @@ def test_bars_match_the_oracle_on_jittered_tori(per_axis, seed, jitter, scale):
 
 
 @SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), levels=st.integers(1, 5))
-def test_bars_match_the_oracle_on_random_complexes(seed, levels):
-    rng = np.random.default_rng(seed)
-    cx = random_complex(rng, cap=120)
-    values = {}
-    for k in range(cx.max_dim + 1):  # each simplex enters no earlier than its faces
-        own = rng.integers(0, levels, len(cx.simplices[k])).astype(np.float64)
-        if k:
-            index = {s: i for i, s in enumerate(cx.simplices[k - 1])}
-            for i, s in enumerate(cx.simplices[k]):
-                own[i] = max(own[i], *(values[k - 1][index[s[:d] + s[d + 1:]]]
-                                       for d in range(k + 1)))
-        values[k] = own
-    _assert_bars_match_the_oracle(cx, values, cx.max_dim - 1)
-
-
-def _assert_vr_bars_match_the_stored_filtration(space, scale, up_to):
-    top = build_vr(space, scale, up_to + 1)
-    _assert_same_bars(vr_persistence_bars(space, scale, up_to),
-                      persistence_bars(top, vr_values(top, space.dist), up_to))
-
-
-@SETTINGS
 @given(size=st.integers(3, 30), seed=st.integers(0, 2**32 - 1),
        torus=st.booleans(), equispaced=st.booleans(), reach=st.floats(0.02, 1.0),
        up_to=st.integers(0, 2))
@@ -299,8 +273,7 @@ def test_vr_bars_match_the_stored_filtration(size, seed, torus, equispaced, reac
         subset = (equispaced_circle(m, size) if equispaced
                   else uniform_points(m, size, seed))
     space = subset.to_metric_space()
-    _assert_vr_bars_match_the_stored_filtration(space, reach * float(space.dist.max()),
-                                                up_to)
+    _assert_vr_bars_match_the_oracle(space, reach * float(space.dist.max()), up_to)
 
 
 def test_vr_bars_match_the_stored_filtration_past_int64_keys():
@@ -308,7 +281,7 @@ def test_vr_bars_match_the_stored_filtration_past_int64_keys():
     # int64, so the last step keys its rows by Python integers
     space = uniform_points(flat_torus([1.0, 1.0]), 1700, 3).to_metric_space()
     assert len(np.unique(space.dist)) * 1700 ** 4 > 2 ** 63
-    _assert_vr_bars_match_the_stored_filtration(space, 0.035, 2)
+    _assert_vr_bars_match_the_oracle(space, 0.035, 2)
 
 
 def test_row_keys_stay_exact_and_ordered_past_int64():
@@ -333,11 +306,25 @@ def test_row_keys_stay_exact_and_ordered_past_int64():
     assert top.dtype == np.int64 and top.tolist() == [2 ** 63 - 1]
 
 
-def test_vr_bars_match_the_stored_filtration_on_long_cocycles():
+# SHA-256 of the bars' little-endian doubles, dimension by dimension
+LONG_COCYCLE_BARS = {
+    60: "867bf5da8afaf82e765e1ef633a65e7c92db385fca8741aa1d831ec6cbe1e393",
+    120: "c7e3ca6c725431a9de267f2b7ddb85bee2e4bd30c3a753f998388a07bebc6107",
+}
+
+
+def test_vr_bars_on_long_cocycles_keep_their_digests_and_the_circle_class():
     # the circle's H_1 cocycle is XORed with hundreds of columns
-    for size in (60, 120):
+    for size, want in LONG_COCYCLE_BARS.items():
         space = equispaced_circle(circle(), size).to_metric_space()
-        _assert_vr_bars_match_the_stored_filtration(space, 2.49, 1)
+        bars = vr_persistence_bars(space, 2.49, 1)
+        digest = hashlib.sha256()
+        for k in sorted(bars):
+            digest.update(np.ascontiguousarray(bars[k], dtype="<f8").tobytes())
+        assert digest.hexdigest() == want, size
+        lasting = bars[1][bars[1][:, 0] < bars[1][:, 1]]
+        assert lasting.shape == (1, 2)
+        assert lasting[0] == pytest.approx([2 * np.pi / size, 2 * np.pi / 3], abs=1e-12)
 
 
 def test_vr_bars_of_200_circle_points_peak_below_10_mib():
@@ -369,7 +356,7 @@ def test_vr_columns_hold_the_row_keys_of_their_cofaces():
         diam = _diameters(faces, dist)
         scale = 2.5
         assert diam.max() < scale
-        column = _vr_cofaces(faces, diam, dist, scale)[0][1]
+        column = _vr_cofaces(faces, diam, dist, scale, levels)[0][2]
         for j, f in enumerate(faces):
             u = np.array([v for v in range(n)
                           if v not in f and dist[f, v].max() < scale])
