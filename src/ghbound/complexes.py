@@ -12,12 +12,16 @@ all its vertices within the radius).
 Built complexes are lazy masks (_MaskComplex): has_simplex tests bitmasks,
 and each dimension is enumerated when first needed, in canonical order;
 simplex_counts counts the dimensions not yet enumerated in one walk that
-stores no simplex. Explicit complexes, such as those read from a file, are
-validated sorted tuples of simplices that has_simplex bisects. Both offer
-homology _skeleton (dimensions 0..top), _collapsed (the edge collapse below,
-or the explicit complex itself) and _joins, the bitmask of the vertices that
-extend a face to a simplex: the AND of its vertices' masks, or one mask per
-face built from the stored cofaces, so homology enumerates no top dimension.
+stores no simplex. Explicit complexes, such as those read from a file, keep
+their sorted simplices and a coface index, built whole by the pass that
+checks them: each face maps to the bitmask of the vertices extending it
+(the coface half of a simplex tree; Boissonnat and Maria, Algorithmica
+2014). A complex file's Betti numbers need every dimension up to max_dim
+anyway. Both offer homology _skeleton (dimensions 0..top), _collapsed (the
+edge collapse below, or the explicit complex itself) and _joins, the
+bitmask of the vertices that extend a face to a simplex: the AND of its
+vertices' masks, or the face's index entry, so homology enumerates no top
+dimension.
 
 A mask complex's edge collapse (_collapsed) removes dominated edges until
 none is left. With N[.] the closed neighbourhoods, edge xy is dominated by a
@@ -52,12 +56,11 @@ binds, it enumerates the source simplices and queries each image.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations
-from operator import and_, index
+from itertools import combinations, islice
+from operator import and_, ge, index
 
 import numpy as np
 
@@ -70,12 +73,14 @@ class SimplicialComplex:
     simplices maps dimension to a lexicographically sorted tuple of strictly
     increasing tuples of int vertices. Every dimension 0..max_dim has an entry
     (possibly empty); max_dim records the construction cap, which may exceed
-    the top non-empty dimension. Instances are immutable by convention. The
-    tuples are the store: has_simplex bisects them, _joins caches masks of them.
+    the top non-empty dimension. Instances are immutable by convention.
 
-    This constructor, for explicit complexes, checks every simplex and every
-    one of its codimension-one faces, in time linear in simplices x dim, so a
-    complex that exists is closed under taking faces.
+    This constructor, for explicit complexes, checks every simplex in one
+    pass that also fills the coface index, which has_simplex and _joins
+    read: _index[k] maps each k-vertex face to the bitmask of the vertices
+    that extend it, keyed first by the listed (k-1)-simplices, so a key past
+    them is a missing face and a complex that exists is closed under taking
+    faces. All of it takes time linear in simplices x dim.
     """
 
     def __init__(self, vertex_count: int, scale: float, max_dim: int,
@@ -90,34 +95,36 @@ class SimplicialComplex:
         self.simplices = {d: tuple(sorted({tuple(map(index, s))
                                            for s in simplices.get(d, ())}))
                           for d in range(max_dim + 1)}
-        self._validate()
-        self._join_masks: dict[int, dict] = {}  # coface dimension -> face -> joins
-
-    def _validate(self) -> None:
+        self._index: list[dict[tuple, int]] = []
+        below: tuple = ((),)  # the empty simplex, the one face of a vertex
         for d, entries in self.simplices.items():
-            faces = frozenset(self.simplices[d - 1]) if d else frozenset()
+            # keyed first by the listed faces, so a key past them is missing
+            faces: dict[tuple, int] = defaultdict(int, dict.fromkeys(below, 0))
             for s in entries:
                 if len(s) != d + 1:
                     raise ValueError(f"simplex {s} filed under dimension {d}")
-                if any(s[i] >= s[i + 1] for i in range(d)):
+                if any(map(ge, s, s[1:])):
                     raise ValueError(f"simplex {s} is not strictly increasing")
-                if s[0] < 0 or s[-1] >= self.vertex_count:
+                if s[0] < 0 or s[-1] >= vertex_count:
                     raise ValueError(f"simplex {s} has a vertex out of range")
-                if d == 0:
-                    continue
-                for k in range(d + 1):
-                    face = s[:k] + s[k + 1:]
-                    if face not in faces:
-                        raise ValueError(f"face {face} of {s} is missing")
+                # combinations drops the last vertex first, then the one before
+                for face, u in zip(combinations(s, d), reversed(s)):
+                    faces[face] |= 1 << u
+            if len(faces) > len(below):
+                face, mask = next(islice(faces.items(), len(below), None))
+                coface = tuple(sorted({*face, (mask & -mask).bit_length() - 1}))
+                raise ValueError(f"face {face} of {coface} is missing")
+            self._index.append(faces)
+            below = entries
 
     def has_simplex(self, simplex) -> bool:
         t = tuple(map(index, simplex))
         return 0 < len(t) <= self.max_dim + 1 and self._holds(t)
 
     def _holds(self, t: tuple[int, ...]) -> bool:  # 1 <= len(t) <= max_dim + 1
-        found = self.simplices[len(t) - 1]
-        i = bisect_left(found, t)
-        return i < len(found) and found[i] == t
+        face, u = t[:-1], t[-1]
+        return ((not face or face[-1] < u) and u >= 0
+                and self._index[len(face)].get(face, 0) >> u & 1 == 1)
 
     def simplex_counts(self) -> list[int]:
         return [len(self.simplices[d]) for d in range(self.max_dim + 1)]
@@ -132,18 +139,9 @@ class SimplicialComplex:
 
     def _joins(self, s: tuple[int, ...], first: bool = False) -> int:
         """Bitmask of the vertices u such that s plus u is a simplex of one
-        more dimension; with first, only the lowest of them. Read off one mask
-        per face, built from the stored cofaces the first time a face of s's
-        dimension asks."""
-        d = len(s)  # the cofaces' dimension
-        if d not in self._join_masks:
-            masks: dict[tuple, int] = defaultdict(int)
-            for c in self.simplices.get(d, ()):
-                # combinations drops the last vertex first, then the one before
-                for face, u in zip(combinations(c, d), reversed(c)):
-                    masks[face] |= 1 << u
-            self._join_masks[d] = masks
-        mask = self._join_masks[d].get(s, 0)
+        more dimension; with first, only the lowest of them. Read off the
+        coface index; s has at most max_dim vertices."""
+        mask = self._index[len(s)].get(s, 0)
         return mask & -mask if first else mask
 
 

@@ -1037,6 +1037,8 @@ PINNED_STDOUT = {
         "7effa6904d373106e6da828dec0b7ec480d3a795e127c785f80f297559c308fd",
     "homology-complex-random":
         "7b5bf962958ca1f0194aa51a2d9120eabb446c76fc3a83213eaab0437bb989e7",
+    "homology-complex-shuffled":
+        "96b649cea20c5b33778938d8652447ebc5030cced5e3e23ca1a8964387eafec7",
     "fillrad-estimate":
         "7748cb88b474d4d9c4bca1b030294416facf77664f28f07d1da7160937a0cad0",
     "fillrad-estimate-torus":
@@ -1064,6 +1066,23 @@ def _stratified_torus(size, grid, seed):
                                          (cell // cols + u[:, 1]) / rows], axis=1))
 
 
+def _shuffled_complex_file(tmp_path, name, cx):
+    """cx as a complex file with no vertex_count key, each dimension's list
+    shuffled and its first top simplex listed twice: the reader infers the
+    vertex count and puts the simplices in canonical order."""
+    rng = np.random.default_rng(0)
+    simplices = {}
+    for k, found in cx.simplices.items():
+        entries = [list(s) for s in found]
+        if k == cx.max_dim:
+            entries.append(entries[0])
+        rng.shuffle(entries)
+        simplices[str(k)] = entries
+    path = tmp_path / name
+    path.write_text(json.dumps({"scale": cx.scale, "simplices": simplices}))
+    return str(path)
+
+
 def _pinned_runs(tmp_path) -> dict[str, list[str]]:
     ring = _subset_file(tmp_path, "ring.json", uniform_points(circle(), 40, seed=2))
     torus = _subset_file(tmp_path, "torus.json",
@@ -1081,6 +1100,8 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
     explicit_cech = _complex_file(tmp_path, "cech.json", cech)
     explicit_random = _complex_file(tmp_path, "random.json",
                                     random_complex(np.random.default_rng(105)))
+    shuffled = _shuffled_complex_file(tmp_path, "shuffled.json",
+                                      random_complex(np.random.default_rng(112)))
     fillrad = tmp_path / "fillrad.json"
     fillrad.write_text(json.dumps({  # the criterion-5 config
         "manifold": {"kind": "circle"}, "sampler": {"kind": "equispaced"},
@@ -1128,6 +1149,7 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
                                  "--witness-grid", "6", "--max-dim", "3"],
         "homology-complex-cech-torus": ["homology", "--complex", explicit_cech],
         "homology-complex-random": ["homology", "--complex", explicit_random],
+        "homology-complex-shuffled": ["homology", "--complex", shuffled],
         "fillrad-estimate": ["fillrad-estimate", "--config", str(fillrad)],
         "fillrad-estimate-torus": ["fillrad-estimate", "--config",
                                    str(fillrad_torus)],

@@ -10,8 +10,10 @@ Oracle notes
 * VR membership: has_simplex, a clique test on the neighbour masks, agrees
   with the enumerated simplices on hypothesis-drawn tuples (empty, unsorted,
   repeated, out of range, too long, numpy integers), with masks of up to 80
-  bits, and never enumerates. An explicit copy of each complex, searched by
-  bisection, answers every one of those tuples the same way.
+  bits, and never enumerates. An explicit copy of each complex, looked up in
+  its coface index, answers every one of those tuples the same way, and so
+  does a fixed explicit complex on each malformed tuple, in Python and numpy
+  integers.
 * witnessed Cech membership: has_simplex, the clique test and then the AND
   of the star masks, agrees with oracles.witness_cech on hypothesis-drawn
   circle and 2-torus subsets of up to 80 points (tuples as for VR, plus
@@ -37,7 +39,9 @@ Oracle notes
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -150,7 +154,7 @@ def test_vr_scale_monotone(rng):
 
 
 def test_complex_validation():
-    with pytest.raises(ValueError, match="missing"):
+    with pytest.raises(ValueError, match=r"face \(2,\) of \(1, 2\) is missing"):
         SimplicialComplex(3, 1.0, 1, {0: [(0,), (1,)], 1: [(1, 2)]})
     with pytest.raises(ValueError, match="strictly increasing"):
         SimplicialComplex(3, 1.0, 1, {0: [(0,), (1,)], 1: [(1, 1)]})
@@ -159,12 +163,29 @@ def test_complex_validation():
     # full 2-skeleton on 40 vertices minus one edge that a strided sample of
     # the 10660 positive simplices (every 21st) would never look at
     edges = [e for e in combinations(range(40), 2) if e != (0, 22)]
-    with pytest.raises(ValueError, match=r"face \(0, 22\) of .* is missing"):
+    with pytest.raises(ValueError, match=r"face \(0, 22\) of .* is missing") as err:
         SimplicialComplex(40, 1.0, 2, {0: [(v,) for v in range(40)], 1: edges,
                                        2: list(combinations(range(40), 3))})
+    # the coface named is a listed simplex that has the missing face
+    coface = ast.literal_eval(re.search(r"of (.*) is missing", str(err.value))[1])
+    assert coface in set(combinations(range(40), 3)) and {0, 22} <= set(coface)
     k = SimplicialComplex(3, 1.0, 2, {0: [(0,), (1,), (2,)], 1: [(0, 1)]})
     assert k.simplex_counts() == [3, 1, 0]
     assert k.max_dim == 2
+
+
+def test_explicit_membership_refuses_malformed_tuples():
+    # the 2-skeleton of the tetrahedron: (0, 1) is listed, and so is every
+    # face of (0, 1, 2, 3), which is one vertex past max_dim + 1
+    k = SimplicialComplex(4, 1.0, 2, {d: list(combinations(range(4), d + 1))
+                                      for d in range(3)})
+    answers = {(0, 1): True, (1, 2, 3): True, (1, 0): False, (0, 0): False,
+               (0, 1, 1): False, (-1,): False, (4,): False, (): False,
+               (0, 1, 2, 3): False}
+    for t, held in answers.items():
+        assert k.has_simplex(t) is held, t
+        assert k.has_simplex(tuple(np.int64(v) for v in t)) is held, t
+        assert k.has_simplex(np.array(t, dtype=np.int32)) is held, t
 
 
 def test_vr_membership_never_enumerates():
