@@ -10,18 +10,19 @@ approximated from a witness grid (a simplex is present iff some witness sees
 all its vertices within the radius).
 
 Built complexes are lazy masks (_MaskComplex): has_simplex tests bitmasks,
-and each dimension is enumerated when first needed, in canonical order;
-simplex_counts counts the dimensions not yet enumerated in one walk that
-stores no simplex. Explicit complexes, such as those read from a file, keep
-their sorted simplices and a coface index, built whole by the pass that
-checks them: each face maps to the bitmask of the vertices extending it
-(the coface half of a simplex tree; Boissonnat and Maria, Algorithmica
-2014). A complex file's Betti numbers need every dimension up to max_dim
-anyway. Both offer homology _skeleton (dimensions 0..top), _collapsed (the
-edge collapse below, or the explicit complex itself) and _joins, the
-bitmask of the vertices that extend a face to a simplex: the AND of its
-vertices' masks, or the face's index entry, so homology enumerates no top
-dimension.
+each _skeleton call is one fresh clique walk that returns its dimensions in
+canonical order and keeps none, and simplex_counts is one walk that stores
+no simplex. Only the simplices property, which structural equality and the
+enumerating map check read, holds on to what it walked. Explicit complexes,
+such as those read from a file, keep their sorted simplices and a coface
+index, built whole by the pass that checks them: each face maps to the
+bitmask of the vertices extending it (the coface half of a simplex tree;
+Boissonnat and Maria, Algorithmica 2014). A complex file's Betti numbers
+need every dimension up to max_dim anyway. Both offer homology _skeleton
+(dimensions 0..top), _collapsed (the edge collapse below, or the explicit
+complex itself) and _joins, the bitmask of the vertices that extend a face
+to a simplex: the AND of its vertices' masks, or the face's index entry, so
+homology enumerates no top dimension.
 
 A mask complex's edge collapse (_collapsed) removes dominated edges until
 none is left. With N[.] the closed neighbourhoods, edge xy is dominated by a
@@ -156,8 +157,8 @@ class _MaskComplex(SimplicialComplex):
     lies in a star. No reader depends on bit i. member is None
     for a flag complex, where every clique is a simplex; for a witnessed Cech
     complex member[i] has bit s set iff vertex i lies in star s, and a vertex
-    with no star is not a vertex. Dimensions are enumerated on demand, each
-    once, and kept; has_simplex reads none.
+    with no star is not a vertex. Each _skeleton or simplex_counts call is
+    one fresh walk from the empty simplex; has_simplex walks nothing.
     """
 
     def __init__(self, vertex_count: int, scale: float, max_dim: int,
@@ -167,20 +168,6 @@ class _MaskComplex(SimplicialComplex):
         self.max_dim = max_dim
         self._nbr = nbr
         self._member = member
-        self._levels: list[tuple] = []  # dimensions 0, 1, ... enumerated so far
-
-    def _masks(self, s: tuple[int, ...], above: int) -> tuple[int, int]:
-        """The AND of s's star masks (-1 in a flag complex) and the bitmask of
-        the vertices u > above, not in s, adjacent to every vertex of s. (A
-        witnessed complex's nbr[v] holds bit v, so s's own bits are cleared.)"""
-        nbr, member = self._nbr, self._member
-        shared, common, own = -1, -1, 0
-        for v in s:
-            common &= nbr[v]
-            own |= 1 << v
-            if member is not None:
-                shared &= member[v]
-        return shared, (common & ~own) >> (above + 1) << (above + 1)
 
     def _stars(self, cand: int, shared: int, first: bool = False) -> int:
         """The bits u of cand whose star mask meets shared (every bit in a
@@ -200,37 +187,39 @@ class _MaskComplex(SimplicialComplex):
 
     def _joins(self, s: tuple[int, ...], first: bool = False) -> int:
         """Bitmask of the vertices u such that s plus u is a simplex of one
-        more dimension; with first, only the lowest of them."""
-        shared, common = self._masks(s, -1)
-        return self._stars(common, shared, first)
+        more dimension; with first, only the lowest of them. (A witnessed
+        complex's nbr[v] holds bit v, so s's own bits are cleared.)"""
+        nbr, member = self._nbr, self._member
+        shared, common, own = -1, -1, 0
+        for v in s:
+            common &= nbr[v]
+            own |= 1 << v
+            if member is not None:
+                shared &= member[v]
+        return self._stars(common & ~own, shared, first)
 
     def _expand(self, top: int, keep: bool) -> list:
-        """Dimensions len(self._levels)..top, by one level-wise clique walk.
+        """Dimensions 0..top, by one clique walk from the empty simplex.
 
-        The walk is in the inductive style of Zomorodian (2010) and starts
-        from the last kept dimension, its masks recomputed, or from the empty
-        simplex. Each simplex carries the AND of its vertices' star masks and
-        the bitmask of its common neighbours above its last vertex. Popping
-        the lowest bit u of that mask gives the candidate s + (u,), kept while
-        the AND with u's star mask stays non-zero; its neighbour mask is what
-        is left of the parent's intersected with the neighbours of u. Parents
-        are visited in order and their cofaces come out by increasing u, so
-        with keep every dimension is emitted as a lexicographically sorted
-        tuple free of duplicates: the output is canonical. Without keep only
-        counts come out: the walk carries its (star AND, neighbour mask) pairs
-        and no simplex, and unless the walk starts at dimension top, that
-        dimension is counted from the masks of the one below it, never walked.
+        The walk is in the inductive style of Zomorodian (2010). Each simplex
+        carries the AND of its vertices' star masks and the bitmask of its
+        common neighbours above its last vertex. Popping the lowest bit u of
+        that mask gives the candidate s + (u,), kept while the AND with u's
+        star mask stays non-zero; its neighbour mask is what is left of the
+        parent's intersected with the neighbours of u. Parents are visited in
+        order and their cofaces come out by increasing u, so with keep every
+        dimension is emitted as a lexicographically sorted tuple free of
+        duplicates: the output is canonical. Without keep only counts come
+        out: the walk carries its (star AND, neighbour mask) pairs and no
+        simplex, and dimension top (when top > 0) is counted from the masks
+        of the one below it, never walked.
         """
-        levels = self._levels
         nbr = self._nbr
         member = [-1] * self.vertex_count if self._member is None else self._member
-        if levels:
-            level = [(s, *self._masks(s, s[-1])) for s in levels[-1]]
-        else:
-            level = [((), -1, (1 << self.vertex_count) - 1)]
+        level = [((), -1, (1 << self.vertex_count) - 1)]
         out: list = []
         t = None  # without keep, no simplex is formed
-        for d in range(len(levels), top + 1):
+        for d in range(top + 1):
             last = not keep and d == top - 1  # this level's masks count dimension top
             found, next_level, count, above = [], [], 0, 0
             for s, mask, cand in level:
@@ -257,22 +246,16 @@ class _MaskComplex(SimplicialComplex):
         return out
 
     def _skeleton(self, top: int) -> list[tuple]:
-        """Dimensions 0..top, each enumerated once and kept."""
-        levels = self._levels
-        if len(levels) <= top:
-            levels += self._expand(top, keep=True)
-        return levels[:top + 1]
+        """Dimensions 0..top, enumerated afresh."""
+        return self._expand(top, keep=True)
 
     @cached_property
     def simplices(self) -> dict[int, tuple]:
         return dict(enumerate(self._skeleton(self.max_dim)))
 
     def simplex_counts(self) -> list[int]:
-        """Counts per dimension: the kept dimensions by their length, the rest
-        by a walk that stores no simplex."""
-        top = self.max_dim
-        counts = [len(s) for s in self._levels[:top + 1]]
-        return counts + self._expand(top, keep=False) if len(counts) <= top else counts
+        """Counts per dimension, by a walk that stores no simplex."""
+        return self._expand(self.max_dim, keep=False)
 
     def _collapsed(self) -> _MaskComplex:
         """This complex with dominated edges removed until none is left (see

@@ -326,7 +326,8 @@ def betti_numbers(complex_: SimplicialComplex, up_to: int) -> tuple[int, ...]:
     _check_up_to(complex_, up_to)
     complex_ = complex_._collapsed()
     simplices = complex_._skeleton(max(up_to, 1))
-    killed = _merges(simplices[1], range(complex_.vertex_count))
+    # vertex_count may lie far above every listed vertex; only these are born
+    killed = _merges(simplices[1], range(simplices[0][-1][0] + 1 if simplices[0] else 0))
     betti = [len(simplices[0]) - len(killed)]
     deaths = {simplices[1][i] for i in killed}
     for k in range(1, up_to + 1):

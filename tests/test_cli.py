@@ -402,6 +402,18 @@ def test_homology_complex_file_missing_face(tmp_path, capsys):
     assert "missing" in err and "(0, 22)" in err
 
 
+def test_homology_complex_file_vertex_count_sets_no_cost(tmp_path, capsys):
+    # union-find was sized by vertex_count: 10^30 ended in an OverflowError
+    # traceback, 10^12 in a MemoryError and 3 * 10^7 took 1.2 GB
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"scale": 1.0, "vertex_count": 10**30,
+                                "simplices": {"0": [[0], [1]], "1": [[0, 1]]}}))
+    assert _run(["homology", "--complex", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["betti"] == [1]
+    assert out["simplex_counts"] == [2, 1]
+
+
 def test_homology_needs_scale(tmp_path, capsys):
     x = _subset_file(tmp_path, "x.json", equispaced_circle(circle(), 6))
     assert _run(["homology", "--subset", x]) == 1
@@ -1039,6 +1051,8 @@ PINNED_STDOUT = {
         "7b5bf962958ca1f0194aa51a2d9120eabb446c76fc3a83213eaab0437bb989e7",
     "homology-complex-shuffled":
         "96b649cea20c5b33778938d8652447ebc5030cced5e3e23ca1a8964387eafec7",
+    "homology-complex-sparse-ids":
+        "54744a02d5ad3323c8d07453391c762e41b1a27261865bb7ce804c99c81c8d25",
     "fillrad-estimate":
         "7748cb88b474d4d9c4bca1b030294416facf77664f28f07d1da7160937a0cad0",
     "fillrad-estimate-torus":
@@ -1083,6 +1097,18 @@ def _shuffled_complex_file(tmp_path, name, cx):
     return str(path)
 
 
+def _sparse_complex_file(tmp_path, name, cx):
+    """cx as a complex file with vertex v listed as 3v + 1, so the listed ids
+    skip, and a vertex_count far above them: ids the file does not list are
+    not vertices, and nothing may cost in proportion to them."""
+    path = tmp_path / name
+    path.write_text(json.dumps({
+        "scale": cx.scale, "vertex_count": 1000 + 3 * cx.vertex_count,
+        "simplices": {str(k): [[3 * v + 1 for v in s] for s in found]
+                      for k, found in cx.simplices.items()}}))
+    return str(path)
+
+
 def _pinned_runs(tmp_path) -> dict[str, list[str]]:
     ring = _subset_file(tmp_path, "ring.json", uniform_points(circle(), 40, seed=2))
     torus = _subset_file(tmp_path, "torus.json",
@@ -1102,6 +1128,8 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
                                     random_complex(np.random.default_rng(105)))
     shuffled = _shuffled_complex_file(tmp_path, "shuffled.json",
                                       random_complex(np.random.default_rng(112)))
+    sparse = _sparse_complex_file(tmp_path, "sparse.json",
+                                  random_complex(np.random.default_rng(188)))
     fillrad = tmp_path / "fillrad.json"
     fillrad.write_text(json.dumps({  # the criterion-5 config
         "manifold": {"kind": "circle"}, "sampler": {"kind": "equispaced"},
@@ -1150,6 +1178,7 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
         "homology-complex-cech-torus": ["homology", "--complex", explicit_cech],
         "homology-complex-random": ["homology", "--complex", explicit_random],
         "homology-complex-shuffled": ["homology", "--complex", shuffled],
+        "homology-complex-sparse-ids": ["homology", "--complex", sparse],
         "fillrad-estimate": ["fillrad-estimate", "--config", str(fillrad)],
         "fillrad-estimate-torus": ["fillrad-estimate", "--config",
                                    str(fillrad_torus)],
