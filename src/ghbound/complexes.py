@@ -24,9 +24,10 @@ complex itself) and _joins, the bitmask of the vertices that extend a face
 to a simplex: the AND of its vertices' masks, or the face's index entry, so
 homology enumerates no top dimension.
 
-A mask complex's edge collapse (_collapsed) removes dominated edges until
-none is left. With N[.] the closed neighbourhoods, edge xy is dominated by a
-vertex w outside it when N[x] & N[y] <= N[w] and, with star masks,
+A mask complex's edge collapse (_collapsed) removes dominated edges in one
+sweep over the vertices, testing each edge from both ends. With N[.] the
+closed neighbourhoods, edge xy is dominated by a vertex w outside it when
+N[x] & N[y] <= N[w] and, with star masks,
 member[x] & member[y] & ~member[w] == 0: every kept star that holds x and y
 holds w. Then every simplex containing x and y is a clique inside N[w] and
 lies in a star that holds w, so adding w keeps it a simplex: the link of xy
@@ -258,16 +259,14 @@ class _MaskComplex(SimplicialComplex):
         return self._expand(self.max_dim, keep=False)
 
     def _collapsed(self) -> _MaskComplex:
-        """This complex with dominated edges removed until none is left (see
-        the module docstring), in the same open or closed mask form. Vertices
-        are visited lowest first, and a removal revisits both endpoints: it
-        shrinks only their neighbourhoods, so only their edges can become
-        dominated."""
+        """This complex with dominated edges removed (see the module
+        docstring), in the same open or closed mask form. One sweep visits
+        the vertices lowest first and tests each remaining edge at the
+        visited vertex against the current masks, so an edge kept at one
+        end's visit is tested again at the other's. Nothing is revisited, so
+        collapsing the result again may remove more."""
         nbr, member = list(self._nbr), self._member
-        todo = (1 << self.vertex_count) - 1
-        while todo:
-            x = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
+        for x in range(self.vertex_count):
             ys = nbr[x] & ~(1 << x)
             while ys:
                 by = ys & -ys
@@ -283,7 +282,6 @@ class _MaskComplex(SimplicialComplex):
                             and member[x] & member[y] & ~member[w]):
                         nbr[x] ^= by
                         nbr[y] ^= 1 << x
-                        todo |= 1 << x | by
                         break
         return _MaskComplex(self.vertex_count, self.scale, self.max_dim, nbr, member)
 

@@ -27,7 +27,7 @@ supplies rows, so it is neither reduced nor enumerated:
   row by (not in the image, vertex tuple). The Betti numbers of a built
   complex are those of its edge collapse (complexes._MaskComplex._collapsed);
   on the VR complex of the 16 x 16 grid on the unit torus at 0.3 it leaves
-  324 of 8,704 edges;
+  315 of 8,704 edges;
 * distance rows (vr_persistence_bars, the VR filtration): a face's cofaces
   add the vertices within scale of all its vertices, each entering at the
   larger of the face's diameter and its farthest distance to them. One
