@@ -14,11 +14,11 @@ each _skeleton call is one fresh clique walk that returns its dimensions in
 canonical order and keeps none, and simplex_counts is one walk that stores
 no simplex. Only the simplices property, which structural equality and the
 enumerating map check read, holds on to what it walked. Explicit complexes,
-such as those read from a file, keep their sorted simplices and a coface
-index, built whole by the pass that checks them: each face maps to the
-bitmask of the vertices extending it (the coface half of a simplex tree;
-Boissonnat and Maria, Algorithmica 2014). A complex file's Betti numbers
-need every dimension up to max_dim anyway. Both offer homology _skeleton
+such as those read from a file, keep only a coface index, built whole by the
+pass that checks them: each face maps to the bitmask of the vertices
+extending it (the coface half of a simplex tree; Boissonnat and Maria,
+Algorithmica 2014). A dimension below max_dim is read back as the next one's
+keys, and max_dim as the faces and their bits. Both offer homology _skeleton
 (dimensions 0..top), _collapsed (the edge collapse below, or the explicit
 complex itself) and _joins, the bitmask of the vertices that extend a face
 to a simplex: the AND of its vertices' masks, or the face's index entry, so
@@ -66,7 +66,7 @@ from operator import and_, ge, index
 
 import numpy as np
 
-from .manifolds import STRICT_SLACK, FiniteMetricSpace, FiniteSubset, witness_hits
+from .manifolds import MAX_TABLE, STRICT_SLACK, FiniteMetricSpace, FiniteSubset, witness_hits
 
 
 class SimplicialComplex:
@@ -78,11 +78,10 @@ class SimplicialComplex:
     the top non-empty dimension. Instances are immutable by convention.
 
     This constructor, for explicit complexes, checks every simplex in one
-    pass that also fills the coface index, which has_simplex and _joins
-    read: _index[k] maps each k-vertex face to the bitmask of the vertices
-    that extend it, keyed first by the listed (k-1)-simplices, so a key past
-    them is a missing face and a complex that exists is closed under taking
-    faces. All of it takes time linear in simplices x dim.
+    linear pass that fills the coface index, all it keeps: _index[k] maps
+    each k-vertex face to the bitmask of the vertices extending it, keyed
+    first by the listed (k-1)-simplices in order, so a key past them is a
+    missing face and a complex that exists is closed under taking faces.
     """
 
     def __init__(self, vertex_count: int, scale: float, max_dim: int,
@@ -94,30 +93,40 @@ class SimplicialComplex:
         self.vertex_count = vertex_count
         self.scale = float(scale)
         self.max_dim = max_dim
-        self.simplices = {d: tuple(sorted({tuple(map(index, s))
-                                           for s in simplices.get(d, ())}))
-                          for d in range(max_dim + 1)}
         self._index: list[dict[tuple, int]] = []
-        below: tuple = ((),)  # the empty simplex, the one face of a vertex
-        for d, entries in self.simplices.items():
+        entries, top = 0, 0  # face entries and largest vertex so far
+        for d in range(max_dim + 1):
             # keyed first by the listed faces, so a key past them is missing
-            faces: dict[tuple, int] = defaultdict(int, dict.fromkeys(below, 0))
-            for s in entries:
+            faces: dict[tuple, int] = defaultdict(int, dict.fromkeys(
+                _extensions(self._index[-1]) if d else [()], 0))
+            listed, ints = len(faces), (int,) * (d + 1)
+            for s in simplices.get(d, ()):
+                if tuple(map(type, s)) != ints:  # numpy integers, or not integers
+                    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                           for v in s):
+                        raise ValueError(f"simplex {tuple(s)} has a non-integer vertex")
+                    s = tuple(map(index, s))
                 if len(s) != d + 1:
-                    raise ValueError(f"simplex {s} filed under dimension {d}")
+                    raise ValueError(f"simplex {tuple(s)} filed under dimension {d}")
                 if any(map(ge, s, s[1:])):
-                    raise ValueError(f"simplex {s} is not strictly increasing")
+                    raise ValueError(f"simplex {tuple(s)} is not strictly increasing")
                 if s[0] < 0 or s[-1] >= vertex_count:
-                    raise ValueError(f"simplex {s} has a vertex out of range")
+                    raise ValueError(f"simplex {tuple(s)} has a vertex out of range")
+                entries, top = entries + d + 1, max(top, s[-1])
+                if entries * (top + 1) > 64 * MAX_TABLE:  # bits the masks may take
+                    raise ValueError(f"simplex {tuple(s)} needs a coface index over 2 GiB")
                 # combinations drops the last vertex first, then the one before
                 for face, u in zip(combinations(s, d), reversed(s)):
                     faces[face] |= 1 << u
-            if len(faces) > len(below):
-                face, mask = next(islice(faces.items(), len(below), None))
+            if len(faces) > listed:
+                face, mask = next(islice(faces.items(), listed, None))
                 coface = tuple(sorted({*face, (mask & -mask).bit_length() - 1}))
                 raise ValueError(f"face {face} of {coface} is missing")
             self._index.append(faces)
-            below = entries
+
+    @cached_property
+    def simplices(self) -> dict[int, tuple]:
+        return dict(enumerate(self._skeleton(self.max_dim)))
 
     def has_simplex(self, simplex) -> bool:
         t = tuple(map(index, simplex))
@@ -129,11 +138,13 @@ class SimplicialComplex:
                 and self._index[len(face)].get(face, 0) >> u & 1 == 1)
 
     def simplex_counts(self) -> list[int]:
-        return [len(self.simplices[d]) for d in range(self.max_dim + 1)]
+        top = sum(mask.bit_count() for mask in self._index[-1].values())
+        return [*map(len, self._index[1:]), top // (self.max_dim + 1)]
 
     def _skeleton(self, top: int) -> list[tuple]:
-        """Dimensions 0..top."""
-        return [self.simplices[d] for d in range(top + 1)]
+        """Dimensions 0..top: the index keys one dimension up, or its bits."""
+        out = [tuple(self._index[k + 1]) for k in range(min(top, self.max_dim - 1) + 1)]
+        return out + [tuple(_extensions(self._index[top]))] if top == self.max_dim else out
 
     def _collapsed(self) -> SimplicialComplex:
         """Homology reads an explicit complex as it is."""
@@ -145,6 +156,15 @@ class SimplicialComplex:
         coface index; s has at most max_dim vertices."""
         mask = self._index[len(s)].get(s, 0)
         return mask & -mask if first else mask
+
+
+def _extensions(faces: dict[tuple, int]):
+    """Each face of a coface index extended by its bits above its last vertex."""
+    for face, mask in faces.items():
+        mask &= -2 << face[-1] if face else -1
+        while mask:
+            yield (*face, (mask & -mask).bit_length() - 1)
+            mask &= mask - 1
 
 
 class _MaskComplex(SimplicialComplex):
@@ -249,10 +269,6 @@ class _MaskComplex(SimplicialComplex):
     def _skeleton(self, top: int) -> list[tuple]:
         """Dimensions 0..top, enumerated afresh."""
         return self._expand(top, keep=True)
-
-    @cached_property
-    def simplices(self) -> dict[int, tuple]:
-        return dict(enumerate(self._skeleton(self.max_dim)))
 
     def simplex_counts(self) -> list[int]:
         """Counts per dimension, by a walk that stores no simplex."""

@@ -155,9 +155,9 @@ def complex_from_dict(d: dict) -> SimplicialComplex:
                              "dimension in canonical decimal")
         entries = read_key(raw, dim, "a list of vertex lists",
                            "complex JSON 'simplices' entry")
-        simplices[int(dim)] = [tuple(s) for s in entries]
+        simplices[int(dim)] = entries
     max_dim = max(simplices)
-    listed = len(set(simplices.get(0, ())))  # no simplex has more vertices
+    listed = len(set(map(tuple, simplices.get(0, ()))))  # no simplex has more vertices
     if min(simplices) < 0 or max_dim > listed:
         raise ValueError(f"complex JSON 'simplices' keys run from {min(simplices)} to "
                          f"{max_dim}, not within 0 to {listed}, the listed vertices")

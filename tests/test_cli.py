@@ -864,6 +864,31 @@ print(code, tracemalloc.get_traced_memory()[1])
 """
 
 
+# cli.main in a child under the same limit, timed
+_TIMED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+from ghbound import cli
+start = time.perf_counter()
+code = cli.main(sys.argv[1:])
+print(code, time.perf_counter() - start)
+"""
+
+
+def test_complex_file_past_the_index_cap_is_one_error_line(tmp_path):
+    # vertex 2**34 gave the empty face a 2 GiB coface mask: a MemoryError
+    # traceback under a 1.5 GB address-space limit
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"scale": 1.0, "simplices": {"0": [[0], [2 ** 34]]}}))
+    proc = _run_child(["-c", _TIMED_MAIN, "homology", "--complex", str(path)])
+    assert proc.returncode == 0, proc.stderr
+    code, seconds = proc.stdout.split()
+    assert int(code) == 1
+    assert float(seconds) < 1.0
+    assert proc.stderr == ("error: simplex (17179869184,) needs a coface index "
+                           "over 2 GiB\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--x", "{line}", "--witness-grid", "16777216"],
     ["homology", "--cech", "--subset", "{line}", "--scale", "0.1",
@@ -1053,6 +1078,8 @@ PINNED_STDOUT = {
         "96b649cea20c5b33778938d8652447ebc5030cced5e3e23ca1a8964387eafec7",
     "homology-complex-sparse-ids":
         "54744a02d5ad3323c8d07453391c762e41b1a27261865bb7ce804c99c81c8d25",
+    "homology-complex-capped-rp2":
+        "34a12961959cd5ee687febce6640eb1b56533b14ea7efa0287ada1590fe86857",
     "fillrad-estimate":
         "7748cb88b474d4d9c4bca1b030294416facf77664f28f07d1da7160937a0cad0",
     "fillrad-estimate-torus":
@@ -1109,6 +1136,19 @@ def _sparse_complex_file(tmp_path, name, cx):
     return str(path)
 
 
+def _capped_rp2_file(tmp_path):
+    """The 6-vertex projective plane as a complex file capped at dimension 4,
+    two above its triangles, with the triangles shuffled and one listed twice."""
+    triangles = [[1, 3, 5], [0, 4, 5], [2, 4, 5], [0, 1, 2], [1, 3, 4],
+                 [0, 3, 4], [2, 3, 5], [1, 3, 5], [0, 1, 5], [0, 2, 3], [1, 2, 4]]
+    edges = sorted({tuple(e) for t in triangles for e in combinations(t, 2)})
+    path = tmp_path / "rp2.json"
+    path.write_text(json.dumps({"scale": 1.0, "simplices": {
+        "0": [[v] for v in range(6)], "1": [list(e) for e in edges],
+        "2": triangles, "3": [], "4": []}}))
+    return str(path)
+
+
 def _pinned_runs(tmp_path) -> dict[str, list[str]]:
     ring = _subset_file(tmp_path, "ring.json", uniform_points(circle(), 40, seed=2))
     torus = _subset_file(tmp_path, "torus.json",
@@ -1130,6 +1170,7 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
                                       random_complex(np.random.default_rng(112)))
     sparse = _sparse_complex_file(tmp_path, "sparse.json",
                                   random_complex(np.random.default_rng(188)))
+    rp2 = _capped_rp2_file(tmp_path)
     fillrad = tmp_path / "fillrad.json"
     fillrad.write_text(json.dumps({  # the criterion-5 config
         "manifold": {"kind": "circle"}, "sampler": {"kind": "equispaced"},
@@ -1179,6 +1220,7 @@ def _pinned_runs(tmp_path) -> dict[str, list[str]]:
         "homology-complex-random": ["homology", "--complex", explicit_random],
         "homology-complex-shuffled": ["homology", "--complex", shuffled],
         "homology-complex-sparse-ids": ["homology", "--complex", sparse],
+        "homology-complex-capped-rp2": ["homology", "--complex", rp2],
         "fillrad-estimate": ["fillrad-estimate", "--config", str(fillrad)],
         "fillrad-estimate-torus": ["fillrad-estimate", "--config",
                                    str(fillrad_torus)],

@@ -174,6 +174,23 @@ def test_complex_validation():
     assert k.max_dim == 2
 
 
+@pytest.mark.parametrize("vertex", [True, False, 0.5, 1.0, "a", None,
+                                    np.float64(1.0), np.True_])
+def test_explicit_complex_refuses_non_integer_vertices(vertex):
+    # bools were read as vertices 0 and 1, the rest raised a TypeError
+    with pytest.raises(ValueError,
+                       match=re.escape(f"simplex {(vertex,)} has a non-integer vertex")):
+        SimplicialComplex(2, 1.0, 0, {0: [(vertex,)]})
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, int])
+def test_explicit_complex_accepts_numpy_integers(kind):
+    k = SimplicialComplex(3, 1.0, 1, {0: [(kind(0),), (kind(2),)],
+                                      1: [(kind(0), kind(2))]})
+    assert k.simplices == {0: ((0,), (2,)), 1: ((0, 2),)}
+    assert all(type(v) is int for found in k.simplices.values() for s in found for v in s)
+
+
 def test_explicit_membership_refuses_malformed_tuples():
     # the 2-skeleton of the tetrahedron: (0, 1) is listed, and so is every
     # face of (0, 1, 2, 3), which is one vertex past max_dim + 1

@@ -33,7 +33,9 @@ Oracle notes
   after a lower skeleton was enumerated in between; afterwards the complex
   holds its masks, vertex count, scale and cap, and nothing else. The explicit
   complex's _joins, read off the coface index it builds when constructed,
-  must equal the masks' on every face.
+  must equal the masks' on every face, and its _skeleton, simplex_counts
+  and simplices, read off the same index, the mask complex's at every cap
+  from 0 to 3, from simplices listed in reverse with duplicates.
 * Betti numbers of a mask complex come from its edge-collapsed complex; they
   must equal beta_0..beta_3 of an explicit copy of the uncollapsed
   simplices, for VR complexes of circle, 2-torus, 3-torus and R^3 samples
@@ -263,18 +265,27 @@ def test_mask_complexes_never_store_the_top_dimension(on_torus, witnessed, size,
 
 @settings(max_examples=40, deadline=None)
 @given(witnessed=st.booleans(), size=st.integers(3, 12), seed=st.integers(0, 2**32 - 1),
-       scale=st.floats(0.1, 0.8), up_to=st.integers(0, 2))
+       scale=st.floats(0.1, 0.8), max_dim=st.integers(0, 3), up_to=st.integers(0, 2))
 def test_explicit_joins_match_the_masks_up_to_the_top(witnessed, size, seed, scale,
-                                                      up_to):
+                                                      max_dim, up_to):
     subset = uniform_points(flat_torus([1.0, 1.0]), size, seed)
-    cx = (build_cech_witness(subset, scale, 3, 16) if witnessed
-          else build_vr(subset.to_metric_space(), scale, 3))
-    explicit = SimplicialComplex(cx.vertex_count, cx.scale, 3, cx.simplices)
-    assert betti_numbers(explicit, up_to) == betti_numbers(cx, up_to)
-    for d in range(3):
-        for s in explicit.simplices[d]:
+    cx = (build_cech_witness(subset, scale, max_dim, 16) if witnessed
+          else build_vr(subset.to_metric_space(), scale, max_dim))
+    # listed in reverse with each first simplex twice: the explicit complex
+    # keeps only its index, and reads every dimension back in order
+    explicit = SimplicialComplex(cx.vertex_count, cx.scale, max_dim,
+                                 {d: found[::-1] + found[:1]
+                                  for d, found in cx.simplices.items()})
+    assert explicit.simplex_counts() == cx.simplex_counts()
+    for k in range(max_dim + 1):
+        assert explicit._skeleton(k) == cx._skeleton(k)
+    if up_to < max_dim:
+        assert betti_numbers(explicit, up_to) == betti_numbers(cx, up_to)
+    for d in range(max_dim):
+        for s in cx.simplices[d]:
             assert explicit._joins(s) == cx._joins(s)
             assert explicit._joins(s, True) == cx._joins(s, True)
+    assert explicit.simplices == cx.simplices
 
 
 def test_witnessed_hollow_triangle_keeps_its_cycle():

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ghbound import (FiniteMetricSpace, FiniteSubset, build_vr, circle,
-                     euclidean, flat_torus, uniform_points)
+from ghbound import (FiniteMetricSpace, FiniteSubset, betti_numbers, build_vr, circle,
+                     euclidean, flat_torus, grid_points, uniform_points)
 from ghbound.serialize import (complex_from_dict, load_space, manifold_from_dict,
                                manifold_to_dict, metric_space_from_dict, read_json,
                                subset_from_dict, subset_to_dict, write_json)
@@ -110,6 +111,29 @@ def test_complex_vertex_count_inferred():
     assert back.vertex_count == 5
     with pytest.raises(ValueError, match="complex JSON"):
         complex_from_dict({"scale": 1.0})
+
+
+def test_explicit_complex_stores_only_its_coface_index():
+    grid = build_vr(grid_points(flat_torus([1.0, 1.0]), 8).to_metric_space(), 0.3, 3)
+    d = {"scale": grid.scale, "vertex_count": grid.vertex_count,
+         "simplices": {str(k): [list(s) for s in found]
+                       for k, found in grid.simplices.items()}}
+    tracemalloc.start()
+    try:
+        cx = complex_from_dict(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 0.82 MiB while every dimension was also kept as sorted tuples; 0.23 MiB
+    # for the index alone
+    assert peak < 2 ** 19
+    assert cx.has_simplex((0, 1)) and not cx.has_simplex((0, 1, 2, 3, 4))
+    assert cx.simplex_counts() == grid.simplex_counts()
+    assert cx._skeleton(2) == grid._skeleton(2)
+    assert betti_numbers(cx, 2) == betti_numbers(grid, 2)
+    assert set(vars(cx)) == {"vertex_count", "scale", "max_dim", "_index"}
+    assert cx.simplices == grid.simplices
+    assert set(vars(cx)) == {"vertex_count", "scale", "max_dim", "_index", "simplices"}
 
 
 def test_write_json_returns_text(tmp_path):
